@@ -38,6 +38,7 @@ from .protocol import (
     JointDistribution,
     ProtocolConfig,
     RoundRecord,
+    RoundSample,
     exact_joint,
     run_round,
     run_until_halt,
@@ -70,6 +71,7 @@ __all__ = [
     "Perspective",
     "ProtocolConfig",
     "RoundRecord",
+    "RoundSample",
     "RuleSet",
     "SpaceLayout",
     "Statement",

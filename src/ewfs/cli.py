@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -98,9 +99,9 @@ def _cmd_exact(args) -> tuple[dict, str, list]:
 
 def _cmd_mc(args) -> tuple[dict, str, list]:
     config = ProtocolConfig(semantics=args.semantics, theta=args.theta, seed=args.seed)
-    records = protocol.sample_records(config, args.rounds)
+    sample = protocol.sample_records(config, args.rounds)
     joint = protocol.exact_joint(config)
-    counts = protocol.tally_joint(records)
+    counts = protocol.tally_joint(sample)
     n = args.rounds
 
     freqs = []
@@ -128,18 +129,19 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
                 f"{wbar:<9}{w:<7}{c:>8}  {f_hat:>12.6f}  {se:>11.6f}  {_prob_cell(joint.prob(wbar, w))}"
             )
 
-    lengths = protocol.episode_lengths(records)
+    lengths = protocol.episode_lengths(sample)
     halt_p = joint.prob(protocol.OKBAR, protocol.OK)
-    hist: dict[int, int] = {}
-    for length in lengths:
-        hist[length] = hist.get(length, 0) + 1
-    mean_round = float(np.mean(lengths)) if lengths else None
-    leftover = n - sum(lengths)
+    by_length = np.bincount(lengths)
+    hist = [(k, int(by_length[k])) for k in np.flatnonzero(by_length).tolist()]
+    total = int(lengths.sum())
+    # Exact integer total over the count: the same float as the mean of the lengths.
+    mean_round = total / len(lengths) if len(lengths) else None
+    leftover = n - total
     halting = {
         "episodes": len(lengths),
         "mean_round": mean_round,
         "expected_mean": (1.0 / halt_p) if halt_p > 0 else float("inf"),
-        "histogram": [{"length": k, "count": hist[k]} for k in sorted(hist)],
+        "histogram": [{"length": k, "count": c} for k, c in hist],
         "leftover_rounds": leftover,
     }
     lines.append("")
@@ -151,8 +153,7 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["length", "count"])
-    for k in sorted(hist):
-        writer.writerow([k, hist[k]])
+    writer.writerows(hist)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -190,11 +191,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         spec = build()
         if not set(spec.target) <= set(subsystems):
             continue
-        dist = outcome_distribution(rho, spec)
-        merged: dict[str, float] = {}
-        for label, p in dist.items():
-            key = protocol.OTHER if label.startswith("other_") else label
-            merged[key] = merged.get(key, 0.0) + p
+        merged = protocol.merge_other(outcome_distribution(rho, spec))
         predictions.append(
             {
                 "measurement": name,
@@ -297,6 +294,26 @@ def _parse_condition(text: str) -> tuple[str, str]:
     return var, value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ewfs",
@@ -314,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact joint announcement distribution")
     p_exact.add_argument("--semantics", choices=(protocol.COLLAPSE, protocol.UNITARY),
                          default=protocol.UNITARY)
-    p_exact.add_argument("--theta", type=float, default=0.0, help="coin phase in radians")
+    p_exact.add_argument("--theta", type=_finite_float, default=0.0, help="coin phase in radians")
     add_common(p_exact)
     p_exact.set_defaults(func=_cmd_exact)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo rounds with halting histogram")
     p_mc.add_argument("--semantics", choices=(protocol.COLLAPSE, protocol.UNITARY),
                       default=protocol.UNITARY)
-    p_mc.add_argument("--theta", type=float, default=0.0)
-    p_mc.add_argument("--rounds", type=int, default=10_000)
+    p_mc.add_argument("--theta", type=_finite_float, default=0.0)
+    p_mc.add_argument("--rounds", type=_positive_int, default=10_000)
     p_mc.add_argument("--seed", type=int, default=0)
     add_common(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_persp.add_argument("--rule", choices=tuple(RULE_FLAGS), required=True)
     p_persp.add_argument("--cond", action="append", type=_parse_condition, metavar="VAR=VALUE",
                          help="condition on a record, e.g. r=tails (repeatable)")
-    p_persp.add_argument("--theta", type=float, default=0.0)
+    p_persp.add_argument("--theta", type=_finite_float, default=0.0)
     p_persp.add_argument("--subsystems", default=None, metavar="NAMES",
                          help="comma-separated registers (default depends on --time)")
     add_common(p_persp)
@@ -341,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="statement-chain audit under a rule set")
     p_audit.add_argument("--ruleset", choices=reasoning.RULESET_NAMES, required=True)
-    p_audit.add_argument("--theta", type=float, default=0.0)
+    p_audit.add_argument("--theta", type=_finite_float, default=0.0)
     add_common(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
     return parser

@@ -239,10 +239,4 @@ def record_readout_spec(var: str) -> MeasurementSpec:
 
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:
     """Distribution a perspective assigns to a record variable, 'other' outcomes merged."""
-    spec = record_readout_spec(var)
-    dist = predict_distribution(p, spec, theta)
-    merged: dict[str, float] = {}
-    for label, prob in dist.items():
-        key = protocol.OTHER if label.startswith("other_") else label
-        merged[key] = merged.get(key, 0.0) + prob
-    return merged
+    return protocol.merge_other(predict_distribution(p, record_readout_spec(var), theta))

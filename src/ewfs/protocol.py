@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -354,6 +354,15 @@ def _simplify(label: str) -> str:
     return OTHER if label.startswith("other_") else label
 
 
+def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
+    """Fold the auto-completed ``other_k`` outcomes of a distribution into one ``other``."""
+    merged: dict[str, float] = {}
+    for label, p in dist.items():
+        key = _simplify(label)
+        merged[key] = merged.get(key, 0.0) + p
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # Collapse semantics: exhaustive trajectory enumeration.
 # ---------------------------------------------------------------------------
@@ -560,44 +569,76 @@ def run_until_halt(config: ProtocolConfig) -> list[RoundRecord]:
     return records
 
 
-def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = None) -> list[RoundRecord]:
-    """Vectorized i.i.d. round sample drawn from the exact record distribution.
+# Rounds drawn per ``rng.random`` call: bounds the sampler's working memory
+# while keeping the concatenated draws identical to a single call.
+SAMPLE_CHUNK = 1 << 16
 
-    Statistically identical to looping ``run_round`` with per-round streams,
-    and byte-reproducible given (config, n_rounds, seed).
+
+@dataclass(frozen=True, eq=False)
+class RoundSample:
+    """Sampled rounds as one column: each round is an index into ``keys``.
+
+    ``keys`` are the ``(r, z, wbar, w)`` records of the exact record
+    distribution, in its insertion order; ``index`` holds one read-only
+    ``uint8`` per round.
+    """
+
+    keys: tuple[tuple[str, str, str, str], ...]
+    index: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.index.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundSample):
+            return NotImplemented
+        return self.keys == other.keys and np.array_equal(self.index, other.index)
+
+
+def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = None) -> RoundSample:
+    """I.i.d. rounds drawn from the exact record distribution.
+
+    One ``default_rng`` stream: round *i* takes the *i*-th uniform.  Draws
+    come in chunks of ``SAMPLE_CHUNK``, so memory beyond the one-byte-per-round
+    index column stays flat, and the result is byte-reproducible given
+    (config, n_rounds, seed).
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
     rng = np.random.default_rng(config.seed if seed is None else seed)
     dist = exact_record_distribution(config)
-    keys = list(dist.keys())
+    keys = tuple(dist)
     probs = np.array([dist[k] for k in keys])
-    probs = probs / probs.sum()
-    cum = np.cumsum(probs)
-    draws = np.searchsorted(cum, rng.random(n_rounds), side="right")
-    draws = np.minimum(draws, len(keys) - 1)
-    out = []
-    for i, d in enumerate(draws):
-        r, z, wbar, w = keys[int(d)]
-        out.append(RoundRecord(i, r, z, wbar, w, wbar == OKBAR and w == OK))
-    return out
+    cum = np.cumsum(probs / probs.sum())
+    index = np.empty(n_rounds, dtype=np.uint8)
+    for start in range(0, n_rounds, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, n_rounds)
+        draws = np.searchsorted(cum, rng.random(stop - start), side="right")
+        index[start:stop] = np.minimum(draws, len(keys) - 1)
+    return RoundSample(keys, index)
 
 
-def tally_joint(records: Sequence[RoundRecord]) -> dict[tuple[str, str], int]:
+def tally_joint(sample: RoundSample) -> dict[tuple[str, str], int]:
+    """Round counts per observed ``(wbar, w)`` cell."""
+    # bincount widens its input to intp, so count chunk by chunk.
+    per_key = sum(
+        (
+            np.bincount(sample.index[start:start + SAMPLE_CHUNK], minlength=len(sample.keys))
+            for start in range(0, len(sample), SAMPLE_CHUNK)
+        ),
+        np.zeros(len(sample.keys), dtype=np.int64),
+    )
     counts: dict[tuple[str, str], int] = {}
-    for rec in records:
-        key = (rec.wbar, rec.w)
-        counts[key] = counts.get(key, 0) + 1
+    for (_, _, wbar, w), c in zip(sample.keys, per_key):
+        if c:
+            counts[(wbar, w)] = counts.get((wbar, w), 0) + int(c)
     return counts
 
 
-def episode_lengths(records: Sequence[RoundRecord]) -> list[int]:
+def episode_lengths(sample: RoundSample) -> np.ndarray:
     """Lengths of completed halt-terminated episodes in an i.i.d. round stream."""
-    lengths = []
-    current = 0
-    for rec in records:
-        current += 1
-        if rec.halted:
-            lengths.append(current)
-            current = 0
-    return lengths
+    halts = np.array([wbar == OKBAR and w == OK for _, _, wbar, w in sample.keys])
+    return np.diff(np.flatnonzero(halts[sample.index]), prepend=-1)

@@ -180,3 +180,35 @@ def geometric_mean_se(lengths) -> tuple[float, float]:
     """Sample mean and its standard error for episode lengths."""
     arr = np.asarray(lengths, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(len(arr)))
+
+
+def unchunked_sample_index(probs, n_rounds: int, seed: int) -> np.ndarray:
+    """Record-table index per round from a single ``rng.random(n_rounds)`` call.
+
+    ``probs`` lists the record probabilities in table order; round i takes
+    the i-th uniform of one ``default_rng(seed)`` stream.
+    """
+    probs = np.asarray(probs, dtype=float)
+    cum = np.cumsum(probs / probs.sum())
+    draws = np.searchsorted(cum, np.random.default_rng(seed).random(n_rounds), side="right")
+    return np.minimum(draws, len(probs) - 1)
+
+
+def loop_tally(keys, index) -> dict[tuple[str, str], int]:
+    """(wbar, w) counts by a plain loop over the rounds."""
+    counts: dict[tuple[str, str], int] = {}
+    for i in index:
+        cell = tuple(keys[i][2:])
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+def loop_episode_lengths(keys, index) -> list[int]:
+    """Completed episode lengths by a plain loop: an episode ends on (okbar, ok)."""
+    lengths, current = [], 0
+    for i in index:
+        current += 1
+        if tuple(keys[i][2:]) == ("okbar", "ok"):
+            lengths.append(current)
+            current = 0
+    return lengths

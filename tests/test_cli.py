@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,33 @@ def test_mc_payload_shape_and_convergence():
     assert payload["halting"]["episodes"] > 0
     total = sum(h["count"] * h["length"] for h in payload["halting"]["histogram"])
     assert total + payload["halting"]["leftover_rounds"] == payload["rounds"]
+
+
+# sha256 of mc.json and halting_histogram.csv for --rounds 100000 --seed 42,
+# recorded from the per-round sampler before the columnar one replaced it.
+MC_GOLDEN_SHA256 = {
+    "unitary": (
+        "43ad424798784fea4bd4d5ab88e856e574c26f592bf6184ec064bad8e738b341",
+        "551459332254c781ee1eb6fb076e073f1a967dd45c5f2d71e0994f793f257890",
+    ),
+    "collapse": (
+        "fa74cc0dcae1323c640b284445618ca2458af0d193c4078019ecd4cc408a8552",
+        "674d156c9390d7a0135f39da98235f236c0c9047c630029f5391a8d6bcb17eb3",
+    ),
+}
+
+
+@pytest.mark.parametrize("semantics", sorted(MC_GOLDEN_SHA256))
+def test_mc_output_bytes_golden(tmp_path, semantics):
+    run_cli(
+        "mc", "--semantics", semantics, "--rounds", "100000", "--seed", "42",
+        "--out", str(tmp_path),
+    )
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("mc.json", "halting_histogram.csv")
+    )
+    assert digests == MC_GOLDEN_SHA256[semantics]
 
 
 def test_mc_writes_files_and_manifest(tmp_path):
@@ -190,3 +218,23 @@ def test_exit_code_2_on_bad_flags():
 
 def test_exit_code_zero_on_success():
     assert run_cli("exact").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc", "--rounds", "0"),
+        ("mc", "--rounds", "-5"),
+        ("exact", "--theta", "nan"),
+        ("exact", "--theta", "inf"),
+        ("audit", "--ruleset", "fr-mixed", "--theta", "nan"),
+    ],
+)
+def test_exit_code_2_on_out_of_range_flags(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ewfs ")
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith(f"ewfs {argv[0]}: error: argument {argv[-2]}: ")
+    assert "Warning" not in proc.stderr

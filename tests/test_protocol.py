@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ewfs.protocol import (
+    SAMPLE_CHUNK,
     ProtocolConfig,
     RoundRecord,
+    RoundSample,
     JointDistribution,
     episode_lengths,
     exact_joint,
@@ -21,6 +25,9 @@ from _oracles import (
     collapse_joint_cells,
     collapse_record_table,
     geometric_mean_se,
+    loop_episode_lengths,
+    loop_tally,
+    unchunked_sample_index,
     unitary_joint_numeric,
 )
 
@@ -197,12 +204,13 @@ def test_per_round_runners_converge_to_exact():
         cfg = ProtocolConfig(semantics=semantics, seed=1)
         n = 4000
         records = [runner(cfg, round_rng(1, i), i) for i in range(n)]
+        counts = Counter((r.wbar, r.w) for r in records)
         joint = exact_joint(cfg)
         for cell, p in joint.entries.items():
             if p == 0:
                 continue
             se = np.sqrt(p * (1 - p) / n)
-            assert abs(tally_joint(records).get(cell, 0) / n - p) < 5 * se
+            assert abs(counts.get(cell, 0) / n - p) < 5 * se
 
 
 def test_halting_round_is_geometric():
@@ -220,3 +228,47 @@ def test_run_round_dispatch():
     assert isinstance(rec, RoundRecord)
     rec = run_round(ProtocolConfig(semantics="unitary"), round_rng(5, 0))
     assert isinstance(rec, RoundRecord)
+
+
+@pytest.mark.parametrize("semantics", ["unitary", "collapse"])
+@pytest.mark.parametrize(
+    "n_rounds",
+    [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7],
+)
+def test_chunked_sample_matches_single_draw(semantics, n_rounds):
+    cfg = ProtocolConfig(semantics=semantics, seed=5)
+    sample = sample_records(cfg, n_rounds)
+    dist = exact_record_distribution(cfg)
+    assert sample.keys == tuple(dist)
+    assert sample.index.dtype == np.uint8
+    assert len(sample) == n_rounds
+    expected = unchunked_sample_index(list(dist.values()), n_rounds, seed=5)
+    assert np.array_equal(sample.index, expected)
+    assert tally_joint(sample) == loop_tally(sample.keys, expected.tolist())
+    lengths = episode_lengths(sample)
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == loop_episode_lengths(sample.keys, expected.tolist())
+
+
+def test_halts_on_chunk_edges():
+    keys = tuple(exact_record_distribution(ProtocolConfig(semantics="collapse")))
+    halt = next(i for i, k in enumerate(keys) if k[2:] == ("okbar", "ok"))
+    other = next(i for i, k in enumerate(keys) if k[2:] != ("okbar", "ok"))
+    index = np.full(2 * SAMPLE_CHUNK + 5, other, dtype=np.uint8)
+    for pos in (0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK):
+        index[pos] = halt
+    sample = RoundSample(keys, index)
+    assert episode_lengths(sample).tolist() == loop_episode_lengths(keys, index.tolist())
+    assert episode_lengths(sample).tolist() == [1, SAMPLE_CHUNK - 1, 1, SAMPLE_CHUNK]
+    assert tally_joint(sample) == loop_tally(keys, index.tolist())
+
+
+def test_round_sample_is_read_only_value():
+    cfg = ProtocolConfig(semantics="unitary", seed=2)
+    sample = sample_records(cfg, 100)
+    with pytest.raises(ValueError):
+        sample.index[0] = 0
+    assert sample == sample_records(cfg, 100)
+    assert sample != sample_records(cfg, 101)
+    empty = RoundSample(sample.keys, sample.index[:0].copy())
+    assert (len(empty), tally_joint(empty), episode_lengths(empty).tolist()) == (0, {}, [])
