@@ -6,9 +6,10 @@ The package is organized bottom-up:
   trace and dephasing on small named-register spaces;
 * :mod:`ewfs.measurement`  labeled projective measurements, deterministic
   basis completion, and their unitary dilations onto memory registers;
-* :mod:`ewfs.protocol`     the four-agent round as a state machine, exact
-  joint distributions and reproducible Monte Carlo under collapse or
-  unitary semantics;
+* :mod:`ewfs.protocol`     the four-agent protocol's global states, exact
+  joint distributions under collapse or unitary semantics (one engine:
+  collapse is the unitary picture with pointer dephasing), and
+  reproducible Monte Carlo;
 * :mod:`ewfs.perspectives` the state-assignment engine (collapse-aware,
   unitary-global, own-record-pure) and distinguishability measures;
 * :mod:`ewfs.reasoning`    the agents' statements, rule sets, certainty

@@ -177,11 +177,7 @@ def _default_subsystems(time: str) -> tuple[str, ...]:
 def _cmd_perspectives(args) -> tuple[dict, str, list]:
     rule = AssignmentRule(RULE_FLAGS[args.rule])
     conditioning = tuple(args.cond or ())
-    subsystems = (
-        tuple(s.strip() for s in args.subsystems.split(","))
-        if args.subsystems
-        else _default_subsystems(args.time)
-    )
+    subsystems = args.subsystems or _default_subsystems(args.time)
     persp = Perspective(args.agent, args.time, conditioning, rule)
     rho = perspectives.assign(persp, subsystems, args.theta)
 
@@ -294,14 +290,33 @@ def _parse_condition(text: str) -> tuple[str, str]:
     return var, value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _register_names(text: str) -> tuple[str, ...]:
+    names = tuple(s.strip() for s in text.split(","))
+    for name in names:
+        if name not in protocol.LAYOUT.names:
+            raise argparse.ArgumentTypeError(
+                f"unknown register {name!r}; choose from {protocol.LAYOUT.names}"
+            )
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"register named twice in {text!r}")
+    return names
 
 
 def _finite_float(text: str) -> float:
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=protocol.UNITARY)
     p_mc.add_argument("--theta", type=_finite_float, default=0.0)
     p_mc.add_argument("--rounds", type=_positive_int, default=10_000)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=_non_negative_int, default=0)
     add_common(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_persp.add_argument("--cond", action="append", type=_parse_condition, metavar="VAR=VALUE",
                          help="condition on a record, e.g. r=tails (repeatable)")
     p_persp.add_argument("--theta", type=_finite_float, default=0.0)
-    p_persp.add_argument("--subsystems", default=None, metavar="NAMES",
+    p_persp.add_argument("--subsystems", type=_register_names, default=None, metavar="NAMES",
                          help="comma-separated registers (default depends on --time)")
     add_common(p_persp)
     p_persp.set_defaults(func=_cmd_perspectives)

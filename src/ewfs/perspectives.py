@@ -1,44 +1,43 @@
 """State assignment: what density matrix an agent writes down, and when.
 
-Three assignment rules are implemented:
+Every rule starts from the one global pure state evolved unitarily to the
+checkpoint and walks the measurements completed by then in protocol order
+(``r``, ``z``, ``wbar``).  A record the perspective conditions on slices the
+state: project onto that outcome and renormalize.  The rules differ only in
+what happens to the records it does not condition on:
 
-* ``unitary-global``  -- the agent describes the world by the global pure
-  state evolved unitarily to the checkpoint; known records condition the
-  description by projective slicing (project, renormalize).
-* ``collapse-aware``  -- every measurement that has happened by the
-  checkpoint produced a definite record; the description is the mixture of
-  collapsed trajectories compatible with the agent's conditioning
-  (trajectory filtering).
+* ``unitary-global``  -- nothing: the agent describes the world by the
+  global pure state, sliced on the known records.
+* ``collapse-aware``  -- every such measurement produced a definite record
+  too, so the description is also dephased in that measurement's basis:
+  the state splits into one branch per outcome and the branches are mixed.
+  This is the mixture of collapsed trajectories compatible with the
+  conditioning (trajectory filtering).
 * ``own-record-pure`` -- the agent conditions the unitarily evolved state on
   exactly one record: their own outcome.  Mechanically this is projective
   slicing too; the rule exists as a distinct policy because mixing it with
   ``unitary-global`` descriptions of other agents is precisely the
   combination the reasoning audit flags as inconsistent.
-
-The two pictures are linked by dephasing: filtering trajectories equals
-slicing the global state and then killing coherences in the pointer bases
-of every measurement completed by that time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import lru_cache
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import protocol
-from .measurement import MeasurementSpec, outcome_distribution, pointer_readout_spec
+from .measurement import MeasurementSpec, complete_basis, outcome_distribution, pointer_readout_spec
 from .qcore import (
+    IMPOSSIBLE_MASS,
     DensityMatrix,
     StateVector,
-    ZeroProbabilityError,
-    basis_state,
     fidelity,
-    mix,
     partial_trace,
+    project_component,
     pure_density,
-    slice_state,
     trace_distance,
 )
 
@@ -118,50 +117,16 @@ class Perspective:
                 )
 
 
-def _ordered_conditioning(cond: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
-    # Records are produced in protocol order r, z, wbar, w; conditioning
-    # projectors are applied in that order.
-    order = {"r": 0, "z": 1, "wbar": 2, "w": 3}
-    return sorted(cond, key=lambda kv: order[kv[0]])
+@lru_cache(maxsize=None)
+def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray], ...]:
+    """(label, target registers, basis vector) of each outcome of the measurement fixing a record.
 
-
-def _record_projector_component(var: str, value: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """(target registers, rank-one component) whose projector fixes the record.
-
-    ``wbar=failbar`` / ``w=fail`` mean "anything but the special outcome"; on
-    the protocol's reachable states the listed fail vector is the only
-    complement component with support, so the rank-one slice is exact there.
+    ``wbar=failbar`` means "anything but the special outcome"; on the
+    protocol's reachable states the listed failbar vector is the only
+    complement component with support, so slicing on it alone is exact there.
     """
-    if var == "r":
-        idx = 0 if value == protocol.HEADS else 1
-        vec = basis_state(protocol.LAYOUT.sub((protocol.R,)), (idx,))
-        return (protocol.R,), vec.amplitudes
-    if var == "z":
-        slot = 1 if value == protocol.Z_MINUS else 2
-        vec = basis_state(protocol.LAYOUT.sub((protocol.F,)), (slot,))
-        return (protocol.F,), vec.amplitudes
-    if var == "wbar":
-        vec = protocol.okbar_state() if value == protocol.OKBAR else protocol.failbar_state()
-        return (protocol.R, protocol.FBAR), vec.amplitudes
-    if var == "w":
-        vec = protocol.ok_state() if value == protocol.OK else protocol.fail_state()
-        return (protocol.S, protocol.F), vec.amplitudes
-    raise ValueError(f"unknown record variable {var!r}")
-
-
-def _sliced_global_state(theta: float, time: str, cond: Sequence[tuple[str, str]]) -> StateVector:
-    """Unitarily evolved global state, conditioned by projective slicing."""
-    state_time = protocol.T20 if time == protocol.T30 else time
-    state = protocol.global_state(theta, state_time)
-    for var, value in _ordered_conditioning(cond):
-        target, component = _record_projector_component(var, value)
-        try:
-            _, state = slice_state(state, target, component)
-        except ZeroProbabilityError as exc:
-            raise NotEvaluableError(
-                f"conditioning {var}={value} has probability zero"
-            ) from exc
-    return state
+    spec = complete_basis(record_readout_spec(var))
+    return tuple((label, spec.target, vec.amplitudes) for label, vec in spec.outcomes)
 
 
 def assign(
@@ -172,21 +137,31 @@ def assign(
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
     protocol.LAYOUT.sub(names)  # validates the names
-    if p.rule.kind in (UNITARY_GLOBAL, OWN_RECORD_PURE):
-        state = _sliced_global_state(theta, p.time, p.conditioning)
-        return partial_trace(pure_density(state), names)
-
-    branches = protocol.collapse_trajectories(theta, p.time)
-    kept: list[tuple[float, StateVector]] = []
-    for prob, records, state in branches:
-        if all(records.get(var) == value for var, value in p.conditioning):
-            kept.append((prob, state))
-    total = sum(w for w, _ in kept)
-    if total < 1e-12:
-        raise NotEvaluableError(
-            f"conditioning {dict(p.conditioning)} has probability zero under collapse trajectories"
-        )
-    return mix((w / total, partial_trace(pure_density(s), names)) for w, s in kept)
+    state = protocol.global_state(theta, protocol.T20 if p.time == protocol.T30 else p.time)
+    branches = [(1.0, state)]  # (weight, normalized branch state)
+    conditioning = dict(p.conditioning)
+    for var in ("r", "z", "wbar"):  # protocol order
+        if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[p.time]:
+            break
+        outcomes = _record_outcomes(var)
+        if var in conditioning:
+            outcomes = [o for o in outcomes if o[0] == conditioning[var]]
+        elif p.rule.kind != COLLAPSE_AWARE:
+            continue
+        split = []
+        for weight, branch in branches:
+            for _, target, vec in outcomes:
+                prob, _, post = project_component(branch, target, vec)
+                if weight * prob >= IMPOSSIBLE_MASS:
+                    split.append((weight * prob, StateVector(branch.layout, post / np.sqrt(prob))))
+        if not split:
+            raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
+        branches = split
+    if len(branches) == 1:  # a pure state, kept bit for bit
+        return partial_trace(pure_density(branches[0][1]), names)
+    total = sum(weight for weight, _ in branches)
+    rho = sum((weight / total) * np.outer(b.amplitudes, b.amplitudes.conj()) for weight, b in branches)
+    return partial_trace(DensityMatrix(state.layout, rho), names)
 
 
 def predict(

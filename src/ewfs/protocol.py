@@ -1,4 +1,4 @@
-"""The four-agent experiment as an executable state machine.
+"""The four-agent experiment: its registers, states, exact statistics and sampling.
 
 One round runs on four registers:
 
@@ -12,13 +12,16 @@ followed by the two outside observers measuring the sealed labs
 halts when both observers announce their special outcome (``okbar`` and
 ``ok``).
 
-Two semantics are supported.  Under ``collapse`` every measurement projects
-the state and leaves a classical record; under ``unitary`` the friends'
-measurements are modeled as dilations (controlled unitaries writing into
-their memories) and only the observers' joint outcome is sampled, with the
-coin and spin records read out afterwards for audit purposes.  The round
-statistics differ sharply between the two pictures, which is the point of
-the exercise.
+The friends' measurements are dilations (controlled unitaries writing into
+their memories), so one global pure state describes the labs before the
+observers act.  It is linear in the coin amplitudes, so the coin phase
+enters in closed form.  Two semantics are read off that one state.  Under
+``unitary`` the observers measure it as it is.  Under ``collapse`` every
+friend's measurement also left a classical record, which removes the
+coherences between the pointer states (deferred measurement): the
+observers' outcome probabilities are squared before their change of basis
+instead of after it.  The round statistics differ sharply between the two
+pictures, which is the point of the exercise.
 
 All rounds are independent; each one restarts from the same initial
 configuration, the coin in a heads/tails superposition with a tunable
@@ -30,18 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .measurement import (
-    DilationSpec,
-    ImpossibleOutcomeError,
-    MeasurementSpec,
-    build_dilation,
-    complete_basis,
-    measure_collapse,
-)
+from .measurement import DilationSpec, MeasurementSpec, build_dilation, complete_basis
 from .qcore import (
     DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
@@ -50,7 +46,6 @@ from .qcore import (
     StateVector,
     apply,
     basis_state,
-    project_component,
     superpose,
     tensor_all,
 )
@@ -149,7 +144,6 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def coin_state(theta: float = 0.0) -> StateVector:
     """Coin register state sqrt(1/3)|heads> + e^{i theta} sqrt(2/3)|tails>."""
     sub = LAYOUT.sub((R,))
@@ -173,12 +167,9 @@ def spin_right_state() -> StateVector:
     return superpose([(np.sqrt(0.5), spin_down_state()), (np.sqrt(0.5), spin_up_state())])
 
 
-@lru_cache(maxsize=None)
 def initial_state(theta: float = 0.0) -> StateVector:
     """Round start: superposed coin, ready memories, spin down."""
-    fbar0 = basis_state(LAYOUT.sub((FBAR,)), (0,))
-    f0 = basis_state(LAYOUT.sub((F,)), (0,))
-    return tensor_all(coin_state(theta), fbar0, spin_down_state(), f0)
+    return global_state(theta, T00)
 
 
 @lru_cache(maxsize=None)
@@ -320,13 +311,10 @@ def _w_completed() -> MeasurementSpec:
     return complete_basis(w_measurement())
 
 
-@lru_cache(maxsize=None)
 def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
     """Pure state of Lbar plus spin after the coin interaction (before the spin one)."""
-    sub = LAYOUT.sub((R, FBAR, S))
-    u = build_dilation(coin_dilation(), sub)
-    fbar0 = basis_state(LAYOUT.sub((FBAR,)), (0,))
-    return apply(u, tensor_all(coin_state(theta), fbar0, spin_down_state()))
+    # F is still in its ready state, so the global state is this one (x) |ready>.
+    return StateVector(LAYOUT.sub((R, FBAR, S)), global_state(theta, T10).tensorized()[..., 0])
 
 
 @lru_cache(maxsize=None)
@@ -339,15 +327,26 @@ def lab_l_state_from_right_spin() -> StateVector:
 
 
 @lru_cache(maxsize=None)
+def _coin_branches(time: str) -> tuple[np.ndarray, np.ndarray]:
+    """Global state at a checkpoint for a coin starting in heads, and in tails.
+
+    The dynamics is linear, so the state for any coin phase is the coin
+    amplitudes times these two: the phase enters in closed form.
+    """
+    steps = {T00: (), T10: (coin_interaction(),), T20: (coin_interaction(), spin_interaction())}
+    if time not in steps:
+        raise ValueError(f"no unitary checkpoint state at {time!r}")
+    heads, tails = basis_state(LAYOUT, (0, 0, 0, 0)), basis_state(LAYOUT, (1, 0, 0, 0))
+    for step in steps[time]:
+        heads, tails = apply(step, heads), apply(step, tails)
+    return heads.amplitudes, tails.amplitudes
+
+
 def global_state(theta: float, time: str) -> StateVector:
     """Global pure state at a checkpoint under the fully unitary dynamics."""
-    if time == T00:
-        return initial_state(theta)
-    if time == T10:
-        return apply(coin_interaction(), initial_state(theta))
-    if time == T20:
-        return apply(spin_interaction(), apply(coin_interaction(), initial_state(theta)))
-    raise ValueError(f"no unitary checkpoint state at {time!r}")
+    heads, tails = _coin_branches(time)
+    a_heads, a_tails = coin_state(theta).amplitudes
+    return StateVector(LAYOUT, a_heads * heads + a_tails * tails)
 
 
 def _simplify(label: str) -> str:
@@ -364,189 +363,96 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Collapse semantics: exhaustive trajectory enumeration.
+# Exact statistics: one engine for both semantics.
 # ---------------------------------------------------------------------------
 
 _PRUNE = 1e-15
 
 
-def _branch(
-    branches: Iterable[tuple[float, dict, StateVector]],
-    spec: MeasurementSpec,
-    record_key: str,
-    after: Operator | None = None,
-) -> tuple[tuple[float, dict, StateVector], ...]:
-    out = []
-    for prob, records, state in branches:
-        for label, vec in spec.outcomes:
-            p, _, post = project_component(state, spec.target, vec.amplitudes)
-            total = prob * p
-            if total < _PRUNE:
-                continue
-            nxt = StateVector(state.layout, post / np.sqrt(p))
-            if after is not None:
-                nxt = apply(after, nxt)
-            out.append((total, {**records, record_key: _simplify(label)}, nxt))
-    return tuple(out)
+def _basis_rows(spec: MeasurementSpec) -> np.ndarray:
+    return np.array([v.amplitudes for _, v in spec.outcomes])
 
 
-@lru_cache(maxsize=None)
-def collapse_trajectories(theta: float, time: str) -> tuple[tuple[float, dict, StateVector], ...]:
-    """All collapse branches alive at a checkpoint: (probability, records, state).
+def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
+    """(6, 6) probabilities of the observers' completed (wbar, w) outcomes.
 
-    Records map ``r``/``z``/``wbar`` to the outcomes already produced by that
-    time.  Probabilities sum to one; zero-probability branches are pruned.
+    ``psi`` holds the final amplitudes with lab Lbar's pointer on the rows
+    and lab L's on the columns.  Unitary semantics squares the amplitudes
+    after the observers' change of basis.  Collapse squares them before it,
+    which is the pointer-basis dephasing left by the friends' records.
     """
-    start = ((1.0, {}, initial_state(theta)),)
-    if time == T00:
-        return start
-    at10 = _branch(start, coin_measurement(), "r", after=coin_interaction())
-    if time == T10:
-        return at10
-    at20 = _branch(at10, spin_measurement(), "z", after=spin_interaction())
-    if time == T20:
-        return at20
-    if time == T30:
-        return _branch(at20, _wbar_completed(), "wbar")
-    raise ValueError(f"unknown checkpoint {time!r}")
-
-
-@lru_cache(maxsize=None)
-def _collapse_leaves(theta: float) -> tuple[tuple[float, dict, StateVector], ...]:
-    return _branch(collapse_trajectories(theta, T30), _w_completed(), "w")
-
-
-# ---------------------------------------------------------------------------
-# Unitary semantics: exact joint from the final global state.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class _UnitaryModel:
-    pairs: tuple[tuple[str, str], ...]  # simplified (wbar, w) label per flat outcome
-    probs: np.ndarray                   # (36,) joint outcome probabilities
-    cum: np.ndarray
-    r_dists: np.ndarray                 # (6, 2) coin readout given Lbar outcome
-    z_dists: np.ndarray                 # (6, 3) F-memory readout given L outcome
-
-
-@lru_cache(maxsize=None)
-def _unitary_model(theta: float) -> _UnitaryModel:
-    psi = global_state(theta, T20).amplitudes.reshape(6, 6)
-    wbar_spec = _wbar_completed()
-    w_spec = _w_completed()
-    b_lbar = np.array([v.amplitudes for _, v in wbar_spec.outcomes])
-    b_l = np.array([v.amplitudes for _, v in w_spec.outcomes])
-    amp = b_lbar.conj() @ psi @ b_l.conj().T
-    probs = np.abs(amp) ** 2
-    pairs = tuple(
-        (_simplify(wl), _simplify(ol))
-        for wl in wbar_spec.labels
-        for ol in w_spec.labels
-    )
-    # Post-measurement lab states are exactly the basis vectors, so the later
-    # coin/memory readouts have per-outcome product distributions.
-    r_dists = np.sum(np.abs(b_lbar.reshape(6, 2, 3)) ** 2, axis=2)
-    z_dists = np.sum(np.abs(b_l.reshape(6, 2, 3)) ** 2, axis=1)
-    flat = probs.reshape(-1)
-    return _UnitaryModel(pairs, flat, np.cumsum(flat), r_dists, z_dists)
+    psi = global_state(config.theta, T20).amplitudes.reshape(6, 6)
+    b_lbar, b_l = _basis_rows(_wbar_completed()), _basis_rows(_w_completed())
+    if config.semantics == UNITARY:
+        return np.abs(b_lbar.conj() @ psi @ b_l.conj().T) ** 2
+    return np.abs(b_lbar) ** 2 @ np.abs(psi) ** 2 @ (np.abs(b_l) ** 2).T
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    if config.semantics == UNITARY:
-        model = _unitary_model(config.theta)
-        for pair, p in zip(model.pairs, model.probs):
-            cells[pair] += float(p)
-    else:
-        for prob, records, _ in _collapse_leaves(config.theta):
-            cells[(records["wbar"], records["w"])] += prob
+    wbar_labels = [_simplify(l) for l in _wbar_completed().labels]
+    w_labels = [_simplify(l) for l in _w_completed().labels]
+    for k, row in enumerate(_announcement_probs(config)):
+        for j, p in enumerate(row):
+            cells[(wbar_labels[k], w_labels[j])] += float(p)
     return JointDistribution(cells)
 
 
 def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, str, str], float]:
-    """Exact distribution of full (r, z, wbar, w) records for one round."""
+    """Exact distribution of full (r, z, wbar, w) records for one round.
+
+    The coin record ``r`` is read on ``R`` and the spin record ``z`` on the
+    ``F`` memory.  Under collapse they are read off the pointer states before
+    the observers measure, so records come first in the key order.  Under
+    unitary semantics they are read out of the observers' post-measurement
+    lab states, so the announcements come first.
+    """
+    b_lbar = np.abs(_basis_rows(_wbar_completed())) ** 2
+    b_l = np.abs(_basis_rows(_w_completed())) ** 2
+    if config.semantics == UNITARY:
+        r_read = b_lbar.reshape(6, 2, 3).sum(axis=2)
+        z_read = b_l.reshape(6, 2, 3).sum(axis=1)
+        probs = _announcement_probs(config)
+        table = probs[:, :, None, None] * r_read[:, None, :, None] * z_read[None, :, None, :]
+        axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
+    else:
+        pointer = np.abs(global_state(config.theta, T20).amplitudes.reshape(2, 3, 2, 3)) ** 2
+        table = np.einsum(
+            "kaf,afsz,jsz->azkj", b_lbar.reshape(6, 2, 3), pointer, b_l.reshape(6, 2, 3)
+        )
+        axes = (0, 1, 2, 3)
+    labels = ((HEADS, TAILS), F_POINTER_LABELS, _wbar_completed().labels, _w_completed().labels)
     out: dict[tuple[str, str, str, str], float] = {}
-    if config.semantics == COLLAPSE:
-        for prob, records, _ in _collapse_leaves(config.theta):
-            key = (records["r"], records["z"], records["wbar"], records["w"])
-            out[key] = out.get(key, 0.0) + prob
-        return out
-    model = _unitary_model(config.theta)
-    r_labels = (HEADS, TAILS)
-    z_labels = F_POINTER_LABELS
-    for idx, p in enumerate(model.probs):
-        if p < _PRUNE:
-            continue
-        k, j = divmod(idx, 6)
-        wbar, w = model.pairs[idx]
-        for a, pr in enumerate(model.r_dists[k]):
-            for c, pz in enumerate(model.z_dists[j]):
-                q = float(p * pr * pz)
-                if q < _PRUNE:
-                    continue
-                key = (r_labels[a], z_labels[c], wbar, w)
-                out[key] = out.get(key, 0.0) + q
+    for idx in zip(*np.nonzero(table >= _PRUNE)):
+        key = tuple(_simplify(labels[v][idx[axes[v]]]) for v in range(4))
+        out[key] = out.get(key, 0.0) + float(table[idx])
     return out
 
 
 # ---------------------------------------------------------------------------
-# Round execution.
+# Sampling.
 # ---------------------------------------------------------------------------
 
 
-def run_round_collapse(
-    config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0
-) -> RoundRecord:
-    """One round with projective collapse at every measurement."""
-    if config.semantics != COLLAPSE:
-        raise ValueError("run_round_collapse requires collapse semantics")
-    state = initial_state(config.theta)
-    r, state = measure_collapse(state, coin_measurement(), rng)
-    state = apply(coin_interaction(), state)
-    z, state = measure_collapse(state, spin_measurement(), rng)
-    state = apply(spin_interaction(), state)
-    wbar, state = measure_collapse(state, _wbar_completed(), rng)
-    w, state = measure_collapse(state, _w_completed(), rng)
-    wbar, w = _simplify(wbar), _simplify(w)
-    return RoundRecord(round_index, r, z, wbar, w, wbar == OKBAR and w == OK)
+def _record_cdf(config: ProtocolConfig) -> tuple[tuple[tuple[str, str, str, str], ...], np.ndarray]:
+    """Record keys in distribution order and their cumulative probabilities."""
+    dist = exact_record_distribution(config)
+    keys = tuple(dist)
+    probs = np.array([dist[k] for k in keys])
+    return keys, np.cumsum(probs / probs.sum())
 
 
-def _pick(cum: np.ndarray, probs: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    if probs[idx] < IMPOSSIBLE_MASS:
-        raise ImpossibleOutcomeError(f"sampled outcome index {idx} has probability {probs[idx]!r}")
-    return idx
-
-
-def run_round_unitary(
-    config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0
-) -> RoundRecord:
-    """One round in the fully unitary picture.
-
-    The observers' joint outcome is sampled from the final global state; the
-    coin and spin records are read out of the post-measurement labs
-    afterwards, purely for the audit trail.
-    """
-    if config.semantics != UNITARY:
-        raise ValueError("run_round_unitary requires unitary semantics")
-    model = _unitary_model(config.theta)
-    idx = _pick(model.cum, model.probs, float(rng.random()))
-    k, j = divmod(idx, 6)
-    wbar, w = model.pairs[idx]
-    r_probs = model.r_dists[k]
-    r = (HEADS, TAILS)[_pick(np.cumsum(r_probs), r_probs, float(rng.random()))]
-    z_probs = model.z_dists[j]
-    z = F_POINTER_LABELS[_pick(np.cumsum(z_probs), z_probs, float(rng.random()))]
-    return RoundRecord(round_index, r, z, wbar, w, wbar == OKBAR and w == OK)
+def _draw(cum: np.ndarray, uniforms):
+    """Index of the record each uniform falls on."""
+    return np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
 
 
 def run_round(config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0) -> RoundRecord:
-    if config.semantics == COLLAPSE:
-        return run_round_collapse(config, rng, round_index)
-    return run_round_unitary(config, rng, round_index)
+    """One round drawn from the exact record distribution with one uniform."""
+    keys, cum = _record_cdf(config)
+    r, z, wbar, w = keys[int(_draw(cum, rng.random()))]
+    return RoundRecord(round_index, r, z, wbar, w, wbar == OKBAR and w == OK)
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -609,15 +515,11 @@ def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = Non
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    dist = exact_record_distribution(config)
-    keys = tuple(dist)
-    probs = np.array([dist[k] for k in keys])
-    cum = np.cumsum(probs / probs.sum())
+    keys, cum = _record_cdf(config)
     index = np.empty(n_rounds, dtype=np.uint8)
     for start in range(0, n_rounds, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, n_rounds)
-        draws = np.searchsorted(cum, rng.random(stop - start), side="right")
-        index[start:stop] = np.minimum(draws, len(keys) - 1)
+        index[start:stop] = _draw(cum, rng.random(stop - start))
     return RoundSample(keys, index)
 
 

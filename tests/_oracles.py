@@ -2,15 +2,20 @@
 
 Everything here is computed without touching the library's linear-algebra
 paths: symbolic expansion (sympy), exact fractions, or explicit index loops
-over raw numpy arrays.  Tests freeze expected values from these.
+and plain matrix products over raw numpy arrays.  The collapse-picture
+oracles read the protocol's interaction matrices and basis vectors as data
+only.  Tests freeze expected values from these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import sympy as sp
+
+from ewfs import protocol
 
 WBAR_LABELS = ("okbar", "failbar")
 W_LABELS = ("ok", "fail")
@@ -212,3 +217,101 @@ def loop_episode_lengths(keys, index) -> list[int]:
             lengths.append(current)
             current = 0
     return lengths
+
+
+# Collapse picture as a state machine: every measurement projects the state,
+# renormalizes it and leaves a record.  Registers (R, Fbar, S, F) have dims
+# (2, 3, 2, 3); every measured target is a run of adjacent registers.
+DIMS = (2, 3, 2, 3)
+
+
+def _projector(vec: np.ndarray, first_axis: int) -> np.ndarray:
+    """36x36 matrix of |vec><vec| on the registers from ``first_axis`` on, identity elsewhere."""
+    before = int(np.prod(DIMS[:first_axis]))
+    after = 36 // (before * len(vec))
+    return np.kron(np.kron(np.eye(before), np.outer(vec, vec.conj())), np.eye(after))
+
+
+@cache
+def collapse_steps():
+    """(record, [(label, projector)], interaction that follows), in protocol order."""
+    specs = (
+        ("r", protocol.coin_measurement(), 0, protocol.coin_interaction().matrix),
+        ("z", protocol.spin_measurement(), 2, protocol.spin_interaction().matrix),
+        ("wbar", protocol._wbar_completed(), 0, np.eye(36)),
+        ("w", protocol._w_completed(), 2, np.eye(36)),
+    )
+    return [
+        (record, [("other" if l.startswith("other_") else l, _projector(v.amplitudes, axis))
+                  for l, v in spec.outcomes], after)
+        for record, spec, axis, after in specs
+    ]
+
+
+def initial_amplitudes(theta: float) -> np.ndarray:
+    coin = np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
+    ready = [np.eye(d)[0] for d in DIMS[1:]]
+    return np.kron(np.kron(np.kron(coin, ready[0]), ready[1]), ready[2])
+
+
+def collapse_trajectories(theta: float, n_steps: int):
+    """Every collapse branch after the first ``n_steps`` measurements: (probability, records, state).
+
+    Branches below 1e-15 are pruned; ``n_steps`` is 0, 1, 2, 3 at the
+    checkpoints n:00 .. n:30 and 4 for the finished round.
+    """
+    branches = [(1.0, {}, initial_amplitudes(theta))]
+    for record, outcomes, after in collapse_steps()[:n_steps]:
+        nxt = []
+        for prob, records, state in branches:
+            for label, proj in outcomes:
+                post = proj @ state
+                p = float(np.vdot(post, post).real)
+                if prob * p >= 1e-15:
+                    nxt.append((prob * p, {**records, record: label}, after @ (post / np.sqrt(p))))
+        branches = nxt
+    return branches
+
+
+def trajectory_assignment(theta: float, n_steps: int, conditioning, keep_axes):
+    """Mixture of the trajectories whose records match, reduced to ``keep_axes``.
+
+    None when the matching trajectories carry less than 1e-12 probability.
+    """
+    kept = [
+        (p, state)
+        for p, records, state in collapse_trajectories(theta, n_steps)
+        if all(records.get(var) == value for var, value in conditioning)
+    ]
+    total = sum(p for p, _ in kept)
+    if total < 1e-12:
+        return None
+    rho = sum((p / total) * np.outer(state, state.conj()) for p, state in kept)
+    t = rho.reshape(DIMS + DIMS)
+    for axis in sorted(set(range(4)) - set(keep_axes), reverse=True):
+        t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
+    d = int(np.prod([DIMS[a] for a in keep_axes]))
+    return t.reshape(d, d)
+
+
+def collapse_record_leaves(theta: float) -> dict[tuple[str, str, str, str], float]:
+    """(r, z, wbar, w) record distribution of finished collapse rounds, in branch order."""
+    out: dict[tuple[str, str, str, str], float] = {}
+    for p, rec, _ in collapse_trajectories(theta, 4):
+        key = (rec["r"], rec["z"], rec["wbar"], rec["w"])
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def collapse_round(config, rng, round_index: int = 0) -> protocol.RoundRecord:
+    """One collapse round: each measurement draws one uniform, projects and renormalizes."""
+    state = initial_amplitudes(config.theta)
+    rec = {}
+    for record, outcomes, after in collapse_steps():
+        posts = [proj @ state for _, proj in outcomes]
+        probs = np.array([np.vdot(post, post).real for post in posts])
+        pick = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(posts) - 1)
+        state = after @ (posts[pick] / np.sqrt(probs[pick]))
+        rec[record] = outcomes[pick][0]
+    halted = rec["wbar"] == "okbar" and rec["w"] == "ok"
+    return protocol.RoundRecord(round_index, rec["r"], rec["z"], rec["wbar"], rec["w"], halted)

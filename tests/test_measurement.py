@@ -18,13 +18,14 @@ from ewfs.measurement import (
 from ewfs.qcore import (
     DensityMatrix,
     SpaceLayout,
+    StateVector,
     apply,
     basis_state,
     tensor,
     tensor_all,
 )
 
-from _oracles import entangled_lab_spin_mixture, lab_mixture_after_tails
+from _oracles import collapse_trajectories, entangled_lab_spin_mixture, lab_mixture_after_tails
 
 
 def test_complete_single_vector_to_full_basis():
@@ -257,7 +258,8 @@ def test_observer_other_outcomes_unreachable():
             for label, p in dist.items():
                 if label.startswith("other_"):
                     assert p < 1e-12
-    for prob, _records, state in protocol.collapse_trajectories(0.8, "n:20"):
+    for prob, _records, amps in collapse_trajectories(0.8, 2):
+        state = StateVector(protocol.LAYOUT, amps)
         for spec in (protocol._wbar_completed(), protocol._w_completed()):
             dist = outcome_distribution(state, spec)
             assert sum(p for l, p in dist.items() if l.startswith("other_")) < 1e-12

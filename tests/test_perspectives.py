@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ewfs import protocol
 from ewfs.measurement import product_spec
 from ewfs.perspectives import (
+    AGENTS,
     COLLAPSE_AWARE,
     OWN_RECORD_PURE,
     UNITARY_GLOBAL,
     AssignmentRule,
     NotEvaluableError,
+    RECORDS,
+    TIMES,
     Perspective,
     assign,
     compare,
@@ -19,10 +24,12 @@ from ewfs.perspectives import (
 from ewfs.qcore import dephase, partial_trace, pure_density
 
 from _oracles import (
+    collapse_record_leaves,
     entangled_lab_spin_mixture,
     entangled_lab_spin_pure,
     lab_mixture_after_tails,
     lab_pure_after_tails,
+    trajectory_assignment,
 )
 
 LBAR_S = ("R", "Fbar", "S")
@@ -219,3 +226,36 @@ def test_phase_survives_slicing_but_not_collapse():
         want = pure_density(protocol.spin_right_state()).matrix
         assert np.allclose(rho_unit.matrix, want, atol=1e-12)
         assert np.allclose(rho_coll.matrix, want, atol=1e-12)
+
+
+SUBSYSTEM_SETS = (("R", "Fbar"), ("S", "F"), ("R", "Fbar", "S"), ("S",), ("R", "Fbar", "S", "F"))
+
+
+def _conditionings(time):
+    """No conditioning, each single record, and each pair of records that exist at the checkpoint."""
+    live = [var for var in ("r", "z", "wbar") if TIMES.index(RECORDS[var][1]) <= TIMES.index(time)]
+    singles = [((var, value),) for var in live for value in RECORDS[var][2]]
+    pairs = [a + b for a, b in itertools.combinations(singles, 2) if a[0][0] != b[0][0]]
+    return [()] + singles + pairs
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, np.pi, 2.2])
+def test_collapse_aware_matches_trajectory_filtering(theta):
+    for steps, time in enumerate(TIMES):
+        for cond in _conditionings(time):
+            for names in SUBSYSTEM_SETS:
+                axes = [protocol.LAYOUT.names.index(n) for n in names]
+                want = trajectory_assignment(theta, steps, cond, axes)
+                for agent in AGENTS:
+                    p = persp(agent, time, cond, COLLAPSE_AWARE)
+                    if want is None:
+                        with pytest.raises(NotEvaluableError):
+                            assign(p, names, theta)
+                        continue
+                    got = assign(p, names, theta).matrix
+                    assert np.max(np.abs(got - want)) <= 1e-12, (agent, time, cond, names)
+    leaves = collapse_record_leaves(theta)
+    table = protocol.exact_record_distribution(protocol.ProtocolConfig("collapse", theta))
+    assert list(table) == list(leaves)
+    for key, p in leaves.items():
+        assert abs(table[key] - p) <= 1e-15

@@ -1,8 +1,13 @@
+import inspect
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import (
     SAMPLE_CHUNK,
     ProtocolConfig,
@@ -14,15 +19,16 @@ from ewfs.protocol import (
     exact_record_distribution,
     round_rng,
     run_round,
-    run_round_collapse,
-    run_round_unitary,
     run_until_halt,
     sample_records,
     tally_joint,
 )
 
+from ewfs.reasoning import RULESET_NAMES, audit
+
 from _oracles import (
     collapse_joint_cells,
+    collapse_round,
     collapse_record_table,
     geometric_mean_se,
     loop_episode_lengths,
@@ -136,27 +142,21 @@ def test_unitary_record_distribution_consistency():
 
 def test_collapse_round_heads_forces_minus():
     cfg = ProtocolConfig(semantics="collapse", theta=0.6)
-    for i in range(300):
-        rec = run_round_collapse(cfg, round_rng(123, i), i)
-        if rec.r == "heads":
-            assert rec.z == "-1/2"
-        assert rec.halted == (rec.wbar == "okbar" and rec.w == "ok")
+    for runner in (run_round, collapse_round):
+        for i in range(300):
+            rec = runner(cfg, round_rng(123, i), i)
+            if rec.r == "heads":
+                assert rec.z == "-1/2"
+            assert rec.halted == (rec.wbar == "okbar" and rec.w == "ok")
 
 
 def test_unitary_round_never_other():
     cfg = ProtocolConfig(semantics="unitary", theta=0.0)
     for i in range(300):
-        rec = run_round_unitary(cfg, round_rng(77, i), i)
+        rec = run_round(cfg, round_rng(77, i), i)
         assert rec.wbar in ("okbar", "failbar")
         assert rec.w in ("ok", "fail")
         assert rec.z in ("-1/2", "+1/2")
-
-
-def test_run_round_semantics_guard():
-    with pytest.raises(ValueError):
-        run_round_collapse(ProtocolConfig(semantics="unitary"), round_rng(0, 0))
-    with pytest.raises(ValueError):
-        run_round_unitary(ProtocolConfig(semantics="collapse"), round_rng(0, 0))
 
 
 def test_run_until_halt_deterministic():
@@ -199,8 +199,10 @@ def test_sampled_frequencies_converge_to_exact():
 
 
 def test_per_round_runners_converge_to_exact():
-    # the live state-based runners agree with the exact joint too
-    for semantics, runner in (("unitary", run_round_unitary), ("collapse", run_round_collapse)):
+    # one-draw rounds and the collapse state machine agree with the exact joint too
+    for semantics, runner in (
+        ("unitary", run_round), ("collapse", run_round), ("collapse", collapse_round)
+    ):
         cfg = ProtocolConfig(semantics=semantics, seed=1)
         n = 4000
         records = [runner(cfg, round_rng(1, i), i) for i in range(n)]
@@ -272,3 +274,41 @@ def test_round_sample_is_read_only_value():
     assert sample != sample_records(cfg, 101)
     empty = RoundSample(sample.keys, sample.index[:0].copy())
     assert (len(empty), tally_joint(empty), episode_lengths(empty).tolist()) == (0, {}, [])
+
+
+_PERIODIC_PERSPECTIVES = [
+    Perspective("W", time, (), AssignmentRule(rule))
+    for time in ("n:00", "n:10", "n:20", "n:30")
+    for rule in ("collapse-aware", "unitary-global")
+] + [Perspective("Fbar", "n:20", (("r", "tails"),), AssignmentRule("own-record-pure"))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    theta=st.one_of(st.just(0.0), st.floats(-2 * np.pi, 2 * np.pi)),
+    k=st.integers(-3, 3),
+)
+def test_theta_is_2pi_periodic(theta, k):
+    shifted = theta + 2 * np.pi * k
+    for semantics in ("unitary", "collapse"):
+        a = exact_joint(ProtocolConfig(semantics=semantics, theta=theta))
+        b = exact_joint(ProtocolConfig(semantics=semantics, theta=shifted))
+        for cell, p in a.entries.items():
+            assert abs(p - b.prob(*cell)) <= 1e-12
+    for p in _PERIODIC_PERSPECTIVES:
+        names = ("R", "Fbar", "S") if p.time in ("n:00", "n:10") else ("S", "F")
+        assert abs(assign(p, names, theta).purity() - assign(p, names, shifted).purity()) <= 1e-12
+    for name in RULESET_NAMES:
+        assert audit(name, theta).contradiction == audit(name, shifted).contradiction
+
+
+def test_no_cache_is_keyed_on_theta():
+    # a cache keyed on a raw float angle grows with every new angle
+    import ewfs.cli  # noqa: F401  (loads every library module)
+
+    for name, module in list(sys.modules.items()):
+        if name != "ewfs" and not name.startswith("ewfs."):
+            continue
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                assert "theta" not in inspect.signature(value).parameters, f"{name}.{attr}"
