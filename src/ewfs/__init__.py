@@ -4,8 +4,8 @@ The package is organized bottom-up:
 
 * :mod:`ewfs.qcore`        dense kets, operators, density matrices, partial
   trace and dephasing on small named-register spaces;
-* :mod:`ewfs.measurement`  labeled projective measurements, deterministic
-  basis completion, and their unitary dilations onto memory registers;
+* :mod:`ewfs.measurement`  labeled projective measurements whose bases
+  complete themselves, and their unitary dilations onto memory registers;
 * :mod:`ewfs.protocol`     the four-agent protocol's global states, exact
   joint distributions under collapse or unitary semantics (one engine:
   collapse is the unitary picture with pointer dephasing), and
@@ -19,13 +19,9 @@ The package is organized bottom-up:
 
 from .measurement import (
     DilationSpec,
-    ImpossibleOutcomeError,
     MeasurementSpec,
     build_dilation,
-    complete_basis,
-    measure_collapse,
     outcome_distribution,
-    readout_memory,
 )
 from .perspectives import (
     AssignmentRule,
@@ -64,7 +60,6 @@ __all__ = [
     "AuditReport",
     "DensityMatrix",
     "DilationSpec",
-    "ImpossibleOutcomeError",
     "JointDistribution",
     "MeasurementSpec",
     "NotEvaluableError",
@@ -83,16 +78,13 @@ __all__ = [
     "build_dilation",
     "chain",
     "compare",
-    "complete_basis",
     "dephase",
     "evaluate",
     "exact_joint",
     "inner",
-    "measure_collapse",
     "outcome_distribution",
     "partial_trace",
     "predict",
-    "readout_memory",
     "run_round",
     "run_until_halt",
     "sample_records",

@@ -202,7 +202,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
     lines = [
         f"assigned state  agent={args.agent}  time={args.time}  rule={rule.kind}"
         f"  conditioning={dict(conditioning) or '-'}  theta={args.theta}",
-        f"subsystems: {', '.join(subsystems)}   purity: {rho.purity():.10f}",
+        f"subsystems: {', '.join(rho.layout.names)}   purity: {rho.purity():.10f}",
         "real part:",
     ]
     for row in mat.real:
@@ -221,7 +221,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         "rule": rule.kind,
         "conditioning": [{"var": k, "value": v} for k, v in conditioning],
         "theta": args.theta,
-        "subsystems": list(subsystems),
+        "subsystems": list(rho.layout.names),
         "matrix": {"real": mat.real.tolist(), "imag": mat.imag.tolist()},
         "purity": rho.purity(),
         "predictions": predictions,
@@ -433,9 +433,8 @@ def main(argv=None) -> int:
     except NotEvaluableError as exc:
         print(f"not-evaluable: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # a flag combination the library refuses
+        parser.error(str(exc))
     print(json.dumps(payload, indent=2) if args.json else human)
     if args.out is not None:
         _write_outputs(args, payload, extra_files)

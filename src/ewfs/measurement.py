@@ -1,28 +1,26 @@
 """Projective measurements and their unitary dilations.
 
-A measurement is described once (labeled orthonormal outcome vectors on a
-set of target registers) and can then be realized two ways:
+A ``MeasurementSpec`` is a complete labeled orthonormal basis on a set of
+target registers: listed outcomes that do not span the target space are
+completed once, at construction, with deterministic ``other_k`` outcomes.
 
-* ``measure_collapse`` samples an outcome and projects the state, leaving a
-  classical record with the caller, or
-* ``build_dilation`` turns the same description into a controlled unitary
-  that writes the outcome into a memory register instead of collapsing.
-
-The two realizations produce identical outcome statistics (deferred
-measurement); the protocol layer relies on that equivalence to switch
-between the collapse and the fully unitary picture of the experiment.
+A measurement has one realization here, ``build_dilation``: a controlled
+unitary that writes the outcome into a memory register instead of
+collapsing the state.  Collapse statistics are that same dilated state with
+the pointer coherences removed, which ``protocol`` reads off directly
+(deferred measurement); ``outcome_distribution`` gives the Born
+probabilities of a spec on any pure or mixed state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
     DEFAULT_ATOL,
-    IMPOSSIBLE_MASS,
     DensityMatrix,
     Operator,
     SpaceLayout,
@@ -32,35 +30,23 @@ from .qcore import (
     embed,
     project_component,
     projector,
-    tensor,
 )
-
-POLICY_AUTO = "auto-complete"
-POLICY_ERROR = "error"
-
-
-class ImpossibleOutcomeError(RuntimeError):
-    """A sampled outcome carries (numerically) zero probability: RNG misuse."""
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
-    """Labeled orthonormal basis on a set of target registers.
+    """Complete labeled orthonormal basis on a set of target registers.
 
-    The listed outcomes need not span the target space; completion is
-    governed by ``completion_policy``:  ``auto-complete`` appends
-    deterministic ``other_k`` outcomes, ``error`` refuses incomplete use.
+    The listed outcomes need not span the target space: construction
+    appends deterministic ``other_k`` outcomes for the orthogonal complement.
     """
 
     target: tuple[str, ...]
     outcomes: tuple[tuple[str, StateVector], ...]
-    completion_policy: str = POLICY_AUTO
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "outcomes", tuple((str(l), v) for l, v in self.outcomes))
-        if self.completion_policy not in (POLICY_AUTO, POLICY_ERROR):
-            raise ValueError(f"unknown completion policy {self.completion_policy!r}")
         if not self.outcomes:
             raise ValueError("measurement needs at least one outcome")
         labels = [l for l, _ in self.outcomes]
@@ -79,6 +65,8 @@ class MeasurementSpec:
         dev = float(np.max(np.abs(gram - np.eye(len(rows)))))
         if dev > DEFAULT_ATOL:
             raise ValueError(f"listed outcomes are not orthonormal (Gram deviation {dev:.3e})")
+        if len(self.outcomes) < first.total_dim:
+            object.__setattr__(self, "outcomes", self.outcomes + _complement(first, list(rows)))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -88,21 +76,15 @@ class MeasurementSpec:
     def target_layout(self) -> SpaceLayout:
         return self.outcomes[0][1].layout
 
-    def is_complete(self) -> bool:
-        return len(self.outcomes) == self.target_layout.total_dim
 
+def _complement(sub: SpaceLayout, listed: list[np.ndarray]) -> tuple[tuple[str, StateVector], ...]:
+    """Orthonormal ``other_k`` outcomes spanning the complement of the listed vectors.
 
-def complete_basis(spec: MeasurementSpec) -> MeasurementSpec:
-    """Append orthonormal ``other_k`` outcomes spanning the orthogonal complement.
-
-    Completion runs Gram-Schmidt against the computational basis in fixed
-    index order, so the result is deterministic given the input order.
+    Gram-Schmidt against the computational basis in fixed index order, so the
+    result is deterministic given the listed order.
     """
-    if spec.is_complete():
-        return spec
-    sub = spec.target_layout
     d = sub.total_dim
-    basis_rows = [v.amplitudes.copy() for _, v in spec.outcomes]
+    basis_rows = list(listed)
     added: list[np.ndarray] = []
     for k in range(d):
         cand = np.zeros(d, dtype=np.complex128)
@@ -119,23 +101,11 @@ def complete_basis(spec: MeasurementSpec) -> MeasurementSpec:
             break
     if len(basis_rows) != d:
         raise ValueError("basis completion failed to span the target space")
-    extra = tuple(
-        (f"other_{i}", StateVector(sub, vec)) for i, vec in enumerate(added)
-    )
-    return MeasurementSpec(spec.target, spec.outcomes + extra, spec.completion_policy)
-
-
-def _completed(spec: MeasurementSpec) -> MeasurementSpec:
-    if spec.is_complete():
-        return spec
-    if spec.completion_policy == POLICY_ERROR:
-        raise ValueError("measurement spec is incomplete and its policy forbids auto-completion")
-    return complete_basis(spec)
+    return tuple((f"other_{i}", StateVector(sub, vec)) for i, vec in enumerate(added))
 
 
 def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
-    """Born-rule probabilities of every (completed) outcome; sums to one."""
-    spec = _completed(spec)
+    """Born-rule probabilities of every outcome; sums to one."""
     _check_target(state.layout, spec)
     probs: dict[str, float] = {}
     if isinstance(state, StateVector):
@@ -151,35 +121,6 @@ def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
     if abs(total - 1.0) > DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
     return probs
-
-
-def measure_collapse(
-    state: StateVector, spec: MeasurementSpec, rng: np.random.Generator
-) -> tuple[str, StateVector]:
-    """Sample one outcome and return (label, renormalized post-measurement state)."""
-    spec = _completed(spec)
-    _check_target(state.layout, spec)
-    results = []
-    for label, vec in spec.outcomes:
-        p, _, post = project_component(state, spec.target, vec.amplitudes)
-        results.append((label, p, post))
-    total = sum(p for _, p, _ in results)
-    if abs(total - 1.0) > DEFAULT_ATOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    u = float(rng.random())
-    acc = 0.0
-    pick = len(results) - 1
-    for i, (_, p, _) in enumerate(results):
-        acc += p
-        if u < acc:
-            pick = i
-            break
-    label, p, post = results[pick]
-    if p < IMPOSSIBLE_MASS:
-        raise ImpossibleOutcomeError(
-            f"sampled outcome {label!r} has probability {p!r}"
-        )
-    return label, StateVector(state.layout, post / np.sqrt(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +175,7 @@ def build_dilation(dspec: DilationSpec, layout: SpaceLayout) -> Operator:
     the reachable statistics unchanged, and the transposition is the
     deterministic choice.
     """
-    spec = _completed(dspec.measurement)
+    spec = dspec.measurement
     mem_axis = layout.axis(dspec.memory)
     mem_dim = layout.dims[mem_axis]
     if mem_dim < len(spec.outcomes) + 1:
@@ -267,17 +208,6 @@ def build_dilation(dspec: DilationSpec, layout: SpaceLayout) -> Operator:
     return Operator(layout, acc, kind="unitary")
 
 
-def readout_memory(
-    state: StateVector,
-    memory: str,
-    rng: np.random.Generator,
-    labels: Sequence[str] | None = None,
-) -> tuple[str, StateVector]:
-    """Collapse measurement of a memory register in its pointer (computational) basis."""
-    spec = pointer_readout_spec(state.layout, memory, labels)
-    return measure_collapse(state, spec, rng)
-
-
 def pointer_readout_spec(
     layout: SpaceLayout, memory: str, labels: Sequence[str] | None = None
 ) -> MeasurementSpec:
@@ -290,20 +220,7 @@ def pointer_readout_spec(
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels for register {memory!r}, got {len(labels)}")
     outcomes = tuple((labels[i], basis_state(sub, (i,))) for i in range(dim))
-    return MeasurementSpec((memory,), outcomes, POLICY_ERROR)
-
-
-def product_spec(a: MeasurementSpec, b: MeasurementSpec, sep: str = "&") -> MeasurementSpec:
-    """Joint measurement of two specs on disjoint targets; labels join with ``sep``."""
-    a = _completed(a)
-    b = _completed(b)
-    if set(a.target) & set(b.target):
-        raise ValueError("product spec requires disjoint targets")
-    outcomes = []
-    for la, va in a.outcomes:
-        for lb, vb in b.outcomes:
-            outcomes.append((f"{la}{sep}{lb}", tensor(va, vb)))
-    return MeasurementSpec(a.target + b.target, tuple(outcomes), POLICY_ERROR)
+    return MeasurementSpec((memory,), outcomes)
 
 
 def _check_target(layout: SpaceLayout, spec: MeasurementSpec) -> None:
@@ -314,8 +231,3 @@ def _check_target(layout: SpaceLayout, spec: MeasurementSpec) -> None:
             f"state provides {sub.subsystems}"
         )
 
-
-def distributions_match(a: Mapping[str, float], b: Mapping[str, float], atol: float = DEFAULT_ATOL) -> bool:
-    """True when two labeled distributions agree within atol on the union of labels."""
-    keys = set(a) | set(b)
-    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= atol for k in keys)

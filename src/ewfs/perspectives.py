@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import protocol
-from .measurement import MeasurementSpec, complete_basis, outcome_distribution, pointer_readout_spec
+from .measurement import MeasurementSpec, outcome_distribution, pointer_readout_spec
 from .qcore import (
     IMPOSSIBLE_MASS,
     DensityMatrix,
@@ -125,7 +125,7 @@ def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray],
     protocol's reachable states the listed failbar vector is the only
     complement component with support, so slicing on it alone is exact there.
     """
-    spec = complete_basis(record_readout_spec(var))
+    spec = record_readout_spec(var)
     return tuple((label, spec.target, vec.amplitudes) for label, vec in spec.outcomes)
 
 

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .measurement import DilationSpec, MeasurementSpec, build_dilation, complete_basis
+from .measurement import DilationSpec, MeasurementSpec, build_dilation
 from .qcore import (
     DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
@@ -286,7 +286,7 @@ def fail_state() -> StateVector:
 
 @lru_cache(maxsize=None)
 def wbar_measurement() -> MeasurementSpec:
-    """Lbar observer's basis: okbar/failbar listed, the rest auto-completed."""
+    """Lbar observer's basis: okbar/failbar listed, completed with ``other_k``."""
     return MeasurementSpec(
         (R, FBAR),
         ((OKBAR, okbar_state()), (FAILBAR, failbar_state())),
@@ -299,16 +299,6 @@ def w_measurement() -> MeasurementSpec:
         (S, F),
         ((OK, ok_state()), (FAIL, fail_state())),
     )
-
-
-@lru_cache(maxsize=None)
-def _wbar_completed() -> MeasurementSpec:
-    return complete_basis(wbar_measurement())
-
-
-@lru_cache(maxsize=None)
-def _w_completed() -> MeasurementSpec:
-    return complete_basis(w_measurement())
 
 
 def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
@@ -382,7 +372,7 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     which is the pointer-basis dephasing left by the friends' records.
     """
     psi = global_state(config.theta, T20).amplitudes.reshape(6, 6)
-    b_lbar, b_l = _basis_rows(_wbar_completed()), _basis_rows(_w_completed())
+    b_lbar, b_l = _basis_rows(wbar_measurement()), _basis_rows(w_measurement())
     if config.semantics == UNITARY:
         return np.abs(b_lbar.conj() @ psi @ b_l.conj().T) ** 2
     return np.abs(b_lbar) ** 2 @ np.abs(psi) ** 2 @ (np.abs(b_l) ** 2).T
@@ -391,8 +381,8 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    wbar_labels = [_simplify(l) for l in _wbar_completed().labels]
-    w_labels = [_simplify(l) for l in _w_completed().labels]
+    wbar_labels = [_simplify(l) for l in wbar_measurement().labels]
+    w_labels = [_simplify(l) for l in w_measurement().labels]
     for k, row in enumerate(_announcement_probs(config)):
         for j, p in enumerate(row):
             cells[(wbar_labels[k], w_labels[j])] += float(p)
@@ -408,8 +398,8 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     unitary semantics they are read out of the observers' post-measurement
     lab states, so the announcements come first.
     """
-    b_lbar = np.abs(_basis_rows(_wbar_completed())) ** 2
-    b_l = np.abs(_basis_rows(_w_completed())) ** 2
+    b_lbar = np.abs(_basis_rows(wbar_measurement())) ** 2
+    b_l = np.abs(_basis_rows(w_measurement())) ** 2
     if config.semantics == UNITARY:
         r_read = b_lbar.reshape(6, 2, 3).sum(axis=2)
         z_read = b_l.reshape(6, 2, 3).sum(axis=1)
@@ -422,7 +412,7 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
             "kaf,afsz,jsz->azkj", b_lbar.reshape(6, 2, 3), pointer, b_l.reshape(6, 2, 3)
         )
         axes = (0, 1, 2, 3)
-    labels = ((HEADS, TAILS), F_POINTER_LABELS, _wbar_completed().labels, _w_completed().labels)
+    labels = ((HEADS, TAILS), F_POINTER_LABELS, wbar_measurement().labels, w_measurement().labels)
     out: dict[tuple[str, str, str, str], float] = {}
     for idx in zip(*np.nonzero(table >= _PRUNE)):
         key = tuple(_simplify(labels[v][idx[axes[v]]]) for v in range(4))

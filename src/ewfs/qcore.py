@@ -19,12 +19,8 @@ import numpy as np
 DEFAULT_ATOL = 1e-10
 
 # Below this probability mass an event is treated as strictly impossible
-# (conditioning slices, sampled outcomes).
+# (conditioning slices, probability range checks).
 IMPOSSIBLE_MASS = 1e-12
-
-
-class ZeroProbabilityError(ValueError):
-    """Projection or conditioning onto an event of (numerically) zero mass."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -85,9 +81,12 @@ class SpaceLayout:
 
     def sub(self, names: Iterable[str]) -> "SpaceLayout":
         """Sub-layout of the named subsystems, kept in declaration order."""
-        wanted = set(names)
-        for n in wanted:
+        names = tuple(names)
+        for n in names:
             self.axis(n)  # raises on unknown names
+        wanted = set(names)
+        if len(wanted) != len(names):
+            raise ValueError(f"subsystem named twice in {names}")
         return SpaceLayout(tuple(s for s in self.subsystems if s[0] in wanted))
 
 
@@ -241,22 +240,6 @@ def pure_density(vec: StateVector) -> DensityMatrix:
     return DensityMatrix(vec.layout, np.outer(vec.amplitudes, vec.amplitudes.conj()))
 
 
-def mix(weighted: Iterable[tuple[float, DensityMatrix]]) -> DensityMatrix:
-    """Convex mixture of same-layout density matrices."""
-    weighted = list(weighted)
-    if not weighted:
-        raise ValueError("mix needs at least one component")
-    layout = weighted[0][1].layout
-    acc = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
-    for w, rho in weighted:
-        if not _same_layout(rho.layout, layout):
-            raise ValueError("mixture components live on different layouts")
-        if w < -IMPOSSIBLE_MASS:
-            raise ValueError(f"negative mixture weight {w!r}")
-        acc += max(float(w), 0.0) * rho.matrix
-    return DensityMatrix(layout, acc)
-
-
 def embed(op: Operator, layout: SpaceLayout) -> Operator:
     """Lift an operator to a larger layout, acting as identity elsewhere."""
     sub_names = op.layout.names
@@ -321,16 +304,6 @@ def project_component(state: StateVector, target: Sequence[str], component: np.n
     order = list(axes) + rest_axes
     post = np.transpose(post, np.argsort(order)).reshape(-1)
     return prob, residual, post
-
-
-def slice_state(state: StateVector, target: Sequence[str], component: np.ndarray) -> tuple[float, StateVector]:
-    """Condition a pure state on a rank-one outcome: project and renormalize."""
-    prob, _, post = project_component(state, target, component)
-    if prob < IMPOSSIBLE_MASS:
-        raise ZeroProbabilityError(
-            f"conditioning on a component of probability {prob!r} (target {tuple(target)})"
-        )
-    return prob, StateVector(state.layout, post / np.sqrt(prob))
 
 
 def born_probability(rho: DensityMatrix, target: Sequence[str], component: np.ndarray) -> float:

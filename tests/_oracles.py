@@ -4,7 +4,9 @@ Everything here is computed without touching the library's linear-algebra
 paths: symbolic expansion (sympy), exact fractions, or explicit index loops
 and plain matrix products over raw numpy arrays.  The collapse-picture
 oracles read the protocol's interaction matrices and basis vectors as data
-only.  Tests freeze expected values from these.
+only.  Tests freeze expected values from these.  The last section holds
+test-only helpers that combine library values (joint specs, distribution
+comparison).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 import sympy as sp
 
 from ewfs import protocol
+from ewfs.measurement import MeasurementSpec
+from ewfs.qcore import DEFAULT_ATOL, tensor
 
 WBAR_LABELS = ("okbar", "failbar")
 W_LABELS = ("ok", "fail")
@@ -238,8 +242,8 @@ def collapse_steps():
     specs = (
         ("r", protocol.coin_measurement(), 0, protocol.coin_interaction().matrix),
         ("z", protocol.spin_measurement(), 2, protocol.spin_interaction().matrix),
-        ("wbar", protocol._wbar_completed(), 0, np.eye(36)),
-        ("w", protocol._w_completed(), 2, np.eye(36)),
+        ("wbar", protocol.wbar_measurement(), 0, np.eye(36)),
+        ("w", protocol.w_measurement(), 2, np.eye(36)),
     )
     return [
         (record, [("other" if l.startswith("other_") else l, _projector(v.amplitudes, axis))
@@ -315,3 +319,22 @@ def collapse_round(config, rng, round_index: int = 0) -> protocol.RoundRecord:
         rec[record] = outcomes[pick][0]
     halted = rec["wbar"] == "okbar" and rec["w"] == "ok"
     return protocol.RoundRecord(round_index, rec["r"], rec["z"], rec["wbar"], rec["w"], halted)
+
+
+# Test-only helpers over library values.
+
+
+def product_spec(a: MeasurementSpec, b: MeasurementSpec, sep: str = "&") -> MeasurementSpec:
+    """Joint measurement of two specs on disjoint targets; labels join with ``sep``."""
+    if set(a.target) & set(b.target):
+        raise ValueError("product spec requires disjoint targets")
+    outcomes = tuple(
+        (f"{la}{sep}{lb}", tensor(va, vb)) for la, va in a.outcomes for lb, vb in b.outcomes
+    )
+    return MeasurementSpec(a.target + b.target, outcomes)
+
+
+def distributions_match(a, b, atol: float = DEFAULT_ATOL) -> bool:
+    """True when two labeled distributions agree within atol on the union of labels."""
+    keys = set(a) | set(b)
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= atol for k in keys)

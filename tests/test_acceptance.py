@@ -13,10 +13,8 @@ from ewfs.measurement import (
     DilationSpec,
     MeasurementSpec,
     build_dilation,
-    complete_basis,
     outcome_distribution,
     pointer_readout_spec,
-    product_spec,
 )
 from ewfs.perspectives import (
     COLLAPSE_AWARE,
@@ -45,6 +43,7 @@ from _oracles import (
     entangled_lab_spin_mixture,
     geometric_mean_se,
     lab_mixture_after_tails,
+    product_spec,
     unitary_joint_numeric,
 )
 
@@ -143,7 +142,7 @@ def test_criterion_06_deferred_measurement_equivalence():
     for measurement, mem in ((protocol.wbar_measurement(), "Wbarmem"),
                              (protocol.w_measurement(), "Wmem")):
         layout = SpaceLayout(protocol.LAYOUT.subsystems + ((mem, 7),))
-        completed = complete_basis(measurement)
+        completed = measurement
         dspec = DilationSpec(
             completed, mem, tuple((l, i + 1) for i, l in enumerate(completed.labels))
         )
@@ -337,7 +336,7 @@ def test_criterion_10_property_suite():
         listed = tuple(
             (f"v{i}", StateVector(layout, q[:, i])) for i in range(k)
         )
-        spec = complete_basis(MeasurementSpec(("Q",), listed))
+        spec = MeasurementSpec(("Q",), listed)
         rows = np.array([vec.amplitudes for _, vec in spec.outcomes])
         gram_gap = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(dim))))
         resolution = sum(np.outer(r, r.conj()) for r in rows)

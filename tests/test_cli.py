@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,21 @@ SCHEMA = json.loads(
     (Path(ewfs.__file__).parent / "data" / "output.schema.json").read_text(encoding="utf-8")
 )
 
+# The CLI child imports the same ewfs as this process, installed or not.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(ewfs.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
+
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "ewfs", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -219,6 +229,34 @@ def test_exit_code_2_on_bad_flags():
     assert run_cli("perspectives", "--agent", "F", "--time", "n:10", "--rule", "collapse",
                    "--cond", "r=bogus", check=False).returncode == 2
     assert run_cli(check=False).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("perspectives", "--agent", "W", "--time", "n:20", "--rule", "own-record"),
+        ("perspectives", "--agent", "F", "--time", "n:10", "--rule", "unitary",
+         "--cond", "z=+1/2"),
+        ("perspectives", "--agent", "Fbar", "--time", "n:20", "--rule", "own-record",
+         "--cond", "r=tails", "--cond", "z=+1/2"),
+        ("perspectives", "--agent", "Wbar", "--time", "n:20", "--rule", "collapse",
+         "--cond", "wbar=okbar"),
+    ],
+)
+def test_exit_code_2_on_flag_combinations(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ewfs")
+    assert proc.stderr.splitlines()[-1].startswith("ewfs: error: ")
+
+
+def test_perspectives_subsystems_echo_layout_order():
+    base = ("perspectives", "--agent", "W", "--time", "n:20", "--rule", "unitary")
+    by_order = [cli_json(*base, "--subsystems", names) for names in ("F,S", "S,F")]
+    assert by_order[0] == by_order[1]
+    assert by_order[0]["subsystems"] == ["S", "F"]
+    assert "subsystems: S, F " in run_cli(*base, "--subsystems", "F,S").stdout
 
 
 def test_exit_code_zero_on_success():

@@ -1,19 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ewfs import protocol
+from ewfs import cli, measurement, protocol, reasoning
 from ewfs.measurement import (
     DilationSpec,
-    ImpossibleOutcomeError,
     MeasurementSpec,
     build_dilation,
-    complete_basis,
-    distributions_match,
-    measure_collapse,
     outcome_distribution,
     pointer_readout_spec,
-    product_spec,
-    readout_memory,
 )
 from ewfs.qcore import (
     DensityMatrix,
@@ -25,12 +21,18 @@ from ewfs.qcore import (
     tensor_all,
 )
 
-from _oracles import collapse_trajectories, entangled_lab_spin_mixture, lab_mixture_after_tails
+from _oracles import (
+    collapse_trajectories,
+    distributions_match,
+    entangled_lab_spin_mixture,
+    lab_mixture_after_tails,
+    product_spec,
+)
 
 
 def test_complete_single_vector_to_full_basis():
     spec = MeasurementSpec(("R", "Fbar"), (("okbar", protocol.okbar_state()),))
-    done = complete_basis(spec)
+    done = spec
     assert len(done.outcomes) == 6
     assert done.outcomes[0][0] == "okbar"
     rows = np.array([v.amplitudes for _, v in done.outcomes])
@@ -38,19 +40,22 @@ def test_complete_single_vector_to_full_basis():
 
 
 def test_complete_already_complete_is_identity():
-    spec = protocol.coin_measurement()
-    assert complete_basis(spec) is spec
+    # a spanning list gets no other_k outcomes: the spec holds exactly what was listed
+    listed = protocol.coin_measurement.__wrapped__().outcomes
+    spec = MeasurementSpec(("R",), listed)
+    assert spec.labels == ("heads", "tails")
+    assert all(a[1] is b[1] for a, b in zip(spec.outcomes, listed))
 
 
 def test_completion_of_observer_basis():
-    done = complete_basis(protocol.wbar_measurement())
+    done = protocol.wbar_measurement()
     assert done.labels == ("okbar", "failbar", "other_0", "other_1", "other_2", "other_3")
     # the added vectors are orthogonal to the span of the two lab pointers
     for _, vec in done.outcomes[2:]:
         for pointer in (protocol.heads_lab_state(), protocol.tails_lab_state()):
             assert abs(np.vdot(pointer.amplitudes, vec.amplitudes)) < 1e-12
     # deterministic: same input gives the same completion
-    again = complete_basis(protocol.wbar_measurement())
+    again = protocol.wbar_measurement.__wrapped__()
     assert all(
         np.array_equal(a[1].amplitudes, b[1].amplitudes)
         for a, b in zip(done.outcomes, again.outcomes)
@@ -72,19 +77,20 @@ def test_measure_coin_statistics():
     dist = outcome_distribution(state, protocol.coin_measurement())
     assert dist["heads"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert dist["tails"] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    rng = np.random.default_rng(11)
-    counts = {"heads": 0, "tails": 0}
-    for _ in range(3000):
-        label, post = measure_collapse(state, protocol.coin_measurement(), rng)
-        counts[label] += 1
-    assert counts["heads"] / 3000 == pytest.approx(1.0 / 3.0, abs=0.035)
+    # the phase of the tails amplitude never changes the coin statistics
+    for theta in (0.7, np.pi):
+        state = tensor_all(
+            protocol.coin_state(theta),
+            basis_state(protocol.LAYOUT.sub(("Fbar",)), (0,)),
+        )
+        assert distributions_match(
+            outcome_distribution(state, protocol.coin_measurement()), dist, atol=1e-12
+        )
 
 
 def test_measure_eigenstate_is_deterministic():
-    rng = np.random.default_rng(0)
-    label, post = measure_collapse(protocol.spin_down_state(), protocol.spin_measurement(), rng)
-    assert label == "-1/2"
-    assert np.allclose(post.amplitudes, protocol.spin_down_state().amplitudes)
+    dist = outcome_distribution(protocol.spin_down_state(), protocol.spin_measurement())
+    assert dist == pytest.approx({"-1/2": 1.0, "+1/2": 0.0}, abs=1e-12)
 
 
 def test_measure_right_spin_is_unbiased():
@@ -179,15 +185,15 @@ def test_readout_memory_after_coin_interaction():
     dist = outcome_distribution(state, pointer_readout_spec(protocol.LAYOUT, "Fbar", labels))
     assert dist["heads"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert dist["tails"] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    rng = np.random.default_rng(5)
-    label, _ = readout_memory(state, "Fbar", rng, labels)
-    assert label in ("heads", "tails")
+    # the interaction leaves no weight on the ready slot
+    assert dist["init"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_readout_unentangled_memory_is_init():
-    rng = np.random.default_rng(5)
-    label, _ = readout_memory(protocol.initial_state(0.0), "F", rng)
-    assert label == "init"
+    dist = outcome_distribution(
+        protocol.initial_state(0.0), pointer_readout_spec(protocol.LAYOUT, "F")
+    )
+    assert dist == pytest.approx({"init": 1.0, "slot_1": 0.0, "slot_2": 0.0}, abs=1e-12)
 
 
 def test_readout_spin_memory_after_final_state():
@@ -227,7 +233,7 @@ def test_deferred_equivalence_friend_measurements():
 
 
 def _observer_dilation(measurement, memory_name):
-    completed = complete_basis(measurement)
+    completed = measurement
     pointer = tuple((label, i + 1) for i, label in enumerate(completed.labels))
     return completed, DilationSpec(completed, memory_name, pointer)
 
@@ -253,34 +259,16 @@ def test_observer_other_outcomes_unreachable():
     # every reachable pre-observation state keeps the completed outcomes dark
     for theta in (0.0, 1.1, np.pi):
         state = protocol.global_state(theta, "n:20")
-        for spec in (protocol._wbar_completed(), protocol._w_completed()):
+        for spec in (protocol.wbar_measurement(), protocol.w_measurement()):
             dist = outcome_distribution(state, spec)
             for label, p in dist.items():
                 if label.startswith("other_"):
                     assert p < 1e-12
     for prob, _records, amps in collapse_trajectories(0.8, 2):
         state = StateVector(protocol.LAYOUT, amps)
-        for spec in (protocol._wbar_completed(), protocol._w_completed()):
+        for spec in (protocol.wbar_measurement(), protocol.w_measurement()):
             dist = outcome_distribution(state, spec)
             assert sum(p for l, p in dist.items() if l.startswith("other_")) < 1e-12
-
-
-def test_impossible_outcome_guard():
-    class FixedRng:
-        def __init__(self, value):
-            self.value = value
-
-        def random(self):
-            return self.value
-
-    # |down> measured in the down/up basis: a cursor inside [0, 1) lands in
-    # the certain bin, while a cursor at 1.0 (outside the Generator contract)
-    # falls through to the zero-probability bin and trips the misuse guard.
-    state = protocol.spin_down_state()
-    label, _ = measure_collapse(state, protocol.spin_measurement(), FixedRng(0.999999999999))
-    assert label == "-1/2"
-    with pytest.raises(ImpossibleOutcomeError):
-        measure_collapse(state, protocol.spin_measurement(), FixedRng(1.0))
 
 
 def test_product_spec_rejects_overlap():
@@ -288,15 +276,40 @@ def test_product_spec_rejects_overlap():
         product_spec(protocol.coin_measurement(), protocol.coin_measurement())
 
 
-def test_error_policy_refuses_incomplete_spec():
-    from ewfs.measurement import POLICY_ERROR
 
-    spec = MeasurementSpec(
-        ("R", "Fbar"), (("okbar", protocol.okbar_state()),), POLICY_ERROR
-    )
-    with pytest.raises(ValueError):
-        outcome_distribution(protocol.global_state(0.0, "n:10"), spec)
-    # auto-complete policy happily measures the same incomplete description
-    auto = MeasurementSpec(("R", "Fbar"), (("okbar", protocol.okbar_state()),))
-    dist = outcome_distribution(protocol.global_state(0.0, "n:10"), auto)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+def test_protocol_specs_are_complete_at_construction():
+    assert [f.name for f in dataclasses.fields(MeasurementSpec)] == ["target", "outcomes"]
+    others = ("other_0", "other_1", "other_2", "other_3")
+    assert protocol.wbar_measurement().labels == ("okbar", "failbar") + others
+    assert protocol.w_measurement().labels == ("ok", "fail") + others
+    assert protocol.coin_measurement().labels == ("heads", "tails")
+    assert protocol.spin_measurement().labels == ("-1/2", "+1/2")
+
+
+def test_workloads_complete_no_basis(monkeypatch, capsys):
+    calls = []
+    real = measurement._complement
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measurement, "_complement", counting)
+    # an incomplete list is completed once, when the spec is built
+    protocol.wbar_measurement.__wrapped__()
+    assert len(calls) == 1
+    # the protocol's bases exist already: measuring with them completes nothing
+    protocol.wbar_measurement(), protocol.w_measurement()
+    calls.clear()
+    theta = 0.37
+    for semantics in ("collapse", "unitary"):
+        protocol.exact_joint(protocol.ProtocolConfig(semantics=semantics, theta=theta))
+    for ruleset in reasoning.RULESET_NAMES:
+        reasoning.audit(ruleset, theta)
+    code = cli.main([
+        "perspectives", "--agent", "W", "--time", "n:20", "--rule", "collapse",
+        "--theta", str(theta), "--subsystems", "R,Fbar,S,F", "--json",
+    ])
+    assert code == 0
+    assert len(capsys.readouterr().out) > 0
+    assert calls == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ewfs import protocol
-from ewfs.measurement import product_spec
 from ewfs.perspectives import (
     AGENTS,
     COLLAPSE_AWARE,
@@ -29,6 +28,7 @@ from _oracles import (
     entangled_lab_spin_pure,
     lab_mixture_after_tails,
     lab_pure_after_tails,
+    product_spec,
     trajectory_assignment,
 )
 
@@ -216,6 +216,16 @@ def test_not_evaluable_conditioning():
         assign(persp("F", "n:20", [("r", "heads"), ("z", "+1/2")], COLLAPSE_AWARE), LAB_L)
     with pytest.raises(NotEvaluableError):
         assign(persp("F", "n:20", [("r", "heads"), ("z", "+1/2")]), LAB_L)
+
+
+def test_assign_rejects_repeated_register():
+    for p in (
+        persp("W", "n:20", rule=COLLAPSE_AWARE),
+        persp("W", "n:20", rule=UNITARY_GLOBAL),
+        persp("F", "n:20", [("z", "+1/2")], OWN_RECORD_PURE),
+    ):
+        with pytest.raises(ValueError, match="named twice"):
+            assign(p, ("S", "S"))
 
 
 def test_phase_survives_slicing_but_not_collapse():

@@ -7,17 +7,14 @@ from ewfs.qcore import (
     Operator,
     SpaceLayout,
     StateVector,
-    ZeroProbabilityError,
     apply,
     basis_state,
     dephase,
     embed,
     identity,
     inner,
-    mix,
     partial_trace,
     pure_density,
-    slice_state,
     superpose,
     tensor,
     tensor_all,
@@ -53,6 +50,14 @@ def test_layout_validation():
     assert layout.sub(("B",)).dims == (3,)
     with pytest.raises(ValueError):
         layout.axis("C")
+
+
+def test_sub_layout_rejects_repeated_names():
+    with pytest.raises(ValueError, match="named twice"):
+        protocol.LAYOUT.sub(("S", "S"))
+    with pytest.raises(ValueError, match="named twice"):
+        protocol.LAYOUT.sub(("R", "F", "R"))
+    assert protocol.LAYOUT.sub(("F", "S")).names == ("S", "F")
 
 
 def test_canonical_protocol_layout():
@@ -225,23 +230,9 @@ def test_embed_acts_as_identity_elsewhere():
     assert np.allclose(apply(big, state).amplitudes, want, atol=1e-12)
 
 
-def test_slice_state_zero_probability():
-    down = protocol.spin_down_state()
-    f0 = basis_state(protocol.LAYOUT.sub(("F",)), (0,))
-    state = tensor(down, f0)
-    with pytest.raises(ZeroProbabilityError):
-        slice_state(state, ("S",), np.array([0.0, 1.0]))
-
-
 def test_superpose_and_mix_validation():
     with pytest.raises(ValueError):
         superpose([(0.5, protocol.spin_down_state()), (0.5, protocol.spin_up_state())])
-    rho_d = pure_density(protocol.spin_down_state())
-    rho_u = pure_density(protocol.spin_up_state())
-    m = mix([(0.25, rho_d), (0.75, rho_u)])
-    assert np.allclose(np.diag(m.matrix), [0.25, 0.75])
-    with pytest.raises(ValueError):
-        mix([(0.5, rho_d), (0.5, pure_density(random_state(SpaceLayout((("X", 2),)))))])
 
 
 def test_unitary_flag_validation():
