@@ -1,10 +1,11 @@
 """State assignment: what density matrix an agent writes down, and when.
 
-Every rule starts from the one global pure state evolved unitarily to the
-checkpoint and walks the measurements completed by then in protocol order
-(``r``, ``z``, ``wbar``).  A record the perspective conditions on slices the
-state: project onto that outcome and renormalize.  The rules differ only in
-what happens to the records it does not condition on:
+The rules define which branches exist.  A perspective walks the
+measurements completed by its checkpoint in protocol order (``r``, ``z``,
+``wbar``), starting from the one global state evolved unitarily to that
+checkpoint.  A record the perspective conditions on keeps only the branch
+projected onto that outcome.  The rules differ only in what happens to the
+records it does not condition on:
 
 * ``unitary-global``  -- nothing: the agent describes the world by the
   global pure state, sliced on the known records.
@@ -18,6 +19,16 @@ what happens to the records it does not condition on:
   slicing too; the rule exists as a distinct policy because mixing it with
   ``unitary-global`` descriptions of other agents is precisely the
   combination the reasoning audit flags as inconsistent.
+
+None of this depends on the coin phase.  The global state is
+``a_h·heads + a_t·tails`` (see ``protocol``), so each branch is a pair of
+θ-free amplitude matrices ``M_i`` (kept registers by the rest), built once
+per (checkpoint, conditioning, rule mechanics, registers) and cached.  θ
+enters only through the coin amplitudes in the contraction: branch ``b`` is
+``ψ_b = a_h M_h + a_t M_t``, it survives if ``‖ψ_b‖² = a†G_b a`` reaches
+``IMPOSSIBLE_MASS``, and the state is ``Σ_b ψ_b ψ_b† / Σ_b ‖ψ_b‖²``.
+Combining the amplitudes before squaring keeps full precision near an
+interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` would cancel.
 """
 
 from __future__ import annotations
@@ -31,13 +42,13 @@ import numpy as np
 from . import protocol
 from .measurement import MeasurementSpec, outcome_distribution, pointer_readout_spec
 from .qcore import (
+    DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
     DensityMatrix,
-    StateVector,
+    SpaceLayout,
+    embed,
     fidelity,
-    partial_trace,
-    project_component,
-    pure_density,
+    projector,
     trace_distance,
 )
 
@@ -118,15 +129,61 @@ class Perspective:
 
 
 @lru_cache(maxsize=None)
-def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray], ...]:
-    """(label, target registers, basis vector) of each outcome of the measurement fixing a record.
+def _projectors(var: str) -> tuple[tuple[str, np.ndarray], ...]:
+    """(label, projector on the whole layout) of each outcome of the measurement fixing a record.
 
     ``wbar=failbar`` means "anything but the special outcome"; on the
     protocol's reachable states the listed failbar vector is the only
     complement component with support, so slicing on it alone is exact there.
     """
     spec = record_readout_spec(var)
-    return tuple((label, spec.target, vec.amplitudes) for label, vec in spec.outcomes)
+    return tuple((label, embed(projector(vec), protocol.LAYOUT).matrix) for label, vec in spec.outcomes)
+
+
+@lru_cache(maxsize=None)
+def _kernel(
+    time: str, conditioning: tuple[tuple[str, str], ...], collapse: bool, names: tuple[str, ...]
+) -> tuple[SpaceLayout, np.ndarray]:
+    """Kept layout and θ-free branches of an assignment to the named registers.
+
+    The read-only array has shape (2, branches, kept dim, rest dim): entry
+    ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0) or tails
+    (i = 1), kept registers on the rows.  A branch whose Gram trace is below
+    ``IMPOSSIBLE_MASS`` is dropped: its weight ``a†G a`` is below that at
+    every angle, and every later projection only shrinks it.
+    """
+    layout = protocol.LAYOUT.sub(names)
+    cond = dict(conditioning)
+    branches = [np.array(protocol._coin_branches(protocol.T20 if time == protocol.T30 else time))]
+    for var in ("r", "z", "wbar"):  # protocol order
+        if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[time]:
+            break
+        if var not in cond and not collapse:
+            continue
+        # every outcome, or only the one conditioned on
+        outcomes = [proj for label, proj in _projectors(var) if cond.get(var, label) == label]
+        split = [b @ proj.T for b in branches for proj in outcomes]
+        branches = [b for b in split if np.vdot(b, b).real >= IMPOSSIBLE_MASS]
+    dims, kept = protocol.LAYOUT.dims, protocol.LAYOUT.axes(names)
+    axes = kept + tuple(a for a in range(len(dims)) if a not in kept)
+    m = np.array(branches, dtype=np.complex128).reshape((len(branches), 2) + dims)
+    m = m.transpose((1, 0) + tuple(2 + a for a in axes))
+    m = m.reshape(2, len(branches), layout.total_dim, protocol.LAYOUT.total_dim // layout.total_dim)
+    m.setflags(write=False)
+    return layout, m
+
+
+def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
+    """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight."""
+    layout, m = _kernel(p.time, p.conditioning, p.rule.kind == COLLAPSE_AWARE, names)
+    psi = (protocol.coin_state(theta).amplitudes @ m.reshape(2, -1)).reshape(m.shape[1:])
+    weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
+    live = weights >= IMPOSSIBLE_MASS
+    if not live.all():
+        psi, weights = psi[live], weights[live]
+    if not len(psi):
+        raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
+    return layout, psi, weights.sum()
 
 
 def assign(
@@ -136,32 +193,9 @@ def assign(
 ) -> DensityMatrix:
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
-    protocol.LAYOUT.sub(names)  # validates the names
-    state = protocol.global_state(theta, protocol.T20 if p.time == protocol.T30 else p.time)
-    branches = [(1.0, state)]  # (weight, normalized branch state)
-    conditioning = dict(p.conditioning)
-    for var in ("r", "z", "wbar"):  # protocol order
-        if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[p.time]:
-            break
-        outcomes = _record_outcomes(var)
-        if var in conditioning:
-            outcomes = [o for o in outcomes if o[0] == conditioning[var]]
-        elif p.rule.kind != COLLAPSE_AWARE:
-            continue
-        split = []
-        for weight, branch in branches:
-            for _, target, vec in outcomes:
-                prob, _, post = project_component(branch, target, vec)
-                if weight * prob >= IMPOSSIBLE_MASS:
-                    split.append((weight * prob, StateVector(branch.layout, post / np.sqrt(prob))))
-        if not split:
-            raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
-        branches = split
-    if len(branches) == 1:  # a pure state, kept bit for bit
-        return partial_trace(pure_density(branches[0][1]), names)
-    total = sum(weight for weight, _ in branches)
-    rho = sum((weight / total) * np.outer(b.amplitudes, b.amplitudes.conj()) for weight, b in branches)
-    return partial_trace(DensityMatrix(state.layout, rho), names)
+    layout, psi, total = _live_branches(p, names, theta)
+    rows = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
+    return DensityMatrix(layout, rows @ rows.conj().T / total)
 
 
 def predict(
@@ -199,6 +233,7 @@ def compare(a: DensityMatrix, b: DensityMatrix) -> StateComparison:
     return StateComparison(trace_distance(a, b), fidelity(a, b))
 
 
+@lru_cache(maxsize=None)
 def record_readout_spec(var: str) -> MeasurementSpec:
     """Measurement whose outcome reproduces a record variable."""
     if var == "r":
@@ -212,6 +247,25 @@ def record_readout_spec(var: str) -> MeasurementSpec:
     raise ValueError(f"unknown record variable {var!r}")
 
 
+@lru_cache(maxsize=None)
+def _readout(var: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Target, outcome labels and read-only conjugated basis rows of a record's readout."""
+    spec = record_readout_spec(var)
+    rows = np.array([v.amplitudes for _, v in spec.outcomes]).conj()
+    rows.setflags(write=False)
+    return spec.target, spec.labels, rows
+
+
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:
-    """Distribution a perspective assigns to a record variable, 'other' outcomes merged."""
-    return protocol.merge_other(predict_distribution(p, record_readout_spec(var), theta))
+    """Distribution a perspective assigns to a record variable, 'other' outcomes merged.
+
+    Read off the live branches directly, ``Σ_b ‖⟨o|ψ_b⟩‖² / Σ_b ‖ψ_b‖²``,
+    without building the assigned density matrix.
+    """
+    target, labels, rows = _readout(var)
+    _, psi, total = _live_branches(p, target, theta)
+    probs = (np.abs(rows @ psi) ** 2).sum(axis=(0, 2)) / total
+    s = probs.sum()
+    if abs(s - 1.0) > DEFAULT_ATOL:
+        raise ValueError(f"outcome probabilities sum to {s!r}, expected 1")
+    return protocol.merge_other(dict(zip(labels, probs.tolist())))

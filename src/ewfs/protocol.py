@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -129,7 +130,7 @@ class JointDistribution:
         total = sum(cells.values())
         if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValueError(f"joint probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "entries", cells)
+        object.__setattr__(self, "entries", MappingProxyType(cells))
 
     def prob(self, wbar: str, w: str) -> float:
         return self.entries.get((wbar, w), 0.0)
@@ -144,11 +145,15 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def coin_layout() -> SpaceLayout:
+    return LAYOUT.sub((R,))
+
+
 def coin_state(theta: float = 0.0) -> StateVector:
     """Coin register state sqrt(1/3)|heads> + e^{i theta} sqrt(2/3)|tails>."""
-    sub = LAYOUT.sub((R,))
     amps = np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
-    return StateVector(sub, amps)
+    return StateVector(coin_layout(), amps)
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +179,7 @@ def initial_state(theta: float = 0.0) -> StateVector:
 
 @lru_cache(maxsize=None)
 def coin_measurement() -> MeasurementSpec:
-    sub = LAYOUT.sub((R,))
+    sub = coin_layout()
     return MeasurementSpec(
         (R,),
         ((HEADS, basis_state(sub, (0,))), (TAILS, basis_state(sub, (1,)))),

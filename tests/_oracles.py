@@ -4,9 +4,10 @@ Everything here is computed without touching the library's linear-algebra
 paths: symbolic expansion (sympy), exact fractions, or explicit index loops
 and plain matrix products over raw numpy arrays.  The collapse-picture
 oracles read the protocol's interaction matrices and basis vectors as data
-only.  Tests freeze expected values from these.  The last section holds
-test-only helpers that combine library values (joint specs, distribution
-comparison).
+only.  Tests freeze expected values from these.  The last two sections hold
+the branch walk that state assignment ran at every angle before its θ-free
+kernels (the reference they are checked against) and test-only helpers that
+combine library values (joint specs, distribution comparison).
 """
 
 from __future__ import annotations
@@ -19,7 +20,23 @@ import sympy as sp
 
 from ewfs import protocol
 from ewfs.measurement import MeasurementSpec
-from ewfs.qcore import DEFAULT_ATOL, tensor
+from ewfs.perspectives import (
+    _TIME_INDEX,
+    COLLAPSE_AWARE,
+    RECORDS,
+    NotEvaluableError,
+    record_readout_spec,
+)
+from ewfs.qcore import (
+    DEFAULT_ATOL,
+    IMPOSSIBLE_MASS,
+    DensityMatrix,
+    StateVector,
+    partial_trace,
+    project_component,
+    pure_density,
+    tensor,
+)
 
 WBAR_LABELS = ("okbar", "failbar")
 W_LABELS = ("ok", "fail")
@@ -321,7 +338,81 @@ def collapse_round(config, rng, round_index: int = 0) -> protocol.RoundRecord:
     return protocol.RoundRecord(round_index, rec["r"], rec["z"], rec["wbar"], rec["w"], halted)
 
 
+# The branch walk: the global state at the checkpoint, sliced by projection
+# and renormalized at every record, one angle at a time.
+
+
+@cache
+def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray], ...]:
+    """(label, target registers, basis vector) of each outcome of the measurement fixing a record.
+
+    ``wbar=failbar`` means "anything but the special outcome"; on the
+    protocol's reachable states the listed failbar vector is the only
+    complement component with support, so slicing on it alone is exact there.
+    """
+    spec = record_readout_spec(var)
+    return tuple((label, spec.target, vec.amplitudes) for label, vec in spec.outcomes)
+
+
+def branch_walk_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
+    """Density matrix the perspective assigns to the named registers."""
+    names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
+    protocol.LAYOUT.sub(names)  # validates the names
+    state = protocol.global_state(theta, protocol.T20 if p.time == protocol.T30 else p.time)
+    branches = [(1.0, state)]  # (weight, normalized branch state)
+    conditioning = dict(p.conditioning)
+    for var in ("r", "z", "wbar"):  # protocol order
+        if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[p.time]:
+            break
+        outcomes = _record_outcomes(var)
+        if var in conditioning:
+            outcomes = [o for o in outcomes if o[0] == conditioning[var]]
+        elif p.rule.kind != COLLAPSE_AWARE:
+            continue
+        split = []
+        for weight, branch in branches:
+            for _, target, vec in outcomes:
+                prob, _, post = project_component(branch, target, vec)
+                if weight * prob >= IMPOSSIBLE_MASS:
+                    split.append((weight * prob, StateVector(branch.layout, post / np.sqrt(prob))))
+        if not split:
+            raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
+        branches = split
+    if len(branches) == 1:  # a pure state, kept bit for bit
+        return partial_trace(pure_density(branches[0][1]), names)
+    total = sum(weight for weight, _ in branches)
+    rho = sum((weight / total) * np.outer(b.amplitudes, b.amplitudes.conj()) for weight, b in branches)
+    return partial_trace(DensityMatrix(state.layout, rho), names)
+
+
 # Test-only helpers over library values.
+
+
+# The benchmark's sweep grid as (agent, checkpoint, conditioning, rule): every
+# agent at every checkpoint under the two rules without conditioning, plus
+# every own-record conditioning.
+_OWN_RECORDS = (
+    ("Fbar", "r", ("n:10", "n:20", "n:30"), ("heads", "tails")),
+    ("F", "z", ("n:20", "n:30"), ("-1/2", "+1/2")),
+    ("Wbar", "wbar", ("n:30",), ("okbar", "failbar")),
+)
+SWEEP_GRID = [
+    (agent, time, (), rule)
+    for agent in ("Fbar", "F", "Wbar", "W")
+    for time in ("n:00", "n:10", "n:20", "n:30")
+    for rule in ("collapse-aware", "unitary-global")
+] + [
+    (agent, time, ((var, value),), "own-record-pure")
+    for agent, var, times, values in _OWN_RECORDS
+    for time in times
+    for value in values
+]
+
+
+def default_registers(time: str) -> tuple[str, ...]:
+    """The registers the CLI shows by default at a checkpoint."""
+    return ("R", "Fbar", "S") if time in ("n:00", "n:10") else ("S", "F")
+
 
 
 def product_spec(a: MeasurementSpec, b: MeasurementSpec, sep: str = "&") -> MeasurementSpec:

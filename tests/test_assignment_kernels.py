@@ -1,0 +1,197 @@
+"""The θ-free assignment kernels against the branch walk they replace, and their cost."""
+
+import itertools
+import sys
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ewfs import perspectives, qcore
+from ewfs.measurement import outcome_distribution
+from ewfs.perspectives import (
+    AGENTS,
+    RECORDS,
+    RULE_KINDS,
+    TIMES,
+    AssignmentRule,
+    NotEvaluableError,
+    Perspective,
+    assign,
+    record_distribution,
+    record_readout_spec,
+)
+from ewfs.protocol import merge_other
+from ewfs.qcore import partial_trace
+from ewfs.reasoning import RULESET_NAMES, audit
+
+from _oracles import SWEEP_GRID, branch_walk_assign, default_registers
+
+ALL_REGISTERS = ("R", "Fbar", "S", "F")
+REGISTER_SETS = (None, ALL_REGISTERS, ("S", "F"), ("R", "Fbar"), ("S",))
+
+
+def _every_conditioning(time):
+    """Every combination of at most one value per record that exists at the checkpoint."""
+    live = [var for var in ("r", "z", "wbar") if TIMES.index(RECORDS[var][1]) <= TIMES.index(time)]
+    choices = [[()] + [((var, value),) for value in RECORDS[var][2]] for var in live]
+    return [sum(combo, ()) for combo in itertools.product(*choices)]
+
+
+def _valid_perspectives():
+    out = []
+    for time in TIMES:
+        for cond in _every_conditioning(time):
+            for rule in RULE_KINDS:
+                for agent in AGENTS:
+                    try:
+                        out.append(Perspective(agent, time, cond, AssignmentRule(rule)))
+                    except ValueError:
+                        pass  # own-record-pure needs exactly the agent's own record
+    return out
+
+
+PERSPECTIVES = _valid_perspectives()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotEvaluableError:
+        return None
+
+
+@settings(max_examples=2, deadline=None)
+@example(theta=0.0)
+@example(theta=2 * np.pi)
+@example(theta=4 * np.pi)
+@example(theta=6 * np.pi)
+@given(theta=st.floats(-50, 50))
+def test_assign_matches_branch_walk(theta):
+    # The walk ignores the agent and ends in a partial trace of the whole walked
+    # state, so it runs once per (checkpoint, conditioning, rule) on every
+    # register and is reduced from there; every agent is compared with it.
+    walked, reduced, read = {}, {}, {}
+
+    def walk(p, names):
+        key = (p.time, p.conditioning, p.rule.kind)
+        if key not in walked:
+            walked[key] = _outcome(branch_walk_assign, p, ALL_REGISTERS, theta)
+        if walked[key] is None:
+            return None
+        if key + (names,) not in reduced:
+            reduced[key + (names,)] = partial_trace(walked[key], names)
+        return reduced[key + (names,)]
+
+    def readout(p, var):
+        key = (p.time, p.conditioning, p.rule.kind, var)
+        if key not in read:
+            spec = record_readout_spec(var)
+            rho = walk(p, spec.target)
+            read[key] = None if rho is None else merge_other(outcome_distribution(rho, spec))
+        return read[key]
+
+    for p in PERSPECTIVES:
+        for registers in REGISTER_SETS:
+            names = registers or default_registers(p.time)
+            want, got = walk(p, names), _outcome(assign, p, names, theta)
+            assert (want is None) == (got is None), (p, names, theta)
+            if want is not None:
+                assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12, (p, names, theta)
+        for var in RECORDS:
+            want, got = readout(p, var), _outcome(record_distribution, p, var, theta)
+            assert (want is None) == (got is None), (p, var, theta)
+            if want is not None:
+                assert list(got) == list(want)
+                assert max(abs(got[k] - want[k]) for k in want) <= 1e-12, (p, var, theta)
+
+
+def test_branch_near_an_interference_zero():
+    # Given z = -1/2, the okbar branch has weight (1 - cos θ)/3 under the
+    # global description: 1.7e-15 at θ = 1e-7 (impossible), 1.7e-11 at 1e-5.
+    for rule in ("unitary-global", "collapse-aware"):
+        p = Perspective("Wbar", "n:30", (("z", "-1/2"), ("wbar", "okbar")), AssignmentRule(rule))
+        for theta in (1e-7, 1e-5, 1e-3, 6 * np.pi + 1e-5):
+            want = _outcome(branch_walk_assign, p, ("S", "F"), theta)
+            got = _outcome(assign, p, ("S", "F"), theta)
+            assert (want is None) == (got is None), (rule, theta)
+            assert (got is None) == (rule == "unitary-global" and theta == 1e-7), (rule, theta)
+            if want is not None:
+                assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12, (rule, theta)
+
+
+def test_kernel_arrays_are_read_only():
+    p = Perspective("W", "n:30", (("z", "+1/2"),), AssignmentRule("collapse-aware"))
+    assign(p, ("S", "F"), 0.4)
+    record_distribution(p, "wbar", 0.4)
+    _, branches = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
+    _, _, rows = perspectives._readout("wbar")
+    for arr in (branches, rows):
+        assert arr.flags.writeable is False
+    for _, proj in perspectives._projectors("wbar"):
+        assert proj.flags.writeable is False
+
+
+def test_record_readout_spec_is_built_once():
+    assert record_readout_spec("z") is record_readout_spec("z")
+
+
+def _sweep_op(theta):
+    """All three audits plus the assignment grid at one angle."""
+    for name in RULESET_NAMES:
+        audit(name, theta)
+    for agent, time, cond, rule in SWEEP_GRID:
+        p = Perspective(agent, time, cond, AssignmentRule(rule))
+        perspectives.assign(p, default_registers(time), theta)
+
+
+def _count_calls(monkeypatch, fn, counts, key):
+    """Replace ``fn`` at every binding in the loaded ``ewfs`` modules by a counting wrapper."""
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ewfs" or name.startswith("ewfs."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def _kernel_cache_sizes():
+    caches = (perspectives._kernel, perspectives._projectors, perspectives._readout)
+    return [cache.cache_info().currsize for cache in caches]
+
+
+def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monkeypatch):
+    _sweep_op(0.3)
+    warm = _kernel_cache_sizes()
+    counts = dict.fromkeys(
+        ("project", "partial_trace", "born", "density", "assign", "record"), 0
+    )
+    for key, fn in (
+        ("project", qcore.project_component),
+        ("partial_trace", qcore.partial_trace),
+        ("born", qcore.born_probability),
+        ("assign", perspectives.assign),
+        ("record", perspectives.record_distribution),
+    ):
+        _count_calls(monkeypatch, fn, counts, key)
+    validate = qcore.DensityMatrix.__post_init__
+
+    def counted_validate(self):
+        counts["density"] += 1
+        validate(self)
+
+    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counted_validate)
+    angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
+    for theta in angles:
+        _sweep_op(theta)
+    assert (counts["project"], counts["partial_trace"], counts["born"]) == (0, 0, 0)
+    # The grid plus one premise assignment per audit; the premise also builds
+    # its pure x-spin reference.  Record distributions build none.
+    assert counts["assign"] == len(angles) * (len(SWEEP_GRID) + 3)
+    assert counts["record"] > 0
+    assert counts["density"] == counts["assign"] + 3 * len(angles)
+    assert _kernel_cache_sizes() == warm

@@ -312,3 +312,10 @@ def test_no_cache_is_keyed_on_theta():
         for attr, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 assert "theta" not in inspect.signature(value).parameters, f"{name}.{attr}"
+
+
+def test_joint_entries_are_read_only():
+    joint = exact_joint(ProtocolConfig(semantics="unitary", theta=0.0))
+    with pytest.raises(TypeError):
+        joint.entries[("okbar", "ok")] = 0.5
+    assert joint.prob("okbar", "ok") == pytest.approx(1.0 / 12.0, abs=1e-12)
