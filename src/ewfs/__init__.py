@@ -35,7 +35,7 @@ from .protocol import (
     JointDistribution,
     ProtocolConfig,
     RoundRecord,
-    RoundSample,
+    RoundTally,
     exact_joint,
     run_round,
     run_until_halt,
@@ -67,7 +67,7 @@ __all__ = [
     "Perspective",
     "ProtocolConfig",
     "RoundRecord",
-    "RoundSample",
+    "RoundTally",
     "RuleSet",
     "SpaceLayout",
     "Statement",

@@ -99,9 +99,9 @@ def _cmd_exact(args) -> tuple[dict, str, list]:
 
 def _cmd_mc(args) -> tuple[dict, str, list]:
     config = ProtocolConfig(semantics=args.semantics, theta=args.theta, seed=args.seed)
-    sample = protocol.sample_records(config, args.rounds)
+    tally = protocol.sample_records(config, args.rounds)
     joint = protocol.exact_joint(config)
-    counts = protocol.tally_joint(sample)
+    counts = protocol.tally_joint(tally)
     n = args.rounds
 
     freqs = []
@@ -129,16 +129,13 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
                 f"{wbar:<9}{w:<7}{c:>8}  {f_hat:>12.6f}  {se:>11.6f}  {_prob_cell(joint.prob(wbar, w))}"
             )
 
-    lengths = protocol.episode_lengths(sample)
     halt_p = joint.prob(protocol.OKBAR, protocol.OK)
-    by_length = np.bincount(lengths)
-    hist = [(k, int(by_length[k])) for k in np.flatnonzero(by_length).tolist()]
-    total = int(lengths.sum())
-    # Exact integer total over the count: the same float as the mean of the lengths.
-    mean_round = total / len(lengths) if len(lengths) else None
-    leftover = n - total
+    hist = [(k, int(tally.lengths[k])) for k in np.flatnonzero(tally.lengths).tolist()]
+    episodes, leftover = int(tally.lengths.sum()), tally.leftover
+    # Exact integer total (n - leftover) over the count: the same float as the mean length.
+    mean_round = (n - leftover) / episodes if episodes else None
     halting = {
-        "episodes": len(lengths),
+        "episodes": episodes,
         "mean_round": mean_round,
         "expected_mean": (1.0 / halt_p) if halt_p > 0 else float("inf"),
         "histogram": [{"length": k, "count": c} for k, c in hist],
@@ -146,7 +143,7 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
     }
     lines.append("")
     lines.append(
-        f"halting: episodes={len(lengths)}  mean round={mean_round if mean_round is None else round(mean_round, 4)}"
+        f"halting: episodes={episodes}  mean round={mean_round if mean_round is None else round(mean_round, 4)}"
         f"  expected={1.0 / halt_p:.4f}  leftover rounds={leftover}"
     )
 
@@ -203,13 +200,12 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         f"assigned state  agent={args.agent}  time={args.time}  rule={rule.kind}"
         f"  conditioning={dict(conditioning) or '-'}  theta={args.theta}",
         f"subsystems: {', '.join(rho.layout.names)}   purity: {rho.purity():.10f}",
-        "real part:",
     ]
-    for row in mat.real:
-        lines.append("  " + " ".join(f"{x:+.4f}" for x in row))
-    lines.append("imag part:")
-    for row in mat.imag:
-        lines.append("  " + " ".join(f"{x:+.4f}" for x in row))
+    for part, rows in (("real", mat.real), ("imag", mat.imag)):
+        lines.append(f"{part} part:")
+        # A cell that rounds to zero prints as +0.0000 whatever the sign of its noise.
+        cells = ([f"{x:+.4f}".replace("-0.0000", "+0.0000") for x in row] for row in rows)
+        lines += ["  " + " ".join(row) for row in cells]
     lines.append("predictions:")
     lines.extend(pred_lines or ["  (none: no protocol measurement fits the subsystems)"])
 

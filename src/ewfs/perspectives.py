@@ -176,7 +176,7 @@ def _kernel(
 def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
     """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight."""
     layout, m = _kernel(p.time, p.conditioning, p.rule.kind == COLLAPSE_AWARE, names)
-    psi = (protocol.coin_state(theta).amplitudes @ m.reshape(2, -1)).reshape(m.shape[1:])
+    psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
     weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
     live = weights >= IMPOSSIBLE_MASS
     if not live.all():

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -150,10 +150,14 @@ def coin_layout() -> SpaceLayout:
     return LAYOUT.sub((R,))
 
 
+def coin_amplitudes(theta: float = 0.0) -> np.ndarray:
+    """Heads and tails amplitudes sqrt(1/3), e^{i theta} sqrt(2/3), unvalidated."""
+    return np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
+
+
 def coin_state(theta: float = 0.0) -> StateVector:
     """Coin register state sqrt(1/3)|heads> + e^{i theta} sqrt(2/3)|tails>."""
-    amps = np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
-    return StateVector(coin_layout(), amps)
+    return StateVector(coin_layout(), coin_amplitudes(theta))
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +344,7 @@ def _coin_branches(time: str) -> tuple[np.ndarray, np.ndarray]:
 def global_state(theta: float, time: str) -> StateVector:
     """Global pure state at a checkpoint under the fully unitary dynamics."""
     heads, tails = _coin_branches(time)
-    a_heads, a_tails = coin_state(theta).amplitudes
+    a_heads, a_tails = coin_amplitudes(theta)
     return StateVector(LAYOUT, a_heads * heads + a_tails * tails)
 
 
@@ -439,8 +443,8 @@ def _record_cdf(config: ProtocolConfig) -> tuple[tuple[tuple[str, str, str, str]
 
 
 def _draw(cum: np.ndarray, uniforms):
-    """Index of the record each uniform falls on."""
-    return np.minimum(np.searchsorted(cum, uniforms, side="right"), len(cum) - 1)
+    """Index of the record each uniform falls on; one past the last edge is the last record."""
+    return np.searchsorted(cum[:-1], uniforms, side="right")
 
 
 def run_round(config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0) -> RoundRecord:
@@ -476,66 +480,70 @@ SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class RoundSample:
-    """Sampled rounds as one column: each round is an index into ``keys``.
+class RoundTally:
+    """Sampled rounds, tallied: record counts and halt-terminated episode lengths.
 
-    ``keys`` are the ``(r, z, wbar, w)`` records of the exact record
-    distribution, in its insertion order; ``index`` holds one read-only
-    ``uint8`` per round.
+    ``counts[k]`` rounds drew record ``keys[k]``, an ``(r, z, wbar, w)`` of the
+    exact record distribution in its order.  ``lengths[k]`` episodes ended
+    with length k, and ``leftover`` is the length of the one still open.
+    Both arrays are read-only ``int64``.
     """
 
     keys: tuple[tuple[str, str, str, str], ...]
-    index: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    leftover: int
 
     def __post_init__(self) -> None:
-        self.index.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.index)
+        self.counts.setflags(write=False)
+        self.lengths.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoundSample):
+        if not isinstance(other, RoundTally):
             return NotImplemented
-        return self.keys == other.keys and np.array_equal(self.index, other.index)
+        return (self.keys, self.leftover) == (other.keys, other.leftover) and all(
+            map(np.array_equal, (self.counts, self.lengths), (other.counts, other.lengths))
+        )
 
 
-def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = None) -> RoundSample:
-    """I.i.d. rounds drawn from the exact record distribution.
+def _tally_chunks(keys: tuple, chunks: Iterable[np.ndarray]) -> RoundTally:
+    """One pass over chunks of round indices; the open episode crosses chunk edges as its length."""
+    halts = np.array([wbar == OKBAR and w == OK for _, _, wbar, w in keys])
+    counts = np.zeros(len(keys), dtype=np.int64)
+    lengths = np.zeros(0, dtype=np.int64)
+    open_length = 0
+    for index in chunks:
+        counts += np.bincount(index, minlength=len(keys))
+        ends = np.flatnonzero(halts[index])
+        last = -1 - open_length  # the previous halt, counted from this chunk's start
+        gaps = np.diff(ends, prepend=last)
+        open_length = len(index) - 1 - (int(ends[-1]) if len(ends) else last)
+        by_length = np.bincount(gaps, minlength=len(lengths))
+        by_length[: len(lengths)] += lengths
+        lengths = by_length
+    return RoundTally(keys, counts, lengths, open_length)
+
+
+def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = None) -> RoundTally:
+    """Tally of i.i.d. rounds drawn from the exact record distribution.
 
     One ``default_rng`` stream: round *i* takes the *i*-th uniform.  Draws
-    come in chunks of ``SAMPLE_CHUNK``, so memory beyond the one-byte-per-round
-    index column stays flat, and the result is byte-reproducible given
-    (config, n_rounds, seed).
+    come in chunks of ``SAMPLE_CHUNK`` and are tallied in one pass, so memory
+    stays flat as ``n_rounds`` grows, and the result is byte-reproducible
+    given (config, n_rounds, seed).
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
     rng = np.random.default_rng(config.seed if seed is None else seed)
     keys, cum = _record_cdf(config)
-    index = np.empty(n_rounds, dtype=np.uint8)
-    for start in range(0, n_rounds, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, n_rounds)
-        index[start:stop] = _draw(cum, rng.random(stop - start))
-    return RoundSample(keys, index)
+    sizes = (min(SAMPLE_CHUNK, n_rounds - start) for start in range(0, n_rounds, SAMPLE_CHUNK))
+    return _tally_chunks(keys, (_draw(cum, rng.random(size)) for size in sizes))
 
 
-def tally_joint(sample: RoundSample) -> dict[tuple[str, str], int]:
+def tally_joint(tally: RoundTally) -> dict[tuple[str, str], int]:
     """Round counts per observed ``(wbar, w)`` cell."""
-    # bincount widens its input to intp, so count chunk by chunk.
-    per_key = sum(
-        (
-            np.bincount(sample.index[start:start + SAMPLE_CHUNK], minlength=len(sample.keys))
-            for start in range(0, len(sample), SAMPLE_CHUNK)
-        ),
-        np.zeros(len(sample.keys), dtype=np.int64),
-    )
     counts: dict[tuple[str, str], int] = {}
-    for (_, _, wbar, w), c in zip(sample.keys, per_key):
+    for (_, _, wbar, w), c in zip(tally.keys, tally.counts.tolist()):
         if c:
-            counts[(wbar, w)] = counts.get((wbar, w), 0) + int(c)
+            counts[(wbar, w)] = counts.get((wbar, w), 0) + c
     return counts
-
-
-def episode_lengths(sample: RoundSample) -> np.ndarray:
-    """Lengths of completed halt-terminated episodes in an i.i.d. round stream."""
-    halts = np.array([wbar == OKBAR and w == OK for _, _, wbar, w in sample.keys])
-    return np.diff(np.flatnonzero(halts[sample.index]), prepend=-1)

@@ -34,6 +34,7 @@ treated as probability-one conditioning; the distinction is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import protocol
@@ -316,6 +317,12 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
     return StatementResult(st.id, st.describe(), status, inner_result.value)
 
 
+@lru_cache(maxsize=None)
+def _premise_reference():
+    """The pure x-polarized spin the premise compares against; θ-free, built once."""
+    return pure_density(protocol.spin_right_state())
+
+
 def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Check the premise: given tails, the spin is the pure x-polarized state."""
     rule = rs.rule_for(PREMISE_ID)
@@ -324,7 +331,7 @@ def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
         rho = assign(persp, (protocol.S,), theta)
     except NotEvaluableError:
         return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", NOT_EVALUABLE, None)
-    fid = compare(rho, pure_density(protocol.spin_right_state())).fidelity
+    fid = compare(rho, _premise_reference()).fidelity
     status = HOLDS if abs(fid - 1.0) <= CERTAINTY_ATOL else FAILS
     return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", status, fid)
 

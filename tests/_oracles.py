@@ -208,6 +208,11 @@ def geometric_mean_se(lengths) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(len(arr)))
 
 
+def expand_histogram(lengths) -> np.ndarray:
+    """One entry per episode from a histogram whose entry k counts episodes of length k."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
 def unchunked_sample_index(probs, n_rounds: int, seed: int) -> np.ndarray:
     """Record-table index per round from a single ``rng.random(n_rounds)`` call.
 

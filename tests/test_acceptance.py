@@ -41,6 +41,7 @@ from ewfs.reasoning import audit
 from _oracles import (
     collapse_joint_cells,
     entangled_lab_spin_mixture,
+    expand_histogram,
     geometric_mean_se,
     lab_mixture_after_tails,
     product_spec,
@@ -207,9 +208,9 @@ def test_criterion_08_monte_carlo_convergence():
         else:
             cells_ok &= abs(freq - p) < 4 * se
 
-    mean_u, se_u = geometric_mean_se(protocol.episode_lengths(records_u))
+    mean_u, se_u = geometric_mean_se(expand_histogram(records_u.lengths))
     records_c = sample_records(ProtocolConfig(semantics="collapse", seed=42), n)
-    mean_c, se_c = geometric_mean_se(protocol.episode_lengths(records_c))
+    mean_c, se_c = geometric_mean_se(expand_histogram(records_c.lengths))
     elapsed = time.perf_counter() - start
 
     ok = (

@@ -189,9 +189,36 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     for theta in angles:
         _sweep_op(theta)
     assert (counts["project"], counts["partial_trace"], counts["born"]) == (0, 0, 0)
-    # The grid plus one premise assignment per audit; the premise also builds
-    # its pure x-spin reference.  Record distributions build none.
+    # The grid plus one premise assignment per audit; the premise's pure x-spin
+    # reference is built once, and record distributions build none.
     assert counts["assign"] == len(angles) * (len(SWEEP_GRID) + 3)
     assert counts["record"] > 0
-    assert counts["density"] == counts["assign"] + 3 * len(angles)
+    assert counts["density"] == counts["assign"]
     assert _kernel_cache_sizes() == warm
+
+
+def _assign_and_read_records(theta):
+    """The assignment grid plus every record distribution each grid perspective allows."""
+    for agent, time, cond, rule in SWEEP_GRID:
+        p = Perspective(agent, time, cond, AssignmentRule(rule))
+        assign(p, default_registers(time), theta)
+        for var in RECORDS:
+            try:
+                record_distribution(p, var, theta)
+            except NotEvaluableError:
+                pass
+
+
+def test_assignment_builds_no_state_vector(monkeypatch):
+    _assign_and_read_records(0.3)
+    built = []
+    validate = qcore.StateVector.__post_init__
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(qcore.StateVector, "__post_init__", counted_validate)
+    for theta in np.random.default_rng(6).uniform(-20.0, 20.0, 20):
+        _assign_and_read_records(theta)
+    assert built == []

@@ -1,14 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ewfs
+from ewfs import cli
+from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution
+
+from _oracles import loop_episode_lengths, loop_tally, unchunked_sample_index
 
 SCHEMA = json.loads(
     (Path(ewfs.__file__).parent / "data" / "output.schema.json").read_text(encoding="utf-8")
@@ -135,6 +145,42 @@ def test_mc_output_bytes_golden(tmp_path, semantics):
     assert digests == MC_GOLDEN_SHA256[semantics]
 
 
+def _main_in_process(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=4, deadline=None)
+@example(semantics="collapse", theta=0.7, rounds=3 * SAMPLE_CHUNK + 7, seed=3)
+@example(semantics="unitary", theta=0.0, rounds=SAMPLE_CHUNK, seed=42)
+@given(
+    semantics=st.sampled_from(["unitary", "collapse"]),
+    theta=st.floats(-10, 10),
+    rounds=st.integers(1, 3 * SAMPLE_CHUNK + 7),
+    seed=st.integers(0, 2**32),
+)
+def test_mc_out_is_deterministic_and_matches_single_draw(semantics, theta, rounds, seed):
+    argv = ["mc", "--semantics", semantics, f"--theta={theta!r}", "--rounds", str(rounds),
+            "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for run in ("a", "b"):
+            _main_in_process(*argv, "--out", str(Path(tmp) / run))
+            files.append({p.name: p.read_bytes() for p in (Path(tmp) / run).iterdir()})
+    assert files[0] == files[1]
+    payload = json.loads(files[0]["mc.json"])
+    dist = exact_record_distribution(ProtocolConfig(semantics=semantics, theta=theta))
+    keys = tuple(dist)
+    index = unchunked_sample_index(list(dist.values()), rounds, seed).tolist()
+    counts = {(f["wbar"], f["w"]): f["count"] for f in payload["frequencies"] if f["count"]}
+    assert counts == loop_tally(keys, index)
+    lengths = loop_episode_lengths(keys, index)
+    halting = payload["halting"]
+    assert {h["length"]: h["count"] for h in halting["histogram"]} == Counter(lengths)
+    assert (halting["episodes"], halting["leftover_rounds"]) == (len(lengths), rounds - sum(lengths))
+
+
 def test_mc_writes_files_and_manifest(tmp_path):
     out = tmp_path / "runs"
     run_cli(
@@ -182,6 +228,18 @@ def test_perspectives_collapse_prediction_half():
     assert w["ok"] == pytest.approx(0.5, abs=1e-10)
     frac = {o["label"]: o["probability"]["fraction"] for o in preds["w"]["outcomes"]}
     assert frac["ok"] == "1/2"
+
+
+def test_perspectives_table_prints_no_negative_zero():
+    # At θ = 1 one entry of this matrix is ulp-level noise below zero.
+    argv = ("perspectives", "--agent", "Fbar", "--time", "n:20", "--rule", "collapse",
+            "--theta", "1")
+    payload = json.loads(_main_in_process(*argv, "--json"))
+    entries = [x for part in payload["matrix"].values() for row in part for x in row]
+    assert any(x < 0 and f"{x:+.4f}" == "-0.0000" for x in entries)
+    table = _main_in_process(*argv)
+    assert "-0.0000" not in table
+    assert table.count("+0.0000") == sum(f"{x:+.4f}" in ("+0.0000", "-0.0000") for x in entries)
 
 
 def test_perspectives_not_evaluable_exit_code():

@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,9 +13,9 @@ from ewfs.protocol import (
     SAMPLE_CHUNK,
     ProtocolConfig,
     RoundRecord,
-    RoundSample,
+    RoundTally,
     JointDistribution,
-    episode_lengths,
+    _tally_chunks,
     exact_joint,
     exact_record_distribution,
     round_rng,
@@ -30,6 +31,7 @@ from _oracles import (
     collapse_joint_cells,
     collapse_round,
     collapse_record_table,
+    expand_histogram,
     geometric_mean_se,
     loop_episode_lengths,
     loop_tally,
@@ -220,7 +222,7 @@ def test_halting_round_is_geometric():
     for semantics, expected in (("unitary", 12.0), ("collapse", 4.0)):
         cfg = ProtocolConfig(semantics=semantics, seed=42)
         records = sample_records(cfg, 100_000)
-        lengths = episode_lengths(records)
+        lengths = expand_histogram(records.lengths)
         mean, se = geometric_mean_se(lengths)
         assert abs(mean - expected) < 4 * se
 
@@ -239,41 +241,76 @@ def test_run_round_dispatch():
 )
 def test_chunked_sample_matches_single_draw(semantics, n_rounds):
     cfg = ProtocolConfig(semantics=semantics, seed=5)
-    sample = sample_records(cfg, n_rounds)
+    tally = sample_records(cfg, n_rounds)
     dist = exact_record_distribution(cfg)
-    assert sample.keys == tuple(dist)
-    assert sample.index.dtype == np.uint8
-    assert len(sample) == n_rounds
-    expected = unchunked_sample_index(list(dist.values()), n_rounds, seed=5)
-    assert np.array_equal(sample.index, expected)
-    assert tally_joint(sample) == loop_tally(sample.keys, expected.tolist())
-    lengths = episode_lengths(sample)
-    assert lengths.dtype == np.int64
-    assert lengths.tolist() == loop_episode_lengths(sample.keys, expected.tolist())
+    assert tally.keys == tuple(dist)
+    assert tally.counts.dtype == tally.lengths.dtype == np.int64
+    expected = unchunked_sample_index(list(dist.values()), n_rounds, seed=5).tolist()
+    assert tally.counts.tolist() == [expected.count(k) for k in range(len(dist))]
+    assert tally_joint(tally) == loop_tally(tally.keys, expected)
+    lengths = loop_episode_lengths(tally.keys, expected)
+    assert tally.lengths.tolist() == np.bincount(np.array(lengths, dtype=np.int64)).tolist()
+    assert tally.leftover == n_rounds - sum(lengths)
+
+
+def _tally_in_chunks(keys, index):
+    return _tally_chunks(keys, (index[s:s + SAMPLE_CHUNK] for s in range(0, len(index), SAMPLE_CHUNK)))
 
 
 def test_halts_on_chunk_edges():
     keys = tuple(exact_record_distribution(ProtocolConfig(semantics="collapse")))
     halt = next(i for i, k in enumerate(keys) if k[2:] == ("okbar", "ok"))
     other = next(i for i, k in enumerate(keys) if k[2:] != ("okbar", "ok"))
-    index = np.full(2 * SAMPLE_CHUNK + 5, other, dtype=np.uint8)
+    index = np.full(2 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
     for pos in (0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK):
         index[pos] = halt
-    sample = RoundSample(keys, index)
-    assert episode_lengths(sample).tolist() == loop_episode_lengths(keys, index.tolist())
-    assert episode_lengths(sample).tolist() == [1, SAMPLE_CHUNK - 1, 1, SAMPLE_CHUNK]
-    assert tally_joint(sample) == loop_tally(keys, index.tolist())
+    tally = _tally_in_chunks(keys, index)
+    lengths = loop_episode_lengths(keys, index.tolist())
+    assert lengths == [1, SAMPLE_CHUNK - 1, 1, SAMPLE_CHUNK]
+    assert tally.lengths.tolist() == np.bincount(lengths).tolist()
+    assert tally.leftover == 4
+    assert tally_joint(tally) == loop_tally(keys, index.tolist())
+    # an episode open across two whole chunks without a halt
+    index = np.full(3 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
+    index[[0, 3 * SAMPLE_CHUNK + 2]] = halt
+    tally = _tally_in_chunks(keys, index)
+    assert loop_episode_lengths(keys, index.tolist()) == [1, 3 * SAMPLE_CHUNK + 2]
+    assert np.flatnonzero(tally.lengths).tolist() == [1, 3 * SAMPLE_CHUNK + 2]
+    assert (tally.lengths[[1, -1]].tolist(), tally.leftover) == ([1, 1], 2)
 
 
-def test_round_sample_is_read_only_value():
+def test_round_tally_is_read_only_value():
     cfg = ProtocolConfig(semantics="unitary", seed=2)
-    sample = sample_records(cfg, 100)
-    with pytest.raises(ValueError):
-        sample.index[0] = 0
-    assert sample == sample_records(cfg, 100)
-    assert sample != sample_records(cfg, 101)
-    empty = RoundSample(sample.keys, sample.index[:0].copy())
-    assert (len(empty), tally_joint(empty), episode_lengths(empty).tolist()) == (0, {}, [])
+    tally = sample_records(cfg, 100)
+    for arr in (tally.counts, tally.lengths):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    with pytest.raises(AttributeError):
+        tally.leftover = 0
+    assert isinstance(tally, RoundTally)
+    assert tally == sample_records(cfg, 100)
+    assert tally != sample_records(cfg, 101)
+    empty = _tally_chunks(tally.keys, [])
+    assert (empty.counts.sum(), tally_joint(empty), empty.lengths.tolist(), empty.leftover) == (
+        0, {}, [], 0
+    )
+
+
+@pytest.mark.parametrize("semantics", ["unitary", "collapse"])
+def test_sampler_memory_is_flat_in_rounds(semantics):
+    cfg = ProtocolConfig(semantics=semantics, seed=3)
+    sample_records(cfg, 10)  # warm the exact-distribution caches
+
+    def peak(n_rounds):
+        tracemalloc.start()
+        try:
+            sample_records(cfg, n_rounds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * SAMPLE_CHUNK + 1), peak(40 * SAMPLE_CHUNK + 1)
+    assert large - small <= 64 * 1024, (small, large)
 
 
 _PERIODIC_PERSPECTIVES = [
