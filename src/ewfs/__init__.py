@@ -5,7 +5,8 @@ The package is organized bottom-up:
 * :mod:`ewfs.qcore`        dense kets, operators, density matrices, partial
   trace and dephasing on small named-register spaces;
 * :mod:`ewfs.measurement`  labeled projective measurements whose bases
-  complete themselves, and their unitary dilations onto memory registers;
+  complete themselves, the Born rule, and their unitary dilations onto
+  memory registers;
 * :mod:`ewfs.protocol`     the four-agent protocol's global states, exact
   joint distributions under collapse or unitary semantics (one engine:
   collapse is the unitary picture with pointer dephasing), and
@@ -38,7 +39,6 @@ from .protocol import (
     RoundTally,
     exact_joint,
     run_round,
-    run_until_halt,
     sample_records,
 )
 from .qcore import (
@@ -86,7 +86,6 @@ __all__ = [
     "partial_trace",
     "predict",
     "run_round",
-    "run_until_halt",
     "sample_records",
     "tensor",
 ]

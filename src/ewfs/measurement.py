@@ -2,14 +2,19 @@
 
 A ``MeasurementSpec`` is a complete labeled orthonormal basis on a set of
 target registers: listed outcomes that do not span the target space are
-completed once, at construction, with deterministic ``other_k`` outcomes.
+completed once, at construction, with deterministic ``other_k`` outcomes,
+and the completed outcome vectors are kept as the rows of ``spec.basis``.
+
+This module owns the Born rule.  ``born_distribution`` reads the outcome
+probabilities of a spec off branch amplitudes; ``outcome_distribution``
+applies it to any pure state and contracts the basis with the
+target-reduced matrix of a mixed one.
 
 A measurement has one realization here, ``build_dilation``: a controlled
 unitary that writes the outcome into a memory register instead of
 collapsing the state.  Collapse statistics are that same dilated state with
 the pointer coherences removed, which ``protocol`` reads off directly
-(deferred measurement); ``outcome_distribution`` gives the Born
-probabilities of a spec on any pure or mixed state.
+(deferred measurement).
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ from .qcore import (
     SpaceLayout,
     StateVector,
     basis_state,
-    born_probability,
     embed,
-    project_component,
     projector,
 )
 
@@ -39,6 +42,8 @@ class MeasurementSpec:
 
     The listed outcomes need not span the target space: construction
     appends deterministic ``other_k`` outcomes for the orthogonal complement.
+    ``basis`` holds the completed outcome vectors as read-only rows, row k
+    for outcome k.
     """
 
     target: tuple[str, ...]
@@ -67,6 +72,9 @@ class MeasurementSpec:
             raise ValueError(f"listed outcomes are not orthonormal (Gram deviation {dev:.3e})")
         if len(self.outcomes) < first.total_dim:
             object.__setattr__(self, "outcomes", self.outcomes + _complement(first, list(rows)))
+            rows = np.array([v.amplitudes for _, v in self.outcomes])
+        rows.setflags(write=False)
+        object.__setattr__(self, "basis", rows)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -104,23 +112,42 @@ def _complement(sub: SpaceLayout, listed: list[np.ndarray]) -> tuple[tuple[str, 
     return tuple((f"other_{i}", StateVector(sub, vec)) for i, vec in enumerate(added))
 
 
+def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float = 1.0) -> dict[str, float]:
+    """Born probabilities ``Σ_b ‖⟨o|ψ_b⟩‖² / total`` of every outcome; sums to one.
+
+    ``psi`` holds branch amplitudes of shape (branches, target dim, rest),
+    the target registers in the declaration order of ``spec.target``.
+    """
+    return _labeled(spec, (np.abs(spec.basis.conj() @ psi) ** 2).sum(axis=(0, 2)) / total)
+
+
 def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
-    """Born-rule probabilities of every outcome; sums to one."""
+    """Born-rule probabilities of every outcome on a pure or mixed state; sums to one."""
     _check_target(state.layout, spec)
-    probs: dict[str, float] = {}
+    dims, axes = state.layout.dims, state.layout.axes(spec.target)
+    front, d = tuple(range(len(axes))), spec.basis.shape[1]
     if isinstance(state, StateVector):
-        for label, vec in spec.outcomes:
-            p, _, _ = project_component(state, spec.target, vec.amplitudes)
-            probs[label] = p
-    elif isinstance(state, DensityMatrix):
-        for label, vec in spec.outcomes:
-            probs[label] = max(born_probability(state, spec.target, vec.amplitudes), 0.0)
-    else:
+        psi = np.moveaxis(state.tensorized(), axes, front).reshape(1, d, -1)
+        return born_distribution(spec, psi)
+    if not isinstance(state, DensityMatrix):
         raise TypeError("outcome_distribution expects a StateVector or DensityMatrix")
-    total = sum(probs.values())
+    # Target rows and columns to the front of each half, then trace out the rest.
+    n = len(dims)
+    t = np.moveaxis(
+        state.matrix.reshape(dims + dims),
+        axes + tuple(n + a for a in axes),
+        front + tuple(n + i for i in front),
+    )
+    reduced = np.trace(t.reshape(d, -1, d, state.layout.total_dim // d), axis1=1, axis2=3)
+    probs = np.einsum("ka,ab,kb->k", spec.basis.conj(), reduced, spec.basis).real
+    return _labeled(spec, np.where(probs < 0.0, 0.0, probs))
+
+
+def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:
+    total = probs.sum()
     if abs(total - 1.0) > DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    return probs
+    return dict(zip(spec.labels, probs.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +251,10 @@ def pointer_readout_spec(
 
 
 def _check_target(layout: SpaceLayout, spec: MeasurementSpec) -> None:
-    sub = layout.sub(spec.target)
-    if sub.subsystems != spec.target_layout.subsystems:
+    """The layout's target registers, in its order, must be the spec's; builds no layout."""
+    provided = tuple(s for s in layout.subsystems if s[0] in spec.target)
+    if provided != spec.target_layout.subsystems:
         raise ValueError(
-            f"measurement targets {spec.target_layout.subsystems}, "
-            f"state provides {sub.subsystems}"
+            f"measurement targets {spec.target_layout.subsystems}, state provides {provided}"
         )
 

@@ -40,9 +40,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import protocol
-from .measurement import MeasurementSpec, outcome_distribution, pointer_readout_spec
+from .measurement import MeasurementSpec, _check_target, born_distribution, pointer_readout_spec
 from .qcore import (
-    DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
     DensityMatrix,
     SpaceLayout,
@@ -214,8 +213,10 @@ def predict(
 def predict_distribution(
     p: Perspective, spec: MeasurementSpec, theta: float = 0.0
 ) -> dict[str, float]:
-    rho = assign(p, spec.target, theta)
-    return outcome_distribution(rho, spec)
+    """Born probabilities under the assigned state, read off its live branches without building it."""
+    layout, psi, total = _live_branches(p, spec.target, theta)
+    _check_target(layout, spec)
+    return born_distribution(spec, psi, total)
 
 
 @dataclass(frozen=True)
@@ -247,25 +248,6 @@ def record_readout_spec(var: str) -> MeasurementSpec:
     raise ValueError(f"unknown record variable {var!r}")
 
 
-@lru_cache(maxsize=None)
-def _readout(var: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Target, outcome labels and read-only conjugated basis rows of a record's readout."""
-    spec = record_readout_spec(var)
-    rows = np.array([v.amplitudes for _, v in spec.outcomes]).conj()
-    rows.setflags(write=False)
-    return spec.target, spec.labels, rows
-
-
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:
-    """Distribution a perspective assigns to a record variable, 'other' outcomes merged.
-
-    Read off the live branches directly, ``Σ_b ‖⟨o|ψ_b⟩‖² / Σ_b ‖ψ_b‖²``,
-    without building the assigned density matrix.
-    """
-    target, labels, rows = _readout(var)
-    _, psi, total = _live_branches(p, target, theta)
-    probs = (np.abs(rows @ psi) ** 2).sum(axis=(0, 2)) / total
-    s = probs.sum()
-    if abs(s - 1.0) > DEFAULT_ATOL:
-        raise ValueError(f"outcome probabilities sum to {s!r}, expected 1")
-    return protocol.merge_other(dict(zip(labels, probs.tolist())))
+    """Distribution a perspective assigns to a record variable, 'other' outcomes merged."""
+    return protocol.merge_other(predict_distribution(p, record_readout_spec(var), theta))

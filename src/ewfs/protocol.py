@@ -82,11 +82,10 @@ W_VALUES = (OK, FAIL, OTHER)
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters: semantics, coin phase, round budget, RNG seed."""
+    """Run parameters: semantics, coin phase, RNG seed."""
 
     semantics: str = UNITARY
     theta: float = 0.0
-    max_rounds: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -94,8 +93,6 @@ class ProtocolConfig:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -341,11 +338,16 @@ def _coin_branches(time: str) -> tuple[np.ndarray, np.ndarray]:
     return heads.amplitudes, tails.amplitudes
 
 
-def global_state(theta: float, time: str) -> StateVector:
-    """Global pure state at a checkpoint under the fully unitary dynamics."""
+def _global_amplitudes(theta: float, time: str) -> np.ndarray:
+    """Amplitudes of ``global_state``, unvalidated."""
     heads, tails = _coin_branches(time)
     a_heads, a_tails = coin_amplitudes(theta)
-    return StateVector(LAYOUT, a_heads * heads + a_tails * tails)
+    return a_heads * heads + a_tails * tails
+
+
+def global_state(theta: float, time: str) -> StateVector:
+    """Global pure state at a checkpoint under the fully unitary dynamics."""
+    return StateVector(LAYOUT, _global_amplitudes(theta, time))
 
 
 def _simplify(label: str) -> str:
@@ -368,10 +370,6 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 _PRUNE = 1e-15
 
 
-def _basis_rows(spec: MeasurementSpec) -> np.ndarray:
-    return np.array([v.amplitudes for _, v in spec.outcomes])
-
-
 def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     """(6, 6) probabilities of the observers' completed (wbar, w) outcomes.
 
@@ -380,8 +378,8 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     after the observers' change of basis.  Collapse squares them before it,
     which is the pointer-basis dephasing left by the friends' records.
     """
-    psi = global_state(config.theta, T20).amplitudes.reshape(6, 6)
-    b_lbar, b_l = _basis_rows(wbar_measurement()), _basis_rows(w_measurement())
+    psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
+    b_lbar, b_l = wbar_measurement().basis, w_measurement().basis
     if config.semantics == UNITARY:
         return np.abs(b_lbar.conj() @ psi @ b_l.conj().T) ** 2
     return np.abs(b_lbar) ** 2 @ np.abs(psi) ** 2 @ (np.abs(b_l) ** 2).T
@@ -407,8 +405,8 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     unitary semantics they are read out of the observers' post-measurement
     lab states, so the announcements come first.
     """
-    b_lbar = np.abs(_basis_rows(wbar_measurement())) ** 2
-    b_l = np.abs(_basis_rows(w_measurement())) ** 2
+    b_lbar = np.abs(wbar_measurement().basis) ** 2
+    b_l = np.abs(w_measurement().basis) ** 2
     if config.semantics == UNITARY:
         r_read = b_lbar.reshape(6, 2, 3).sum(axis=2)
         z_read = b_l.reshape(6, 2, 3).sum(axis=1)
@@ -416,7 +414,7 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
         table = probs[:, :, None, None] * r_read[:, None, :, None] * z_read[None, :, None, :]
         axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
     else:
-        pointer = np.abs(global_state(config.theta, T20).amplitudes.reshape(2, 3, 2, 3)) ** 2
+        pointer = np.abs(_global_amplitudes(config.theta, T20).reshape(2, 3, 2, 3)) ** 2
         table = np.einsum(
             "kaf,afsz,jsz->azkj", b_lbar.reshape(6, 2, 3), pointer, b_l.reshape(6, 2, 3)
         )
@@ -457,21 +455,6 @@ def run_round(config: ProtocolConfig, rng: np.random.Generator, round_index: int
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
     """Independent per-round stream derived from (seed, round_index)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(round_index,)))
-
-
-def run_until_halt(config: ProtocolConfig) -> list[RoundRecord]:
-    """Run rounds until the halting outcome or the round budget is exhausted.
-
-    Exhausting ``max_rounds`` is a reported condition, not an error: the
-    returned history simply ends with a non-halted record.
-    """
-    records: list[RoundRecord] = []
-    for i in range(config.max_rounds):
-        rec = run_round(config, round_rng(config.seed, i), i)
-        records.append(rec)
-        if rec.halted:
-            break
-    return records
 
 
 # Rounds drawn per ``rng.random`` call: bounds the sampler's working memory
@@ -524,17 +507,17 @@ def _tally_chunks(keys: tuple, chunks: Iterable[np.ndarray]) -> RoundTally:
     return RoundTally(keys, counts, lengths, open_length)
 
 
-def sample_records(config: ProtocolConfig, n_rounds: int, seed: int | None = None) -> RoundTally:
+def sample_records(config: ProtocolConfig, n_rounds: int) -> RoundTally:
     """Tally of i.i.d. rounds drawn from the exact record distribution.
 
-    One ``default_rng`` stream: round *i* takes the *i*-th uniform.  Draws
-    come in chunks of ``SAMPLE_CHUNK`` and are tallied in one pass, so memory
-    stays flat as ``n_rounds`` grows, and the result is byte-reproducible
-    given (config, n_rounds, seed).
+    One ``default_rng(config.seed)`` stream: round *i* takes the *i*-th
+    uniform.  Draws come in chunks of ``SAMPLE_CHUNK`` and are tallied in one
+    pass, so memory stays flat as ``n_rounds`` grows, and the result is
+    byte-reproducible given (config, n_rounds).
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     keys, cum = _record_cdf(config)
     sizes = (min(SAMPLE_CHUNK, n_rounds - start) for start in range(0, n_rounds, SAMPLE_CHUNK))
     return _tally_chunks(keys, (_draw(cum, rng.random(size)) for size in sizes))

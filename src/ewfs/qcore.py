@@ -279,51 +279,6 @@ def apply(op: Operator, obj):
     raise TypeError("apply expects a StateVector or DensityMatrix")
 
 
-def _target_axes(layout: SpaceLayout, target: Sequence[str]) -> tuple[int, ...]:
-    axes = layout.axes(target)
-    if len(axes) != len(tuple(target)):
-        raise ValueError("duplicate names in target")
-    return axes
-
-
-def project_component(state: StateVector, target: Sequence[str], component: np.ndarray):
-    """Project a state onto |b><b| on the target registers.
-
-    Returns ``(probability, residual, post)`` where ``residual`` is the
-    un-normalized amplitude tensor left on the non-target registers and
-    ``post`` is the flat, un-normalized projected amplitude vector.
-    """
-    dims = state.layout.dims
-    axes = _target_axes(state.layout, target)
-    t = state.tensorized()
-    b = np.asarray(component, dtype=np.complex128).reshape([dims[a] for a in axes])
-    residual = np.tensordot(b.conj(), t, axes=(tuple(range(b.ndim)), axes))
-    prob = float(np.sum(np.abs(residual) ** 2))
-    post = np.multiply.outer(b, residual)
-    rest_axes = [a for a in range(len(dims)) if a not in axes]
-    order = list(axes) + rest_axes
-    post = np.transpose(post, np.argsort(order)).reshape(-1)
-    return prob, residual, post
-
-
-def born_probability(rho: DensityMatrix, target: Sequence[str], component: np.ndarray) -> float:
-    """tr(|b><b| rho) with |b> living on the target registers."""
-    dims = rho.layout.dims
-    axes = _target_axes(rho.layout, target)
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    b = np.asarray(component, dtype=np.complex128).reshape([dims[a] for a in axes])
-    left = np.tensordot(b.conj(), t, axes=(tuple(range(b.ndim)), axes))
-    # left now has the surviving row axes first, then all column axes.
-    col_positions = tuple(left.ndim - n + a for a in axes)
-    both = np.tensordot(left, b, axes=(col_positions, tuple(range(b.ndim))))
-    rest_dim = 1
-    for a in range(n):
-        if a not in axes:
-            rest_dim *= dims[a]
-    return float(np.real(np.trace(both.reshape(rest_dim, rest_dim))))
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out everything but ``keep``; kept names stay in declaration order."""
     keep = set(keep)

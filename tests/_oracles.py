@@ -6,7 +6,8 @@ and plain matrix products over raw numpy arrays.  The collapse-picture
 oracles read the protocol's interaction matrices and basis vectors as data
 only.  Tests freeze expected values from these.  The last two sections hold
 the branch walk that state assignment ran at every angle before its θ-free
-kernels (the reference they are checked against) and test-only helpers that
+kernels (the reference they are checked against) with its per-outcome
+projection (the Born rule's reference too), and test-only helpers that
 combine library values (joint specs, distribution comparison).
 """
 
@@ -33,7 +34,6 @@ from ewfs.qcore import (
     DensityMatrix,
     StateVector,
     partial_trace,
-    project_component,
     pure_density,
     tensor,
 )
@@ -347,6 +347,22 @@ def collapse_round(config, rng, round_index: int = 0) -> protocol.RoundRecord:
 # and renormalized at every record, one angle at a time.
 
 
+def project_component(state: StateVector, target, component: np.ndarray):
+    """Project a state onto |b><b| on the target registers, one outcome at a time.
+
+    Returns ``(probability, post)``, ``post`` the flat, un-normalized projected
+    amplitude vector.  This per-outcome contraction is the reference for the
+    library's Born rule, which reads every outcome off one basis matrix.
+    """
+    dims = state.layout.dims
+    axes = state.layout.axes(target)
+    b = np.asarray(component, dtype=np.complex128).reshape([dims[a] for a in axes])
+    residual = np.tensordot(b.conj(), state.tensorized(), axes=(tuple(range(b.ndim)), axes))
+    rest = [a for a in range(len(dims)) if a not in axes]
+    post = np.transpose(np.multiply.outer(b, residual), np.argsort(list(axes) + rest)).reshape(-1)
+    return float(np.sum(np.abs(residual) ** 2)), post
+
+
 @cache
 def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray], ...]:
     """(label, target registers, basis vector) of each outcome of the measurement fixing a record.
@@ -377,7 +393,7 @@ def branch_walk_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
         split = []
         for weight, branch in branches:
             for _, target, vec in outcomes:
-                prob, _, post = project_component(branch, target, vec)
+                prob, post = project_component(branch, target, vec)
                 if weight * prob >= IMPOSSIBLE_MASS:
                     split.append((weight * prob, StateVector(branch.layout, post / np.sqrt(prob))))
         if not split:

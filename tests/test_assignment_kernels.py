@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewfs import perspectives, qcore
+from ewfs import measurement, perspectives, qcore
 from ewfs.measurement import outcome_distribution
 from ewfs.perspectives import (
     AGENTS,
@@ -125,8 +125,7 @@ def test_kernel_arrays_are_read_only():
     assign(p, ("S", "F"), 0.4)
     record_distribution(p, "wbar", 0.4)
     _, branches = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
-    _, _, rows = perspectives._readout("wbar")
-    for arr in (branches, rows):
+    for arr in (branches, record_readout_spec("wbar").basis):
         assert arr.flags.writeable is False
     for _, proj in perspectives._projectors("wbar"):
         assert proj.flags.writeable is False
@@ -160,20 +159,17 @@ def _count_calls(monkeypatch, fn, counts, key):
 
 
 def _kernel_cache_sizes():
-    caches = (perspectives._kernel, perspectives._projectors, perspectives._readout)
+    caches = (perspectives._kernel, perspectives._projectors)
     return [cache.cache_info().currsize for cache in caches]
 
 
 def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monkeypatch):
     _sweep_op(0.3)
     warm = _kernel_cache_sizes()
-    counts = dict.fromkeys(
-        ("project", "partial_trace", "born", "density", "assign", "record"), 0
-    )
+    counts = dict.fromkeys(("outcome", "partial_trace", "density", "assign", "record"), 0)
     for key, fn in (
-        ("project", qcore.project_component),
+        ("outcome", measurement.outcome_distribution),
         ("partial_trace", qcore.partial_trace),
-        ("born", qcore.born_probability),
         ("assign", perspectives.assign),
         ("record", perspectives.record_distribution),
     ):
@@ -188,7 +184,7 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
     for theta in angles:
         _sweep_op(theta)
-    assert (counts["project"], counts["partial_trace"], counts["born"]) == (0, 0, 0)
+    assert (counts["outcome"], counts["partial_trace"]) == (0, 0)
     # The grid plus one premise assignment per audit; the premise's pure x-spin
     # reference is built once, and record distributions build none.
     assert counts["assign"] == len(angles) * (len(SWEEP_GRID) + 3)

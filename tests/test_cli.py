@@ -8,6 +8,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -344,3 +345,78 @@ def test_exit_code_2_on_out_of_range_flags(argv):
     error = proc.stderr.splitlines()[-1]
     assert error.startswith(f"ewfs {argv[0]}: error: argument {argv[-2]}: ")
     assert "Warning" not in proc.stderr
+
+
+# Valid and malformed values of each flag, for generated invocations.  Hypothesis
+# favours the first value, so the first ones make a valid invocation.
+_FLAG_VALUES = {
+    "--semantics": (("collapse", "unitary"), ("bogus",)),
+    "--theta": (("0", "0.7", "-2.5", "1e-7"), ("nan", "inf", "-inf", "1e400", "abc", "")),
+    "--rounds": (("1", "37"), ("0", "-5", "nope")),
+    "--seed": (("0", "42"), ("-1", "x")),
+    "--agent": (("W", "Wbar", "F", "Fbar"), ("Q",)),
+    "--time": (("n:30", "n:20", "n:10", "n:00"), ("n:40",)),
+    "--rule": (("collapse", "unitary", "own-record"), ("magic",)),
+    "--cond": (("r=tails", "z=+1/2", "wbar=okbar", "r=heads", "z=-1/2", "wbar=failbar", "w=ok"),
+               ("r_tails", "r=bogus")),
+    "--subsystems": (("R,Fbar,S,F", "S,F", "F,S", "R,Fbar", "S", "Fbar,S"), ("S,Q", "S,S", "")),
+    "--ruleset": (("fr-mixed", "all-collapse", "all-unitary"), ("bogus",)),
+}
+_COMMAND_FLAGS = {
+    "exact": ("--semantics", "--theta"),
+    "mc": ("--semantics", "--theta", "--rounds", "--seed"),
+    "perspectives": ("--agent", "--time", "--rule", "--cond", "--cond", "--theta", "--subsystems"),
+    "audit": ("--ruleset", "--theta"),
+    "bogus": ("--theta",),
+}
+_OPTIONAL_FLAGS = ("--cond", "--subsystems", "--theta")
+
+
+def _one_in(n):
+    """True about once in ``n`` draws; hypothesis favours the ends of a range, so pick the middle."""
+    return st.integers(0, n - 1).map(lambda i: i == n // 2)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and some of its flags: each usually present, now and then malformed."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command]:
+        # Optional flags half the time, required ones nearly always.
+        if not draw(_one_in(2) if flag in _OPTIONAL_FLAGS else _one_in(10)):
+            valid, malformed = _FLAG_VALUES[flag]
+            argv.append(f"{flag}={draw(st.sampled_from(malformed if draw(_one_in(12)) else valid))}")
+    if draw(_one_in(20)):
+        argv.append("--bogus")
+    return argv + ["--json"]
+
+
+@settings(max_examples=40, deadline=None)
+@example(argv=["perspectives", "--agent=F", "--time=n:20", "--rule=collapse", "--cond=r=heads",
+               "--cond=z=+1/2", "--json"])
+@example(argv=["perspectives", "--agent=W", "--time=n:20", "--rule=own-record", "--json"])
+@example(argv=["audit", "--ruleset=fr-mixed", "--json"])
+@given(argv=_argvs())
+def test_every_invocation_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # A wide terminal keeps argparse's usage on one line.
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+        assert lines == [], argv
+        return
+    assert out.getvalue() == "", argv
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("not-evaluable: "), (argv, lines)
+    else:
+        assert len(lines) == 2, (argv, lines)
+        assert lines[0].startswith("usage: ewfs"), (argv, lines)
+        assert lines[1].startswith("ewfs") and ": error: " in lines[1], (argv, lines)

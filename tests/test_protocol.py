@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewfs import qcore
 from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import (
     SAMPLE_CHUNK,
@@ -20,7 +22,6 @@ from ewfs.protocol import (
     exact_record_distribution,
     round_rng,
     run_round,
-    run_until_halt,
     sample_records,
     tally_joint,
 )
@@ -43,8 +44,6 @@ from _oracles import (
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(semantics="borken")
-    with pytest.raises(ValueError):
-        ProtocolConfig(max_rounds=0)
     with pytest.raises(ValueError):
         ProtocolConfig(theta=float("nan"))
 
@@ -161,27 +160,12 @@ def test_unitary_round_never_other():
         assert rec.z in ("-1/2", "+1/2")
 
 
-def test_run_until_halt_deterministic():
-    cfg = ProtocolConfig(semantics="unitary", seed=42, max_rounds=5000)
-    first = run_until_halt(cfg)
-    second = run_until_halt(cfg)
-    assert first == second
-    assert first[-1].halted
-    assert [r.round_index for r in first] == list(range(len(first)))
-
-
-def test_run_until_halt_respects_budget():
-    cfg = ProtocolConfig(semantics="unitary", seed=3, max_rounds=1)
-    records = run_until_halt(cfg)
-    assert len(records) == 1
-
-
 def test_sample_records_reproducible():
     cfg = ProtocolConfig(semantics="unitary", seed=9)
     a = sample_records(cfg, 500)
     b = sample_records(cfg, 500)
     assert a == b
-    c = sample_records(cfg, 500, seed=10)
+    c = sample_records(dataclasses.replace(cfg, seed=10), 500)
     assert a != c
 
 
@@ -356,3 +340,25 @@ def test_joint_entries_are_read_only():
     with pytest.raises(TypeError):
         joint.entries[("okbar", "ok")] = 0.5
     assert joint.prob("okbar", "ok") == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+def _exact_both_semantics(theta):
+    for semantics in ("collapse", "unitary"):
+        config = ProtocolConfig(semantics=semantics, theta=theta)
+        exact_joint(config)
+        exact_record_distribution(config)
+
+
+def test_exact_paths_build_no_state_vector(monkeypatch):
+    _exact_both_semantics(0.3)
+    built = []
+    validate = qcore.StateVector.__post_init__
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(qcore.StateVector, "__post_init__", counted_validate)
+    for theta in np.random.default_rng(9).uniform(-20.0, 20.0, 20):
+        _exact_both_semantics(theta)
+    assert built == []
