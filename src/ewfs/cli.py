@@ -274,14 +274,16 @@ def _parse_condition(text: str) -> tuple[str, str]:
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"conditions look like var=value, got {text!r}")
     var, value = (part.strip() for part in text.split("=", 1))
-    if var not in perspectives.RECORDS:
+    # Only records that exist at a checkpoint ``--time`` offers can be conditioned on.
+    records = {k: v for k, v in perspectives.RECORDS.items() if v[1] in perspectives.TIMES}
+    if var not in records:
         raise argparse.ArgumentTypeError(
-            f"unknown record {var!r}; choose from {sorted(perspectives.RECORDS)}"
+            f"unknown record {var!r}; choose from {sorted(records)}"
         )
-    if value not in perspectives.RECORDS[var][2]:
+    if value not in records[var][2]:
         raise argparse.ArgumentTypeError(
             f"unknown value {value!r} for record {var!r}; "
-            f"choose from {perspectives.RECORDS[var][2]}"
+            f"choose from {records[var][2]}"
         )
     return var, value
 

@@ -183,16 +183,6 @@ class DilationSpec:
                 return s
         raise ValueError(f"outcome {label!r} has no pointer slot")
 
-    def pointer_labels(self, memory_dim: int, ready: str = "init") -> tuple[str, ...]:
-        """Basis labels of the memory register: ready slot, then mapped outcomes."""
-        out = [f"unused_{i}" for i in range(memory_dim)]
-        out[0] = ready
-        for label, slot in self.pointer_map:
-            if slot >= memory_dim:
-                raise ValueError(f"pointer slot {slot} exceeds memory dimension {memory_dim}")
-            out[slot] = label
-        return tuple(out)
-
 
 def build_dilation(dspec: DilationSpec, layout: SpaceLayout) -> Operator:
     """Controlled unitary sum_k |b_k><b_k| (x) (memory shift) (x) (preparation).

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -62,12 +63,12 @@ _TIME_INDEX = {t: i for i, t in enumerate(TIMES + ("n:40",))}
 
 # record variable -> (owning agent, checkpoint at which the record exists,
 #                     allowed values)
-RECORDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+RECORDS: Mapping[str, tuple[str, str, tuple[str, ...]]] = MappingProxyType({
     "r": ("Fbar", protocol.T10, (protocol.HEADS, protocol.TAILS)),
     "z": ("F", protocol.T20, (protocol.Z_MINUS, protocol.Z_PLUS)),
     "wbar": ("Wbar", protocol.T30, (protocol.OKBAR, protocol.FAILBAR)),
     "w": ("W", "n:40", (protocol.OK, protocol.FAIL)),
-}
+})
 
 
 class NotEvaluableError(ValueError):

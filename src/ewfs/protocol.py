@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .measurement import DilationSpec, MeasurementSpec, build_dilation
+from .measurement import DilationSpec, MeasurementSpec, build_dilation, pointer_readout_spec
 from .qcore import (
     DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
@@ -48,7 +48,6 @@ from .qcore import (
     apply,
     basis_state,
     superpose,
-    tensor_all,
 )
 
 # Register names and the canonical layout (total dimension 36).
@@ -65,9 +64,7 @@ OKBAR, FAILBAR = "okbar", "failbar"
 OK, FAIL = "ok", "fail"
 OTHER = "other"
 INIT = "init"
-HBAR, TBAR = "hbar", "tbar"
 
-FBAR_POINTER_LABELS = (INIT, HBAR, TBAR)
 F_POINTER_LABELS = (INIT, Z_MINUS, Z_PLUS)
 
 # Checkpoint labels: the state "at" a label is the state after the step that
@@ -116,7 +113,6 @@ class JointDistribution:
     """Exact or empirical probabilities of the observers' joint announcement."""
 
     entries: Mapping[tuple[str, str], float]
-    conditioning: str | None = None
 
     def __post_init__(self) -> None:
         cells = {}
@@ -142,58 +138,27 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def coin_layout() -> SpaceLayout:
-    return LAYOUT.sub((R,))
-
-
 def coin_amplitudes(theta: float = 0.0) -> np.ndarray:
     """Heads and tails amplitudes sqrt(1/3), e^{i theta} sqrt(2/3), unvalidated."""
     return np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
 
 
-def coin_state(theta: float = 0.0) -> StateVector:
-    """Coin register state sqrt(1/3)|heads> + e^{i theta} sqrt(2/3)|tails>."""
-    return StateVector(coin_layout(), coin_amplitudes(theta))
-
-
-@lru_cache(maxsize=None)
-def spin_down_state() -> StateVector:
-    return basis_state(LAYOUT.sub((S,)), (0,))
-
-
-@lru_cache(maxsize=None)
-def spin_up_state() -> StateVector:
-    return basis_state(LAYOUT.sub((S,)), (1,))
-
-
-@lru_cache(maxsize=None)
-def spin_right_state() -> StateVector:
-    """The x-polarized spin (|down> + |up>)/sqrt(2)."""
-    return superpose([(np.sqrt(0.5), spin_down_state()), (np.sqrt(0.5), spin_up_state())])
-
-
-def initial_state(theta: float = 0.0) -> StateVector:
-    """Round start: superposed coin, ready memories, spin down."""
-    return global_state(theta, T00)
-
-
 @lru_cache(maxsize=None)
 def coin_measurement() -> MeasurementSpec:
-    sub = coin_layout()
-    return MeasurementSpec(
-        (R,),
-        ((HEADS, basis_state(sub, (0,))), (TAILS, basis_state(sub, (1,)))),
-    )
+    return pointer_readout_spec(LAYOUT, R, (HEADS, TAILS))
 
 
 @lru_cache(maxsize=None)
 def spin_measurement() -> MeasurementSpec:
     """Spin readout in the down/up basis, labeled by the recorded z value."""
-    return MeasurementSpec(
-        (S,),
-        ((Z_MINUS, spin_down_state()), (Z_PLUS, spin_up_state())),
-    )
+    return pointer_readout_spec(LAYOUT, S, (Z_MINUS, Z_PLUS))
+
+
+@lru_cache(maxsize=None)
+def spin_right_state() -> StateVector:
+    """The x-polarized spin (|down> + |up>)/sqrt(2)."""
+    (_, down), (_, up) = spin_measurement().outcomes
+    return superpose([(np.sqrt(0.5), down), (np.sqrt(0.5), up)])
 
 
 @lru_cache(maxsize=None)
@@ -228,98 +193,42 @@ def spin_dilation() -> DilationSpec:
 
 
 @lru_cache(maxsize=None)
-def coin_interaction(layout: SpaceLayout = LAYOUT) -> Operator:
-    return build_dilation(coin_dilation(), layout)
+def coin_interaction() -> Operator:
+    return build_dilation(coin_dilation(), LAYOUT)
 
 
 @lru_cache(maxsize=None)
-def spin_interaction(layout: SpaceLayout = LAYOUT) -> Operator:
-    return build_dilation(spin_dilation(), layout)
+def spin_interaction() -> Operator:
+    return build_dilation(spin_dilation(), LAYOUT)
 
 
-@lru_cache(maxsize=None)
-def lab_lbar_layout() -> SpaceLayout:
-    return LAYOUT.sub((R, FBAR))
+def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec:
+    """An observer's basis on a sealed (system, memory) lab, completed with ``other_k``.
 
-
-@lru_cache(maxsize=None)
-def lab_l_layout() -> SpaceLayout:
-    return LAYOUT.sub((S, F))
-
-
-@lru_cache(maxsize=None)
-def heads_lab_state() -> StateVector:
-    """Lab Lbar after a heads outcome: coin heads, memory pointing at heads."""
-    return basis_state(lab_lbar_layout(), (0, 1))
-
-
-@lru_cache(maxsize=None)
-def tails_lab_state() -> StateVector:
-    return basis_state(lab_lbar_layout(), (1, 2))
-
-
-@lru_cache(maxsize=None)
-def okbar_state() -> StateVector:
-    """The Lbar observer's special outcome: (heads-lab - tails-lab)/sqrt(2)."""
-    return superpose([(np.sqrt(0.5), heads_lab_state()), (-np.sqrt(0.5), tails_lab_state())])
-
-
-@lru_cache(maxsize=None)
-def failbar_state() -> StateVector:
-    return superpose([(np.sqrt(0.5), heads_lab_state()), (np.sqrt(0.5), tails_lab_state())])
-
-
-@lru_cache(maxsize=None)
-def minus_lab_state() -> StateVector:
-    """Lab L holding a down spin and a memory pointing at z = -1/2."""
-    return basis_state(lab_l_layout(), (0, 1))
-
-
-@lru_cache(maxsize=None)
-def plus_lab_state() -> StateVector:
-    return basis_state(lab_l_layout(), (1, 2))
-
-
-@lru_cache(maxsize=None)
-def ok_state() -> StateVector:
-    return superpose([(np.sqrt(0.5), minus_lab_state()), (-np.sqrt(0.5), plus_lab_state())])
-
-
-@lru_cache(maxsize=None)
-def fail_state() -> StateVector:
-    return superpose([(np.sqrt(0.5), minus_lab_state()), (np.sqrt(0.5), plus_lab_state())])
+    The lab's two pointer states are |0,1> and |1,2> (system outcome 0 or 1,
+    memory slot 1 or 2).  The special outcome is their difference over
+    sqrt(2), the fail outcome their sum.
+    """
+    sub = LAYOUT.sub(lab)
+    first, second = basis_state(sub, (0, 1)), basis_state(sub, (1, 2))
+    return MeasurementSpec(
+        lab,
+        (
+            (special, superpose([(np.sqrt(0.5), first), (-np.sqrt(0.5), second)])),
+            (fail, superpose([(np.sqrt(0.5), first), (np.sqrt(0.5), second)])),
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
 def wbar_measurement() -> MeasurementSpec:
     """Lbar observer's basis: okbar/failbar listed, completed with ``other_k``."""
-    return MeasurementSpec(
-        (R, FBAR),
-        ((OKBAR, okbar_state()), (FAILBAR, failbar_state())),
-    )
+    return _lab_basis((R, FBAR), OKBAR, FAILBAR)
 
 
 @lru_cache(maxsize=None)
 def w_measurement() -> MeasurementSpec:
-    return MeasurementSpec(
-        (S, F),
-        ((OK, ok_state()), (FAIL, fail_state())),
-    )
-
-
-def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
-    """Pure state of Lbar plus spin after the coin interaction (before the spin one)."""
-    # F is still in its ready state, so the global state is this one (x) |ready>.
-    return StateVector(LAYOUT.sub((R, FBAR, S)), global_state(theta, T10).tensorized()[..., 0])
-
-
-@lru_cache(maxsize=None)
-def lab_l_state_from_right_spin() -> StateVector:
-    """Pure state of lab L produced by feeding it an x-polarized spin."""
-    sub = lab_l_layout()
-    u = build_dilation(spin_dilation(), sub)
-    f0 = basis_state(LAYOUT.sub((F,)), (0,))
-    return apply(u, tensor_all(spin_right_state(), f0))
+    return _lab_basis((S, F), OK, FAIL)
 
 
 @lru_cache(maxsize=None)

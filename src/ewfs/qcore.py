@@ -10,7 +10,7 @@ object, so instances can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class SpaceLayout:
         if len(wanted) != len(names):
             raise ValueError(f"subsystem named twice in {names}")
         return SpaceLayout(tuple(s for s in self.subsystems if s[0] in wanted))
-
-
-def _same_layout(a: SpaceLayout, b: SpaceLayout) -> bool:
-    return a.subsystems == b.subsystems
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +169,9 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def basis_state(layout: SpaceLayout, indices: Union[Mapping[str, int], Sequence[int]]) -> StateVector:
+def basis_state(layout: SpaceLayout, indices: Sequence[int]) -> StateVector:
     """Computational basis state selected by per-subsystem indices."""
-    if isinstance(indices, Mapping):
-        idx = tuple(indices[name] for name in layout.names)
-    else:
-        idx = tuple(indices)
+    idx = tuple(indices)
     if len(idx) != len(layout.dims):
         raise ValueError("one basis index per subsystem is required")
     amps = np.zeros(layout.dims, dtype=np.complex128)
@@ -194,7 +187,7 @@ def superpose(terms: Iterable[tuple[complex, StateVector]]) -> StateVector:
     layout = terms[0][1].layout
     acc = np.zeros(layout.total_dim, dtype=np.complex128)
     for coeff, vec in terms:
-        if not _same_layout(vec.layout, layout):
+        if vec.layout != layout:
             raise ValueError("superpose terms live on different layouts")
         acc += complex(coeff) * vec.amplitudes
     return StateVector(layout, acc)
@@ -223,7 +216,7 @@ def tensor_all(first, *rest):
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """Inner product, conjugate-linear in the first argument."""
-    if not _same_layout(a.layout, b.layout):
+    if a.layout != b.layout:
         raise ValueError("inner product requires identical layouts")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
@@ -265,18 +258,14 @@ def embed(op: Operator, layout: SpaceLayout) -> Operator:
     return Operator(layout, t.reshape(d, d), kind=op.kind)
 
 
-def apply(op: Operator, obj):
-    """Apply an operator to a state (U|v>) or density matrix (U rho U+).
+def apply(op: Operator, vec: StateVector) -> StateVector:
+    """Apply an operator to a state, U|v>.
 
     The operator is lifted automatically when it lives on a sub-layout.
     """
-    if not _same_layout(op.layout, obj.layout):
-        op = embed(op, obj.layout)
-    if isinstance(obj, StateVector):
-        return StateVector(obj.layout, op.matrix @ obj.amplitudes)
-    if isinstance(obj, DensityMatrix):
-        return DensityMatrix(obj.layout, op.matrix @ obj.matrix @ op.matrix.conj().T)
-    raise TypeError("apply expects a StateVector or DensityMatrix")
+    if op.layout != vec.layout:
+        op = embed(op, vec.layout)
+    return StateVector(vec.layout, op.matrix @ vec.amplitudes)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -323,7 +312,7 @@ def dephase(
         rows = []
         for item in basis:
             if isinstance(item, StateVector):
-                if not _same_layout(item.layout, sub):
+                if item.layout != sub:
                     raise ValueError("dephasing basis vector lives on the wrong sub-layout")
                 rows.append(item.amplitudes)
             else:
@@ -348,7 +337,7 @@ def dephase(
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of the difference."""
-    if not _same_layout(a.layout, b.layout):
+    if a.layout != b.layout:
         raise ValueError("trace_distance requires identical layouts")
     diff = a.matrix - b.matrix
     diff = (diff + diff.conj().T) / 2.0
@@ -362,7 +351,7 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     roots; otherwise solver noise of order 1e-16 inflates to 1e-8 through
     the root and the result would miss the 1e-10 accuracy contract.
     """
-    if not _same_layout(a.layout, b.layout):
+    if a.layout != b.layout:
         raise ValueError("fidelity requires identical layouts")
     sqrt_a = _psd_sqrt(a.matrix)
     inner_mat = sqrt_a @ b.matrix @ sqrt_a

@@ -266,12 +266,6 @@ def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _perspective_for(st: Statement, rule: AssignmentRule) -> Perspective:
-    if rule.kind == OWN_RECORD_PURE and len(st.condition) != 1:
-        raise ValueError(f"statement {st.id} cannot use own-record-pure with {st.condition}")
-    return Perspective(st.speaker, st.time, st.condition, rule)
-
-
 def _status(kind: str, value: float) -> str:
     if kind == CERTAIN:
         return HOLDS if abs(value - 1.0) <= CERTAINTY_ATOL else FAILS
@@ -293,7 +287,7 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
 
     if st.inner is None:
         try:
-            persp = _perspective_for(st, rule)
+            persp = Perspective(st.speaker, st.time, st.condition, rule)
             dist = record_distribution(persp, st.event[0], theta)
         except NotEvaluableError:
             return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
@@ -302,7 +296,7 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
 
     inner_var = st.inner.condition[0][0]
     try:
-        persp = _perspective_for(st, rule)
+        persp = Perspective(st.speaker, st.time, st.condition, rule)
         dist = record_distribution(persp, inner_var, theta)
     except NotEvaluableError:
         return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)

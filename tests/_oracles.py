@@ -8,7 +8,9 @@ only.  Tests freeze expected values from these.  The last two sections hold
 the branch walk that state assignment ran at every angle before its θ-free
 kernels (the reference they are checked against) with its per-outcome
 projection (the Born rule's reference too), and test-only helpers that
-combine library values (joint specs, distribution comparison).
+combine library values: the protocol fixtures the suite builds states from
+(coin state, initial state, the two lab states of the orthogonality
+identities, memory pointer labels), joint specs and distribution comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import sympy as sp
 
 from ewfs import protocol
-from ewfs.measurement import MeasurementSpec
+from ewfs.measurement import DilationSpec, MeasurementSpec, build_dilation
 from ewfs.perspectives import (
     _TIME_INDEX,
     COLLAPSE_AWARE,
@@ -33,9 +35,12 @@ from ewfs.qcore import (
     IMPOSSIBLE_MASS,
     DensityMatrix,
     StateVector,
+    apply,
+    basis_state,
     partial_trace,
     pure_density,
     tensor,
+    tensor_all,
 )
 
 WBAR_LABELS = ("okbar", "failbar")
@@ -185,6 +190,17 @@ def entangled_lab_spin_mixture(theta: float = 0.0) -> np.ndarray:
     v2[np.ravel_multi_index((1, 2, 0), (2, 3, 2))] = np.sqrt(0.5)
     v2[np.ravel_multi_index((1, 2, 1), (2, 3, 2))] = np.sqrt(0.5)
     return (np.outer(v1, v1.conj()) / 3.0) + (2.0 / 3.0) * np.outer(v2, v2.conj())
+
+
+def lab_basis_rows() -> np.ndarray:
+    """Listed rows of an observer's basis on a (system, memory) lab with dims (2, 3).
+
+    The special outcome sqrt(1/2) (e_01 - e_12), then the fail outcome
+    sqrt(1/2) (e_01 + e_12), e_ij the unit vector of system i, memory slot j.
+    """
+    e01 = np.eye(6)[np.ravel_multi_index((0, 1), (2, 3))]
+    e12 = np.eye(6)[np.ravel_multi_index((1, 2), (2, 3))]
+    return np.array([np.sqrt(0.5) * (e01 - e12), np.sqrt(0.5) * (e01 + e12)])
 
 
 def ok_vector() -> np.ndarray:
@@ -407,6 +423,43 @@ def branch_walk_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
 
 
 # Test-only helpers over library values.
+
+
+def coin_state(theta: float = 0.0) -> StateVector:
+    """Coin register state sqrt(1/3)|heads> + e^{i theta} sqrt(2/3)|tails>."""
+    return StateVector(protocol.LAYOUT.sub((protocol.R,)), protocol.coin_amplitudes(theta))
+
+
+def initial_state(theta: float = 0.0) -> StateVector:
+    """Round start: superposed coin, ready memories, spin down."""
+    return protocol.global_state(theta, protocol.T00)
+
+
+def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
+    """Pure state of Lbar plus spin after the coin interaction (before the spin one)."""
+    # F is still in its ready state, so the global state is this one (x) |ready>.
+    layout = protocol.LAYOUT.sub((protocol.R, protocol.FBAR, protocol.S))
+    return StateVector(layout, protocol.global_state(theta, protocol.T10).tensorized()[..., 0])
+
+
+@cache
+def lab_l_state_from_right_spin() -> StateVector:
+    """Pure state of lab L produced by feeding it an x-polarized spin."""
+    sub = protocol.LAYOUT.sub((protocol.S, protocol.F))
+    u = build_dilation(protocol.spin_dilation(), sub)
+    f0 = basis_state(protocol.LAYOUT.sub((protocol.F,)), (0,))
+    return apply(u, tensor_all(protocol.spin_right_state(), f0))
+
+
+def pointer_labels(dilation: DilationSpec, memory_dim: int, ready: str = "init") -> tuple[str, ...]:
+    """Basis labels of a dilation's memory register: ready slot, then mapped outcomes."""
+    out = [f"unused_{i}" for i in range(memory_dim)]
+    out[0] = ready
+    for label, slot in dilation.pointer_map:
+        if slot >= memory_dim:
+            raise ValueError(f"pointer slot {slot} exceeds memory dimension {memory_dim}")
+        out[slot] = label
+    return tuple(out)
 
 
 # The benchmark's sweep grid as (agent, checkpoint, conditioning, rule): every

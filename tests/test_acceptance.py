@@ -43,7 +43,11 @@ from _oracles import (
     entangled_lab_spin_mixture,
     expand_histogram,
     geometric_mean_se,
+    initial_state,
+    lab_l_state_from_right_spin,
+    lab_lbar_spin_state,
     lab_mixture_after_tails,
+    pointer_labels,
     product_spec,
     unitary_joint_numeric,
 )
@@ -79,9 +83,11 @@ def test_criterion_02_full_unitary_joint_vs_oracle():
 
 
 def test_criterion_03_orthogonality_identities():
-    a = abs(inner(protocol.ok_state(), protocol.lab_l_state_from_right_spin()))
-    okbar_down = tensor(protocol.okbar_state(), protocol.spin_down_state())
-    b = abs(inner(okbar_down, protocol.lab_lbar_spin_state(0.0)))
+    ok = dict(protocol.w_measurement().outcomes)["ok"]
+    a = abs(inner(ok, lab_l_state_from_right_spin()))
+    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
+    okbar_down = tensor(okbar, dict(protocol.spin_measurement().outcomes)["-1/2"])
+    b = abs(inner(okbar_down, lab_lbar_spin_state(0.0)))
     ok = a < 1e-12 and b < 1e-12
     report(3, ok, f"|<ok|lab-L pure>| = {a:.3e}, |<okbar,down|entangled>| = {b:.3e}")
 
@@ -103,11 +109,11 @@ def test_criterion_04_mixture_predictions():
 
 
 def test_criterion_05_dephasing_bridges():
-    pure5 = pure_density(protocol.lab_lbar_spin_state(0.0))
+    pure5 = pure_density(lab_lbar_spin_state(0.0))
     bridged5 = dephase(pure5, ("R", "Fbar"))
     err5 = float(np.max(np.abs(bridged5.matrix - entangled_lab_spin_mixture(0.0))))
 
-    pure4 = pure_density(protocol.lab_l_state_from_right_spin())
+    pure4 = pure_density(lab_l_state_from_right_spin())
     bridged4 = dephase(pure4, ("S", "F"))
     err4 = float(np.max(np.abs(bridged4.matrix - lab_mixture_after_tails())))
 
@@ -123,7 +129,7 @@ def _deferred_gap(state, measurement, dilation, layout) -> float:
     direct = outcome_distribution(state, measurement)
     u = build_dilation(dilation, layout)
     shifted = apply(u, state)
-    labels = dilation.pointer_labels(layout.dim(dilation.memory))
+    labels = pointer_labels(dilation, layout.dim(dilation.memory))
     deferred = outcome_distribution(shifted, pointer_readout_spec(layout, dilation.memory, labels))
     deferred.pop("init", None)
     keys = set(direct) | set(deferred)
@@ -133,7 +139,7 @@ def _deferred_gap(state, measurement, dilation, layout) -> float:
 def test_criterion_06_deferred_measurement_equivalence():
     gaps = []
     gaps.append(
-        _deferred_gap(protocol.initial_state(0.0), protocol.coin_measurement(),
+        _deferred_gap(initial_state(0.0), protocol.coin_measurement(),
                       protocol.coin_dilation(), protocol.LAYOUT)
     )
     gaps.append(

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewfs
-from ewfs import cli
+from ewfs import cli, perspectives
 from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution
 
 from _oracles import loop_episode_lengths, loop_tally, unchunked_sample_index
@@ -308,6 +308,25 @@ def test_exit_code_2_on_flag_combinations(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ewfs")
     assert proc.stderr.splitlines()[-1].startswith("ewfs: error: ")
+
+
+@pytest.mark.parametrize("cond", ["w=ok", "w=fail", "q=ok"])
+def test_cond_offers_only_records_of_the_offered_checkpoints(cond):
+    # w is recorded at n:40, past every --time, so the flag parser refuses it
+    argv = ["perspectives", "--agent", "W", "--time", "n:30", "--rule", "unitary", "--cond", cond]
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    usage, error = err.getvalue().splitlines()
+    assert usage.startswith("usage: ewfs perspectives ")
+    var = cond.split("=")[0]
+    assert error == (
+        f"ewfs perspectives: error: argument --cond: unknown record {var!r}; "
+        "choose from ['r', 'wbar', 'z']"
+    )
+    assert "w" in perspectives.RECORDS  # statement events still read it
 
 
 def test_perspectives_subsystems_echo_layout_order():

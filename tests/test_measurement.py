@@ -22,21 +22,40 @@ from ewfs.qcore import (
 )
 
 from _oracles import (
+    coin_state,
     collapse_trajectories,
     distributions_match,
     entangled_lab_spin_mixture,
+    initial_state,
+    lab_basis_rows,
+    lab_l_state_from_right_spin,
+    lab_lbar_spin_state,
     lab_mixture_after_tails,
+    pointer_labels,
     product_spec,
 )
 
 
 def test_complete_single_vector_to_full_basis():
-    spec = MeasurementSpec(("R", "Fbar"), (("okbar", protocol.okbar_state()),))
+    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
+    spec = MeasurementSpec(("R", "Fbar"), (("okbar", okbar),))
     done = spec
     assert len(done.outcomes) == 6
     assert done.outcomes[0][0] == "okbar"
     rows = np.array([v.amplitudes for _, v in done.outcomes])
     assert np.allclose(rows.conj() @ rows.T, np.eye(6), atol=1e-10)
+
+
+def test_protocol_bases_equal_raw_numpy_rows_bit_for_bit():
+    # exact equality, no tolerance: a rebuilt basis that moves one float by an ulp fails
+    assert np.array_equal(protocol.coin_measurement().basis, np.eye(2))
+    assert np.array_equal(protocol.spin_measurement().basis, np.eye(2))
+    for spec in (protocol.wbar_measurement(), protocol.w_measurement()):
+        assert np.array_equal(spec.basis[:2], lab_basis_rows())
+    assert protocol.coin_measurement().labels == ("heads", "tails")
+    assert protocol.spin_measurement().labels == ("-1/2", "+1/2")
+    assert protocol.wbar_measurement().labels[:2] == ("okbar", "failbar")
+    assert protocol.w_measurement().labels[:2] == ("ok", "fail")
 
 
 def test_complete_already_complete_is_identity():
@@ -51,8 +70,9 @@ def test_completion_of_observer_basis():
     done = protocol.wbar_measurement()
     assert done.labels == ("okbar", "failbar", "other_0", "other_1", "other_2", "other_3")
     # the added vectors are orthogonal to the span of the two lab pointers
+    lab = protocol.LAYOUT.sub(("R", "Fbar"))
     for _, vec in done.outcomes[2:]:
-        for pointer in (protocol.heads_lab_state(), protocol.tails_lab_state()):
+        for pointer in (basis_state(lab, (0, 1)), basis_state(lab, (1, 2))):
             assert abs(np.vdot(pointer.amplitudes, vec.amplitudes)) < 1e-12
     # deterministic: same input gives the same completion
     again = protocol.wbar_measurement.__wrapped__()
@@ -71,7 +91,7 @@ def test_complete_basis_rejects_non_orthonormal_input():
 
 def test_measure_coin_statistics():
     state = tensor_all(
-        protocol.coin_state(0.0),
+        coin_state(0.0),
         basis_state(protocol.LAYOUT.sub(("Fbar",)), (0,)),
     )
     dist = outcome_distribution(state, protocol.coin_measurement())
@@ -80,7 +100,7 @@ def test_measure_coin_statistics():
     # the phase of the tails amplitude never changes the coin statistics
     for theta in (0.7, np.pi):
         state = tensor_all(
-            protocol.coin_state(theta),
+            coin_state(theta),
             basis_state(protocol.LAYOUT.sub(("Fbar",)), (0,)),
         )
         assert distributions_match(
@@ -89,7 +109,8 @@ def test_measure_coin_statistics():
 
 
 def test_measure_eigenstate_is_deterministic():
-    dist = outcome_distribution(protocol.spin_down_state(), protocol.spin_measurement())
+    spec = protocol.spin_measurement()
+    dist = outcome_distribution(dict(spec.outcomes)["-1/2"], spec)
     assert dist == pytest.approx({"-1/2": 1.0, "+1/2": 0.0}, abs=1e-12)
 
 
@@ -101,14 +122,14 @@ def test_measure_right_spin_is_unbiased():
 
 def test_outcome_distribution_on_density_matrices():
     # collapse-picture lab-L description is unbiased against ok/fail
-    layout = protocol.lab_l_layout()
+    layout = protocol.LAYOUT.sub(("S", "F"))
     rho = DensityMatrix(layout, lab_mixture_after_tails())
     dist = outcome_distribution(rho, protocol.w_measurement())
     assert dist["ok"] == pytest.approx(0.5, abs=1e-12)
     assert dist["fail"] == pytest.approx(0.5, abs=1e-12)
 
     # pure lab-L state never announces ok
-    dist_pure = outcome_distribution(protocol.lab_l_state_from_right_spin(), protocol.w_measurement())
+    dist_pure = outcome_distribution(lab_l_state_from_right_spin(), protocol.w_measurement())
     assert dist_pure["ok"] == pytest.approx(0.0, abs=1e-12)
 
     # entangled coin-lab/spin mixture against the okbar (x) down projector
@@ -126,7 +147,7 @@ def test_distribution_sums_to_one():
 
 
 def test_build_dilation_reproduces_entangled_state():
-    got = protocol.lab_lbar_spin_state(0.0)
+    got = lab_lbar_spin_state(0.0)
     want = np.zeros(12, dtype=complex)
     want[np.ravel_multi_index((0, 1, 0), (2, 3, 2))] = np.sqrt(1.0 / 3.0)
     want[np.ravel_multi_index((1, 2, 0), (2, 3, 2))] = np.sqrt(1.0 / 3.0)
@@ -181,7 +202,7 @@ def test_pointer_map_must_be_injective():
 
 def test_readout_memory_after_coin_interaction():
     state = protocol.global_state(0.0, "n:10")
-    labels = protocol.coin_dilation().pointer_labels(3)
+    labels = pointer_labels(protocol.coin_dilation(), 3)
     dist = outcome_distribution(state, pointer_readout_spec(protocol.LAYOUT, "Fbar", labels))
     assert dist["heads"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert dist["tails"] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -191,14 +212,14 @@ def test_readout_memory_after_coin_interaction():
 
 def test_readout_unentangled_memory_is_init():
     dist = outcome_distribution(
-        protocol.initial_state(0.0), pointer_readout_spec(protocol.LAYOUT, "F")
+        initial_state(0.0), pointer_readout_spec(protocol.LAYOUT, "F")
     )
     assert dist == pytest.approx({"init": 1.0, "slot_1": 0.0, "slot_2": 0.0}, abs=1e-12)
 
 
 def test_readout_spin_memory_after_final_state():
     state = protocol.global_state(0.0, "n:20")
-    labels = protocol.spin_dilation().pointer_labels(3)
+    labels = pointer_labels(protocol.spin_dilation(), 3)
     dist = outcome_distribution(state, pointer_readout_spec(protocol.LAYOUT, "F", labels))
     assert dist["-1/2"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert dist["+1/2"] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -210,7 +231,7 @@ def _deferred_pair(state, measurement, dilation, layout):
     mem_dim = layout.dim(dilation.memory)
     u = build_dilation(dilation, layout)
     shifted = apply(u, state)
-    labels = dilation.pointer_labels(mem_dim)
+    labels = pointer_labels(dilation, mem_dim)
     deferred = outcome_distribution(
         shifted, pointer_readout_spec(layout, dilation.memory, labels)
     )
@@ -219,7 +240,7 @@ def _deferred_pair(state, measurement, dilation, layout):
 
 
 def test_deferred_equivalence_friend_measurements():
-    state0 = protocol.initial_state(0.4)
+    state0 = initial_state(0.4)
     direct, deferred = _deferred_pair(
         state0, protocol.coin_measurement(), protocol.coin_dilation(), protocol.LAYOUT
     )
@@ -249,7 +270,7 @@ def test_deferred_equivalence_observer_measurements():
         u = build_dilation(dspec, layout)
         shifted = apply(u, state)
         deferred = outcome_distribution(
-            shifted, pointer_readout_spec(layout, mem, dspec.pointer_labels(7))
+            shifted, pointer_readout_spec(layout, mem, pointer_labels(dspec, 7))
         )
         deferred.pop("init", None)
         assert distributions_match(direct, deferred, atol=1e-12)

@@ -59,6 +59,14 @@ def test_conditioning_availability():
     persp("W", "n:20", [("r", "tails")])  # fine: the record exists by then
 
 
+def test_records_table_is_read_only():
+    with pytest.raises(TypeError):
+        RECORDS["w"] = ("W", "n:30", ("ok", "fail"))
+    with pytest.raises(TypeError):
+        del RECORDS["r"]
+    assert RECORDS["w"] == ("W", "n:40", ("ok", "fail"))
+
+
 def test_unitary_global_unconditioned_is_pure_entangled_state():
     rho = assign(persp("Wbar", "n:10"), LBAR_S)
     want = np.outer(entangled_lab_spin_pure(0.0), entangled_lab_spin_pure(0.0).conj())

@@ -22,6 +22,8 @@ from ewfs.qcore import (
 
 from _oracles import (
     entangled_lab_spin_mixture,
+    lab_l_state_from_right_spin,
+    lab_lbar_spin_state,
     loop_dephase,
     loop_partial_trace,
 )
@@ -89,10 +91,12 @@ def test_tensor_identity_case():
 
 
 def test_tensor_builds_lab_pointer_state():
-    # coin |heads> with memory slot 1 is the heads-lab pointer state
+    # coin |heads> with memory slot 1 is the heads-lab pointer state, (okbar + failbar)/sqrt(2)
     r = basis_state(protocol.LAYOUT.sub(("R",)), (0,))
     m = basis_state(protocol.LAYOUT.sub(("Fbar",)), (1,))
-    assert np.allclose(tensor(r, m).amplitudes, protocol.heads_lab_state().amplitudes)
+    observer = dict(protocol.wbar_measurement().outcomes)
+    heads_lab = np.sqrt(0.5) * (observer["okbar"].amplitudes + observer["failbar"].amplitudes)
+    assert np.allclose(tensor(r, m).amplitudes, heads_lab)
 
 
 def test_tensor_name_collision():
@@ -112,12 +116,13 @@ def test_tensor_is_associative_up_to_flattening():
 
 
 def test_inner_examples():
-    ok = protocol.ok_state()
+    ok = dict(protocol.w_measurement().outcomes)["ok"]
     assert inner(ok, ok) == pytest.approx(1.0, abs=1e-12)
-    okbar_down = tensor(protocol.okbar_state(), protocol.spin_down_state())
-    eq5 = protocol.lab_lbar_spin_state(0.0)
+    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
+    okbar_down = tensor(okbar, dict(protocol.spin_measurement().outcomes)["-1/2"])
+    eq5 = lab_lbar_spin_state(0.0)
     assert abs(inner(okbar_down, eq5)) < 1e-12
-    eq4 = protocol.lab_l_state_from_right_spin()
+    eq4 = lab_l_state_from_right_spin()
     assert abs(inner(ok, eq4)) < 1e-12
 
 
@@ -138,7 +143,7 @@ def test_partial_trace_product_state_factor():
 
 def test_partial_trace_spin_of_entangled_state():
     # spin marginal of the post-coin-interaction state: [[2/3, 1/3], [1/3, 1/3]]
-    rho = pure_density(protocol.lab_lbar_spin_state(0.0))
+    rho = pure_density(lab_lbar_spin_state(0.0))
     reduced = partial_trace(rho, ("S",))
     expected = np.array([[2.0, 1.0], [1.0, 1.0]]) / 3.0
     assert np.allclose(reduced.matrix, expected, atol=1e-12)
@@ -169,7 +174,7 @@ def test_partial_trace_unknown_name():
 
 
 def test_dephase_entangled_state_gives_mixture():
-    rho = pure_density(protocol.lab_lbar_spin_state(0.0))
+    rho = pure_density(lab_lbar_spin_state(0.0))
     got = dephase(rho, "R")
     assert np.allclose(got.matrix, entangled_lab_spin_mixture(0.0), atol=1e-12)
     # dephasing the whole lab gives the same mixture here
@@ -231,8 +236,9 @@ def test_embed_acts_as_identity_elsewhere():
 
 
 def test_superpose_and_mix_validation():
+    spin = dict(protocol.spin_measurement().outcomes)
     with pytest.raises(ValueError):
-        superpose([(0.5, protocol.spin_down_state()), (0.5, protocol.spin_up_state())])
+        superpose([(0.5, spin["-1/2"]), (0.5, spin["+1/2"])])
 
 
 def test_unitary_flag_validation():
