@@ -433,9 +433,13 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:  # a flag combination the library refuses
         parser.error(str(exc))
-    print(json.dumps(payload, indent=2) if args.json else human)
     if args.out is not None:
-        _write_outputs(args, payload, extra_files)
+        # Files first: an --out that cannot be written is a flag error, and nothing is printed.
+        try:
+            _write_outputs(args, payload, extra_files)
+        except OSError as exc:
+            parser.error(f"argument --out: {exc}")
+    print(json.dumps(payload, indent=2) if args.json else human)
     return 0
 
 

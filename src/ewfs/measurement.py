@@ -20,6 +20,7 @@ the pointer coherences removed, which ``protocol`` reads off directly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +77,7 @@ class MeasurementSpec:
         rows.setflags(write=False)
         object.__setattr__(self, "basis", rows)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.outcomes)
 

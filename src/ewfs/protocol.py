@@ -138,9 +138,12 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 
 
+_SQRT_THIRD, _SQRT_TWO_THIRDS = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+
+
 def coin_amplitudes(theta: float = 0.0) -> np.ndarray:
     """Heads and tails amplitudes sqrt(1/3), e^{i theta} sqrt(2/3), unvalidated."""
-    return np.array([np.sqrt(1.0 / 3.0), np.exp(1j * theta) * np.sqrt(2.0 / 3.0)])
+    return np.array([_SQRT_THIRD, np.exp(1j * theta) * _SQRT_TWO_THIRDS])
 
 
 @lru_cache(maxsize=None)
@@ -288,20 +291,40 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     which is the pointer-basis dephasing left by the friends' records.
     """
     psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
-    b_lbar, b_l = wbar_measurement().basis, w_measurement().basis
+    lbar_dual, l_dual_t, lbar_weights, l_weights_t = _observer_bases()
     if config.semantics == UNITARY:
-        return np.abs(b_lbar.conj() @ psi @ b_l.conj().T) ** 2
-    return np.abs(b_lbar) ** 2 @ np.abs(psi) ** 2 @ (np.abs(b_l) ** 2).T
+        return np.abs(lbar_dual @ psi @ l_dual_t) ** 2
+    return lbar_weights @ np.abs(psi) ** 2 @ l_weights_t
+
+
+@lru_cache(maxsize=None)
+def _observer_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The θ-free factors of ``_announcement_probs``, read-only.
+
+    Lbar's conjugated basis, L's conjugated basis transposed, and the same
+    two as squared moduli.
+    """
+    b_lbar, b_l = wbar_measurement().basis, w_measurement().basis
+    out = (b_lbar.conj(), b_l.conj().T, np.abs(b_lbar) ** 2, (np.abs(b_l) ** 2).T)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _announcement_cells() -> tuple[tuple[tuple[str, str], ...], ...]:
+    """The ``(wbar, w)`` cell each completed (Lbar, L) outcome pair falls in."""
+    wbar_labels = [_simplify(l) for l in wbar_measurement().labels]
+    w_labels = [_simplify(l) for l in w_measurement().labels]
+    return tuple(tuple((wb, w) for w in w_labels) for wb in wbar_labels)
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    wbar_labels = [_simplify(l) for l in wbar_measurement().labels]
-    w_labels = [_simplify(l) for l in w_measurement().labels]
-    for k, row in enumerate(_announcement_probs(config)):
-        for j, p in enumerate(row):
-            cells[(wbar_labels[k], w_labels[j])] += float(p)
+    for keys, row in zip(_announcement_cells(), _announcement_probs(config).tolist()):
+        for key, p in zip(keys, row):
+            cells[key] += p
     return JointDistribution(cells)
 
 

@@ -10,6 +10,7 @@ object, so instances can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -51,15 +52,16 @@ class SpaceLayout:
             if dim < 1:
                 raise ValueError(f"subsystem {name!r} has non-positive dimension {dim}")
 
-    @property
+    # Computed on first use and kept: a layout never changes after construction.
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.subsystems)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.subsystems)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         out = 1
         for dim in self.dims:
@@ -155,18 +157,19 @@ class DensityMatrix:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"density matrix has shape {mat.shape}, layout expects {(d, d)}")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        adj = mat.conj().T
+        herm = float(np.abs(mat - adj).max())
         if herm > DEFAULT_ATOL:
             raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
-        tr = complex(np.trace(mat))
+        tr = complex(mat.trace())
         if abs(tr - 1.0) > DEFAULT_ATOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
+        lo = float(np.linalg.eigvalsh((mat + adj) / 2.0).min())
         if lo < -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float((self.matrix @ self.matrix).trace().real)
 
 
 def basis_state(layout: SpaceLayout, indices: Sequence[int]) -> StateVector:

@@ -47,10 +47,9 @@ from .perspectives import (
     NotEvaluableError,
     Perspective,
     assign,
-    compare,
     record_distribution,
 )
-from .qcore import pure_density
+from .qcore import fidelity, pure_density
 
 CERTAIN = "certain"
 IMPOSSIBLE = "impossible"
@@ -229,6 +228,7 @@ def stmt_wbar_23_star() -> Statement:
     )
 
 
+@lru_cache(maxsize=None)
 def builtin_ruleset(name: str) -> RuleSet:
     if name == "all-collapse":
         return RuleSet(name, AssignmentRule(COLLAPSE_AWARE))
@@ -252,6 +252,7 @@ def builtin_ruleset(name: str) -> RuleSet:
     raise ValueError(f"unknown rule set {name!r}; choose from {RULESET_NAMES}")
 
 
+@lru_cache(maxsize=None)
 def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
     """The statement chain a rule set is audited with."""
     if ruleset_name in ("fr-mixed", "all-collapse"):
@@ -284,31 +285,33 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
         raise ValueError(f"cyclic statement dependency through {st.id!r}")
     seen = seen + (st.id,)
     rule = rs.rule_for(st.id)
-
+    # A terminal claim reads its event's record; a nested one the inner speaker's record.
+    var = st.event[0] if st.inner is None else st.inner.condition[0][0]
+    try:
+        dist = record_distribution(_perspective(st.speaker, st.time, st.condition, rule), var, theta)
+    except NotEvaluableError:
+        return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
     if st.inner is None:
-        try:
-            persp = Perspective(st.speaker, st.time, st.condition, rule)
-            dist = record_distribution(persp, st.event[0], theta)
-        except NotEvaluableError:
-            return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
         value = dist.get(st.event[1], 0.0)
         return StatementResult(st.id, st.describe(), _status(st.kind, value), value)
 
-    inner_var = st.inner.condition[0][0]
-    try:
-        persp = Perspective(st.speaker, st.time, st.condition, rule)
-        dist = record_distribution(persp, inner_var, theta)
-    except NotEvaluableError:
-        return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
     certain_values = [v for v, p in dist.items() if abs(p - 1.0) <= CERTAINTY_ATOL]
     if not certain_values:
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, max(dist.values()))
-    inner = st.inner.reconditioned(inner_var, certain_values[0])
+    inner = st.inner.reconditioned(var, certain_values[0])
     inner_result = _evaluate(inner, rs, theta, seen)
     status = inner_result.status if inner_result.status != NOT_EVALUABLE else NOT_EVALUABLE
     return StatementResult(st.id, st.describe(), status, inner_result.value)
+
+
+@lru_cache(maxsize=None)
+def _perspective(
+    speaker: str, time: str, condition: tuple[tuple[str, str], ...], rule: AssignmentRule
+) -> Perspective:
+    """A speaker's standpoint; θ-free, so each one is built and validated once."""
+    return Perspective(speaker, time, condition, rule)
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +323,12 @@ def _premise_reference():
 def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Check the premise: given tails, the spin is the pure x-polarized state."""
     rule = rs.rule_for(PREMISE_ID)
-    persp = Perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
+    persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
     try:
         rho = assign(persp, (protocol.S,), theta)
     except NotEvaluableError:
         return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", NOT_EVALUABLE, None)
-    fid = compare(rho, _premise_reference()).fidelity
+    fid = fidelity(rho, _premise_reference())
     status = HOLDS if abs(fid - 1.0) <= CERTAINTY_ATOL else FAILS
     return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", status, fid)
 

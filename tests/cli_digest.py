@@ -1,0 +1,87 @@
+"""Byte digest of the CLI over a fixed grid, for comparing two checkouts.
+
+    python tests/cli_digest.py
+
+Runs ``ewfs.cli.main`` in process, loaded from this checkout's ``src/``,
+over a fixed grid and prints the number of runs and one sha256 over every
+run's argv, exit code, stdout and stderr:
+
+* ``exact`` for both semantics and ``audit`` for all three rule sets;
+* ``perspectives`` for every agent x checkpoint x rule x conditioning in
+  {none, r=tails, z=+1/2, wbar=okbar};
+* each as a table and as ``--json``, at every angle in ``THETAS``.
+
+The digest also covers the ``repr`` of every assigned-state purity on the
+benchmark's sweep grid at the same angles.  An optimisation that claims
+unchanged output prints the same two lines on its parent and on the change.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from ewfs import cli, perspectives, reasoning  # noqa: E402
+
+from _oracles import SWEEP_GRID, default_registers  # noqa: E402
+
+THETAS = ("0", "0.7", "1.57", repr(math.pi), "2.2", "-1", repr(2 * math.pi), "1e-05")
+CONDITIONS = ((), ("r=tails",), ("z=+1/2",), ("wbar=okbar",))
+
+
+def grid(theta: str) -> list[list[str]]:
+    """Every argv at one angle, without the ``--json`` switch."""
+    argvs = [["exact", "--semantics", sem] for sem in ("collapse", "unitary")]
+    argvs += [["audit", "--ruleset", name] for name in reasoning.RULESET_NAMES]
+    for agent in perspectives.AGENTS:
+        for time in perspectives.TIMES:
+            for rule in cli.RULE_FLAGS:
+                for cond in CONDITIONS:
+                    argvs.append(
+                        ["perspectives", "--agent", agent, "--time", time, "--rule", rule]
+                        + [f"--cond={c}" for c in cond]
+                    )
+    return [argv + ["--theta", theta] for argv in argvs]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    # A wide terminal keeps argparse's usage on one line, whatever the caller's.
+    os.environ["COLUMNS"] = "10000"
+    digest = hashlib.sha256()
+    count = 0
+    for theta in THETAS:
+        for argv in grid(theta):
+            for fmt in ([], ["--json"]):
+                code, out, err = run(argv + fmt)
+                digest.update(repr((argv + fmt, code, out, err)).encode("utf-8"))
+                count += 1
+        for agent, time, cond, rule in SWEEP_GRID:
+            p = perspectives.Perspective(agent, time, cond, perspectives.AssignmentRule(rule))
+            rho = perspectives.assign(p, default_registers(time), float(theta))
+            digest.update(repr((theta, agent, time, cond, rule, rho.purity())).encode("utf-8"))
+    print(f"runs {count}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

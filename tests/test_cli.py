@@ -439,3 +439,60 @@ def test_every_invocation_keeps_the_exit_contract(argv):
         assert len(lines) == 2, (argv, lines)
         assert lines[0].startswith("usage: ewfs"), (argv, lines)
         assert lines[1].startswith("ewfs") and ": error: " in lines[1], (argv, lines)
+
+
+# --out values by kind: (path under a fresh temporary directory, whether it can be written).
+# "file" is an existing file, "under-file" a path below one, "taken" a directory whose
+# payload name is already a directory.
+_OUT_KINDS = {
+    "fresh": ("runs/a", True),
+    "existing-dir": (".", True),
+    "file": ("F", False),
+    "under-file": ("F/sub", False),
+    "taken": ("T", False),
+}
+_OUT_COMMANDS = (
+    ("exact", "--semantics=collapse"),
+    ("audit", "--ruleset=fr-mixed"),
+    ("perspectives", "--agent=F", "--time=n:20", "--rule=own-record", "--cond=z=+1/2"),
+    ("mc", "--rounds=37", "--seed=3"),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@example(command=_OUT_COMMANDS[0], kind="file", as_json=False)
+@example(command=_OUT_COMMANDS[0], kind="under-file", as_json=False)
+@given(
+    command=st.sampled_from(_OUT_COMMANDS),
+    kind=st.sampled_from(sorted(_OUT_KINDS)),
+    as_json=st.booleans(),
+)
+def test_out_is_written_before_anything_is_printed(command, kind, as_json):
+    rel, writable = _OUT_KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "F").write_text("keep\n", encoding="utf-8")
+        (root / "T" / f"{command[0]}.json").mkdir(parents=True)
+        argv = [*command, f"--out={root / rel}"] + (["--json"] if as_json else [])
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "10000"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        assert (root / "F").read_text(encoding="utf-8") == "keep\n"
+        if not writable:
+            assert code == 2, argv
+            assert out.getvalue() == "", argv
+            assert len(lines) == 2 and lines[0].startswith("usage: ewfs"), (argv, lines)
+            assert lines[1].startswith("ewfs: error: argument --out: "), (argv, lines)
+            return
+        assert (code, lines) == (0, []), argv
+        written = (root / rel / f"{command[0]}.json").read_text(encoding="utf-8")
+        jsonschema.validate(json.loads(written), SCHEMA)
+        manifest = json.loads((root / rel / "manifest.json").read_text(encoding="utf-8"))
+        jsonschema.validate(manifest, SCHEMA)
+        if as_json:
+            assert written == out.getvalue()

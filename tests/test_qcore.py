@@ -264,3 +264,24 @@ def test_tensor_all_matches_pairwise():
     v = tensor_all(*states)
     w = tensor(tensor(states[0], states[1]), states[2])
     assert np.allclose(v.amplitudes, w.amplitudes)
+
+
+# Each check rejects a defect just past DEFAULT_ATOL (1e-10) with its exact message,
+# and accepts the same defect at half the tolerance.
+@pytest.mark.parametrize(
+    "bad, message, good",
+    [
+        pytest.param([[0.5, 2e-10], [0.0, 0.5]], "density matrix not Hermitian (deviation 2.000e-10)",
+                     [[0.5, 5e-11], [0.0, 0.5]], id="hermitian"),
+        pytest.param(np.diag([1.0 + 2e-10, 0.0]), "density matrix trace is (1.0000000002+0j), expected 1",
+                     np.diag([1.0 + 5e-11, 0.0]), id="trace"),
+        pytest.param(np.diag([1.0 + 2e-10, -2e-10]), "density matrix has negative eigenvalue -2e-10",
+                     np.diag([1.0 + 5e-11, -5e-11]), id="positivity"),
+    ],
+)
+def test_density_checks_decide_at_the_tolerance(bad, message, good):
+    layout = SpaceLayout((("A", 2),))
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(layout, bad)
+    assert str(exc.value) == message
+    assert DensityMatrix(layout, good).matrix.shape == (2, 2)

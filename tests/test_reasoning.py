@@ -200,3 +200,9 @@ def test_evaluation_is_seed_free():
     # nothing in the audit consumes randomness; repeated calls are identical
     values = [evaluate(stmt_wbar_22(), builtin_ruleset("all-collapse")).value for _ in range(3)]
     assert values[0] == values[1] == values[2]
+
+
+def test_builtin_rule_sets_and_chains_are_built_once():
+    for name in RULESET_NAMES:
+        assert builtin_ruleset(name) is builtin_ruleset(name)
+        assert standard_chain(name) is standard_chain(name)

@@ -3,17 +3,21 @@
 The fractions are the paper's closed forms, written here and not read from
 the package: the halting witness is 1/12, only ``fr-mixed`` contradicts and
 only at multiples of 2π, and each assigned state's purity depends on the
-rule and checkpoint alone.
+rule and checkpoint alone.  Every density matrix the sweep builds runs its
+full validation, positivity included.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ewfs import perspectives, qcore
 from ewfs.perspectives import AssignmentRule, Perspective, assign
-from ewfs.reasoning import audit
+from ewfs.protocol import ProtocolConfig, exact_joint
+from ewfs.reasoning import RULESET_NAMES, audit
 
 from _oracles import SWEEP_GRID, default_registers
 
@@ -60,3 +64,50 @@ def test_grid_purities_follow_rule_and_checkpoint():
             rho = assign(p, default_registers(time), theta)
             want = Fraction(1) if rule == "own-record-pure" else PURITY[(rule, time)]
             assert abs(rho.purity() - float(want)) <= 1e-9, (agent, time, cond, rule, theta)
+
+
+def _sweep_op(theta):
+    """The benchmark's θ-sweep op: both exact joints, the three audits, the assignment grid."""
+    for semantics in ("collapse", "unitary"):
+        exact_joint(ProtocolConfig(semantics=semantics, theta=theta))
+    for name in RULESET_NAMES:
+        audit(name, theta)
+    for agent, time, cond, rule in SWEEP_GRID:
+        assign(Perspective(agent, time, cond, AssignmentRule(rule)), default_registers(time), theta)
+
+
+def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
+    angles = MULTIPLES_OF_2PI + GENERIC
+    for theta in angles:  # warm-up: every θ-free value is built by now
+        _sweep_op(theta)
+    counts = Counter()
+    inside = []
+    eigvalsh, validate = np.linalg.eigvalsh, qcore.DensityMatrix.__post_init__
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh in check" if inside else "eigvalsh elsewhere"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_validate(self):
+        counts["built"] += 1
+        inside.append(self)
+        try:
+            validate(self)
+        finally:
+            inside.pop()
+
+    trace_distance = qcore.trace_distance
+
+    def counting_trace_distance(*args):
+        counts["trace_distance"] += 1
+        return trace_distance(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting_validate)
+    for module in (qcore, perspectives):
+        monkeypatch.setattr(module, "trace_distance", counting_trace_distance)
+    for theta in angles:
+        _sweep_op(theta)
+    assert counts["built"] == 47 * len(angles)
+    assert counts["eigvalsh in check"] == counts["built"]
+    assert counts["trace_distance"] == 0
