@@ -2,34 +2,28 @@
 
 The package is organized bottom-up:
 
-* :mod:`ewfs.qcore`        dense kets, operators, density matrices, partial
-  trace and dephasing on small named-register spaces;
+* :mod:`ewfs.qcore`        dense kets, operators, density matrices and
+  dephasing on small named-register spaces;
 * :mod:`ewfs.measurement`  labeled projective measurements whose bases
-  complete themselves, the Born rule, and their unitary dilations onto
-  memory registers;
+  complete themselves, the one Born rule (``born_distribution``), and their
+  unitary dilations onto memory registers;
 * :mod:`ewfs.protocol`     the four-agent protocol's global states, exact
   joint distributions under collapse or unitary semantics (one engine:
   collapse is the unitary picture with pointer dephasing), and
   reproducible Monte Carlo;
 * :mod:`ewfs.perspectives` the state-assignment engine (collapse-aware,
-  unitary-global, own-record-pure) and distinguishability measures;
+  unitary-global, own-record-pure) and its Born predictions;
 * :mod:`ewfs.reasoning`    the agents' statements, rule sets, certainty
   chaining, and the contradiction audit;
 * :mod:`ewfs.cli`          the ``ewfs`` command-line front end.
 """
 
-from .measurement import (
-    DilationSpec,
-    MeasurementSpec,
-    build_dilation,
-    outcome_distribution,
-)
+from .measurement import DilationSpec, MeasurementSpec, build_dilation
 from .perspectives import (
     AssignmentRule,
     NotEvaluableError,
     Perspective,
     assign,
-    compare,
     predict,
 )
 from .protocol import (
@@ -47,9 +41,6 @@ from .qcore import (
     SpaceLayout,
     StateVector,
     dephase,
-    inner,
-    partial_trace,
-    tensor,
 )
 from .reasoning import AuditReport, RuleSet, Statement, audit, chain, evaluate
 
@@ -77,15 +68,10 @@ __all__ = [
     "audit",
     "build_dilation",
     "chain",
-    "compare",
     "dephase",
     "evaluate",
     "exact_joint",
-    "inner",
-    "outcome_distribution",
-    "partial_trace",
     "predict",
     "run_round",
     "sample_records",
-    "tensor",
 ]

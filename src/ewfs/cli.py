@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, perspectives, protocol, reasoning
-from .measurement import outcome_distribution
 from .perspectives import AssignmentRule, NotEvaluableError, Perspective
 from .protocol import ProtocolConfig
 
@@ -184,7 +183,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         spec = build()
         if not set(spec.target) <= set(subsystems):
             continue
-        merged = protocol.merge_other(outcome_distribution(rho, spec))
+        merged = protocol.merge_other(perspectives.predict_distribution(persp, spec, args.theta))
         predictions.append(
             {
                 "measurement": name,

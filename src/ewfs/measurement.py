@@ -5,10 +5,9 @@ target registers: listed outcomes that do not span the target space are
 completed once, at construction, with deterministic ``other_k`` outcomes,
 and the completed outcome vectors are kept as the rows of ``spec.basis``.
 
-This module owns the Born rule.  ``born_distribution`` reads the outcome
-probabilities of a spec off branch amplitudes; ``outcome_distribution``
-applies it to any pure state and contracts the basis with the
-target-reduced matrix of a mixed one.
+This module owns the one Born rule, ``born_distribution``: it reads the
+outcome probabilities of a spec off branch amplitudes, and every
+perspective's prediction, the CLI's included, is read with it.
 
 A measurement has one realization here, ``build_dilation``: a controlled
 unitary that writes the outcome into a memory register instead of
@@ -27,7 +26,6 @@ import numpy as np
 
 from .qcore import (
     DEFAULT_ATOL,
-    DensityMatrix,
     Operator,
     SpaceLayout,
     StateVector,
@@ -120,28 +118,6 @@ def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float = 1.0
     the target registers in the declaration order of ``spec.target``.
     """
     return _labeled(spec, (np.abs(spec.basis.conj() @ psi) ** 2).sum(axis=(0, 2)) / total)
-
-
-def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
-    """Born-rule probabilities of every outcome on a pure or mixed state; sums to one."""
-    _check_target(state.layout, spec)
-    dims, axes = state.layout.dims, state.layout.axes(spec.target)
-    front, d = tuple(range(len(axes))), spec.basis.shape[1]
-    if isinstance(state, StateVector):
-        psi = np.moveaxis(state.tensorized(), axes, front).reshape(1, d, -1)
-        return born_distribution(spec, psi)
-    if not isinstance(state, DensityMatrix):
-        raise TypeError("outcome_distribution expects a StateVector or DensityMatrix")
-    # Target rows and columns to the front of each half, then trace out the rest.
-    n = len(dims)
-    t = np.moveaxis(
-        state.matrix.reshape(dims + dims),
-        axes + tuple(n + a for a in axes),
-        front + tuple(n + i for i in front),
-    )
-    reduced = np.trace(t.reshape(d, -1, d, state.layout.total_dim // d), axis1=1, axis2=3)
-    probs = np.einsum("ka,ab,kb->k", spec.basis.conj(), reduced, spec.basis).real
-    return _labeled(spec, np.where(probs < 0.0, 0.0, probs))
 
 
 def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:

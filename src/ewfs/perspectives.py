@@ -42,15 +42,7 @@ import numpy as np
 
 from . import protocol
 from .measurement import MeasurementSpec, _check_target, born_distribution, pointer_readout_spec
-from .qcore import (
-    IMPOSSIBLE_MASS,
-    DensityMatrix,
-    SpaceLayout,
-    embed,
-    fidelity,
-    projector,
-    trace_distance,
-)
+from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, embed, projector
 
 COLLAPSE_AWARE = "collapse-aware"
 UNITARY_GLOBAL = "unitary-global"
@@ -218,21 +210,6 @@ def predict_distribution(
     layout, psi, total = _live_branches(p, spec.target, theta)
     _check_target(layout, spec)
     return born_distribution(spec, psi, total)
-
-
-@dataclass(frozen=True)
-class StateComparison:
-    trace_distance: float
-    fidelity: float
-
-
-def compare(a: DensityMatrix, b: DensityMatrix) -> StateComparison:
-    """Distinguishability of two descriptions of the same registers.
-
-    Fidelity uses the squared-overlap (Uhlmann) convention, so identical
-    states score 1 and orthogonal pure states score 0.
-    """
-    return StateComparison(trace_distance(a, b), fidelity(a, b))
 
 
 @lru_cache(maxsize=None)

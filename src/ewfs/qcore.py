@@ -196,38 +196,6 @@ def superpose(terms: Iterable[tuple[complex, StateVector]]) -> StateVector:
     return StateVector(layout, acc)
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators; layouts concatenate."""
-    shared = set(a.layout.names) & set(b.layout.names)
-    if shared:
-        raise ValueError(f"tensor factors share subsystem names {sorted(shared)}")
-    layout = SpaceLayout(a.layout.subsystems + b.layout.subsystems)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(layout, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        kind = a.kind if a.kind == b.kind else "general"
-        return Operator(layout, np.kron(a.matrix, b.matrix), kind=kind)
-    raise TypeError("tensor arguments must be two StateVectors or two Operators")
-
-
-def tensor_all(first, *rest):
-    out = first
-    for item in rest:
-        out = tensor(out, item)
-    return out
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if a.layout != b.layout:
-        raise ValueError("inner product requires identical layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def identity(layout: SpaceLayout) -> Operator:
-    return Operator(layout, np.eye(layout.total_dim), kind="unitary")
-
-
 def projector(vec: StateVector) -> Operator:
     return Operator(vec.layout, np.outer(vec.amplitudes, vec.amplitudes.conj()), kind="projector")
 
@@ -271,80 +239,24 @@ def apply(op: Operator, vec: StateVector) -> StateVector:
     return StateVector(vec.layout, op.matrix @ vec.amplitudes)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out everything but ``keep``; kept names stay in declaration order."""
-    keep = set(keep)
-    if not keep:
-        raise ValueError("partial_trace needs a nonempty keep set")
-    layout = rho.layout
-    for n in keep:
-        layout.axis(n)
-    names = layout.names
-    dims = layout.dims
-    n = len(names)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [row[i] if names[i] not in keep else chr(ord("A") + i) for i in range(n)]
-    out_axes = [i for i in range(n) if names[i] in keep]
-    spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in out_axes) + "".join(
-        col[i] for i in out_axes
-    )
-    reduced = np.einsum(spec, rho.matrix.reshape(dims + dims))
-    sub = layout.sub(keep)
-    d = sub.total_dim
-    return DensityMatrix(sub, reduced.reshape(d, d))
+def dephase(rho: DensityMatrix, subsystems: Union[str, Sequence[str]]) -> DensityMatrix:
+    """Kill coherences on the named registers in their computational basis.
 
-
-def dephase(
-    rho: DensityMatrix,
-    subsystems: Union[str, Sequence[str]],
-    basis: Sequence[np.ndarray] | None = None,
-    atol: float = DEFAULT_ATOL,
-) -> DensityMatrix:
-    """Kill coherences on the named registers in the given orthonormal basis.
-
-    Returns sum_k (P_k (x) I) rho (P_k (x) I) over the basis projectors.  The
-    basis must span the targeted registers; when omitted, the computational
-    product basis is used.
+    Keeps the entries whose row and column agree on every targeted register,
+    sum_k (|k><k| (x) I) rho (|k><k| (x) I), and zeroes the rest.
     """
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
-    sub = rho.layout.sub(names)
-    d = sub.total_dim
-    if basis is None:
-        vecs = np.eye(d, dtype=np.complex128)
-    else:
-        rows = []
-        for item in basis:
-            if isinstance(item, StateVector):
-                if item.layout != sub:
-                    raise ValueError("dephasing basis vector lives on the wrong sub-layout")
-                rows.append(item.amplitudes)
-            else:
-                rows.append(np.asarray(item, dtype=np.complex128).reshape(-1))
-        vecs = np.array(rows)
-        if vecs.shape != (d, d):
-            raise ValueError(f"dephasing basis must have {d} vectors of length {d}")
-        gram = vecs.conj() @ vecs.T
-        dev = float(np.max(np.abs(gram - np.eye(d))))
-        if dev > atol:
-            raise ValueError(f"dephasing basis is not orthonormal (Gram deviation {dev:.3e})")
-
-    acc = np.zeros_like(rho.matrix)
-    for k in range(d):
-        vec = StateVector(sub, vecs[k])
-        pk = embed(projector(vec), rho.layout).matrix
-        acc += pk @ rho.matrix @ pk
-    # Dephasing can leave ~1e-16 hermiticity noise; symmetrize before validating.
+    layout = rho.layout
+    layout.sub(names)  # raises on unknown or repeated names
+    index = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    keep = np.ones((layout.total_dim, layout.total_dim), dtype=bool)
+    for axis in layout.axes(names):
+        keep &= index[axis][:, None] == index[axis][None, :]
+    # Adding +0.0 makes every zero +0, so this is the projector sum bit for bit.
+    acc = np.where(keep, rho.matrix, 0.0) + 0.0
+    # Symmetrize away ~1e-16 hermiticity noise before validating.
     acc = (acc + acc.conj().T) / 2.0
     return DensityMatrix(rho.layout, acc)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
-    if a.layout != b.layout:
-        raise ValueError("trace_distance requires identical layouts")
-    diff = a.matrix - b.matrix
-    diff = (diff + diff.conj().T) / 2.0
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -33,7 +33,7 @@ treated as probability-one conditioning; the distinction is not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -346,26 +346,22 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statement ids in chain: {ids}")
     results = tuple(evaluate(st, rs, theta) for st in statements)
-    halt_prob = exact_halting_probability(theta)
 
-    all_hold = all(res.status == HOLDS for res in results)
     conclusion: str | None = None
     conclusion_value: float | None = None
     contradiction = False
     witness: float | None = None
-    if all_hold:
-        kinds = {st.kind for st in statements}
-        if kinds == {CERTAIN}:
+    if all(res.status == HOLDS for res in results):
+        # Only a chain that holds in full needs the unitary joint.
+        witness = exact_halting_probability(theta)
+        if {st.kind for st in statements} == {CERTAIN}:
             conclusion = "impossible(halt)"
             conclusion_value = 0.0
-            witness = halt_prob
-            contradiction = halt_prob > NONZERO_FLOOR
+            contradiction = witness > NONZERO_FLOOR
         else:
             conclusion = "nonzero(halt)"
             nz = [res for st, res in zip(statements, results) if st.kind == NONZERO]
             conclusion_value = nz[-1].value if nz else None
-            witness = halt_prob
-            contradiction = False
     return AuditReport(rs.name, results, conclusion, conclusion_value, contradiction, witness)
 
 
@@ -380,11 +376,4 @@ def audit(ruleset_name: str, theta: float = 0.0) -> AuditReport:
     rs = builtin_ruleset(ruleset_name)
     report = chain(standard_chain(ruleset_name), rs, theta)
     premise = premise_result(rs, theta)
-    return AuditReport(
-        report.ruleset,
-        (premise,) + report.results,
-        report.chain_conclusion,
-        report.conclusion_value,
-        report.contradiction,
-        report.witness,
-    )
+    return replace(report, results=(premise,) + report.results)

@@ -4,25 +4,42 @@ Everything here is computed without touching the library's linear-algebra
 paths: symbolic expansion (sympy), exact fractions, or explicit index loops
 and plain matrix products over raw numpy arrays.  The collapse-picture
 oracles read the protocol's interaction matrices and basis vectors as data
-only.  Tests freeze expected values from these.  The last two sections hold
-the branch walk that state assignment ran at every angle before its θ-free
-kernels (the reference they are checked against) with its per-outcome
-projection (the Born rule's reference too), and test-only helpers that
-combine library values: the protocol fixtures the suite builds states from
-(coin state, initial state, the two lab states of the orthogonality
-identities, memory pointer labels), joint specs and distribution comparison.
+only.  Tests freeze expected values from these.  The last three sections
+hold:
+
+* the branch walk that state assignment ran at every angle before its
+  θ-free kernels (the reference they are checked against) with its
+  per-outcome projection (the Born rule's reference too);
+* test-only helpers that combine library values: the protocol fixtures the
+  suite builds states from (coin state, initial state, the two lab states
+  of the orthogonality identities, memory pointer labels), joint specs and
+  distribution comparison;
+* helpers that moved out of ``ewfs`` unchanged once nothing there called
+  them: ``tensor``, ``tensor_all``, ``inner``, ``identity``,
+  ``partial_trace`` and ``trace_distance`` from ``qcore``, ``compare`` and
+  ``StateComparison`` from ``perspectives``, and ``outcome_distribution``
+  (the Born rule on a built ket or density matrix) from ``measurement``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Iterable
 
 import numpy as np
 import sympy as sp
 
 from ewfs import protocol
-from ewfs.measurement import DilationSpec, MeasurementSpec, build_dilation
+from ewfs.measurement import (
+    DilationSpec,
+    MeasurementSpec,
+    _check_target,
+    _labeled,
+    born_distribution,
+    build_dilation,
+)
 from ewfs.perspectives import (
     _TIME_INDEX,
     COLLAPSE_AWARE,
@@ -34,13 +51,13 @@ from ewfs.qcore import (
     DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
     DensityMatrix,
+    Operator,
+    SpaceLayout,
     StateVector,
     apply,
     basis_state,
-    partial_trace,
+    fidelity,
     pure_density,
-    tensor,
-    tensor_all,
 )
 
 WBAR_LABELS = ("okbar", "failbar")
@@ -503,3 +520,110 @@ def distributions_match(a, b, atol: float = DEFAULT_ATOL) -> bool:
     """True when two labeled distributions agree within atol on the union of labels."""
     keys = set(a) | set(b)
     return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= atol for k in keys)
+
+
+# Helpers that left the library because nothing in it calls them: products
+# and inner products of states, the partial trace, the distinguishability
+# measures and the Born rule on a built state.  They are kept verbatim as
+# reference evidence beside the engine's own paths.
+
+
+def tensor(a, b):
+    """Kronecker product of two states or two operators; layouts concatenate."""
+    shared = set(a.layout.names) & set(b.layout.names)
+    if shared:
+        raise ValueError(f"tensor factors share subsystem names {sorted(shared)}")
+    layout = SpaceLayout(a.layout.subsystems + b.layout.subsystems)
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        return StateVector(layout, np.kron(a.amplitudes, b.amplitudes))
+    if isinstance(a, Operator) and isinstance(b, Operator):
+        kind = a.kind if a.kind == b.kind else "general"
+        return Operator(layout, np.kron(a.matrix, b.matrix), kind=kind)
+    raise TypeError("tensor arguments must be two StateVectors or two Operators")
+
+
+def tensor_all(first, *rest):
+    out = first
+    for item in rest:
+        out = tensor(out, item)
+    return out
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    """Inner product, conjugate-linear in the first argument."""
+    if a.layout != b.layout:
+        raise ValueError("inner product requires identical layouts")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def identity(layout: SpaceLayout) -> Operator:
+    return Operator(layout, np.eye(layout.total_dim), kind="unitary")
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
+    """Trace out everything but ``keep``; kept names stay in declaration order."""
+    keep = set(keep)
+    if not keep:
+        raise ValueError("partial_trace needs a nonempty keep set")
+    layout = rho.layout
+    for n in keep:
+        layout.axis(n)
+    names = layout.names
+    dims = layout.dims
+    n = len(names)
+    row = [chr(ord("a") + i) for i in range(n)]
+    col = [row[i] if names[i] not in keep else chr(ord("A") + i) for i in range(n)]
+    out_axes = [i for i in range(n) if names[i] in keep]
+    spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in out_axes) + "".join(
+        col[i] for i in out_axes
+    )
+    reduced = np.einsum(spec, rho.matrix.reshape(dims + dims))
+    sub = layout.sub(keep)
+    d = sub.total_dim
+    return DensityMatrix(sub, reduced.reshape(d, d))
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of the difference."""
+    if a.layout != b.layout:
+        raise ValueError("trace_distance requires identical layouts")
+    diff = a.matrix - b.matrix
+    diff = (diff + diff.conj().T) / 2.0
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+@dataclass(frozen=True)
+class StateComparison:
+    trace_distance: float
+    fidelity: float
+
+
+def compare(a: DensityMatrix, b: DensityMatrix) -> StateComparison:
+    """Distinguishability of two descriptions of the same registers.
+
+    Fidelity uses the squared-overlap (Uhlmann) convention, so identical
+    states score 1 and orthogonal pure states score 0.
+    """
+    return StateComparison(trace_distance(a, b), fidelity(a, b))
+
+
+def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
+    """Born-rule probabilities of every outcome on a pure or mixed state; sums to one."""
+    _check_target(state.layout, spec)
+    dims, axes = state.layout.dims, state.layout.axes(spec.target)
+    front, d = tuple(range(len(axes))), spec.basis.shape[1]
+    if isinstance(state, StateVector):
+        psi = np.moveaxis(state.tensorized(), axes, front).reshape(1, d, -1)
+        return born_distribution(spec, psi)
+    if not isinstance(state, DensityMatrix):
+        raise TypeError("outcome_distribution expects a StateVector or DensityMatrix")
+    # Target rows and columns to the front of each half, then trace out the rest.
+    n = len(dims)
+    t = np.moveaxis(
+        state.matrix.reshape(dims + dims),
+        axes + tuple(n + a for a in axes),
+        front + tuple(n + i for i in front),
+    )
+    reduced = np.trace(t.reshape(d, -1, d, state.layout.total_dim // d), axis1=1, axis2=3)
+    probs = np.einsum("ka,ab,kb->k", spec.basis.conj(), reduced, spec.basis).real
+    return _labeled(spec, np.where(probs < 0.0, 0.0, probs))

@@ -13,7 +13,6 @@ from ewfs.measurement import (
     DilationSpec,
     MeasurementSpec,
     build_dilation,
-    outcome_distribution,
     pointer_readout_spec,
 )
 from ewfs.perspectives import (
@@ -31,10 +30,7 @@ from ewfs.qcore import (
     apply,
     basis_state,
     dephase,
-    inner,
-    partial_trace,
     pure_density,
-    tensor,
 )
 from ewfs.reasoning import audit
 
@@ -44,11 +40,15 @@ from _oracles import (
     expand_histogram,
     geometric_mean_se,
     initial_state,
+    inner,
     lab_l_state_from_right_spin,
     lab_lbar_spin_state,
     lab_mixture_after_tails,
+    outcome_distribution,
+    partial_trace,
     pointer_labels,
     product_spec,
+    tensor,
     unitary_joint_numeric,
 )
 

@@ -7,8 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewfs import measurement, perspectives, qcore
-from ewfs.measurement import outcome_distribution
+from ewfs import perspectives, qcore
 from ewfs.perspectives import (
     AGENTS,
     RECORDS,
@@ -22,10 +21,15 @@ from ewfs.perspectives import (
     record_readout_spec,
 )
 from ewfs.protocol import merge_other
-from ewfs.qcore import partial_trace
 from ewfs.reasoning import RULESET_NAMES, audit
 
-from _oracles import SWEEP_GRID, branch_walk_assign, default_registers
+from _oracles import (
+    SWEEP_GRID,
+    branch_walk_assign,
+    default_registers,
+    outcome_distribution,
+    partial_trace,
+)
 
 ALL_REGISTERS = ("R", "Fbar", "S", "F")
 REGISTER_SETS = (None, ALL_REGISTERS, ("S", "F"), ("R", "Fbar"), ("S",))
@@ -166,10 +170,8 @@ def _kernel_cache_sizes():
 def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monkeypatch):
     _sweep_op(0.3)
     warm = _kernel_cache_sizes()
-    counts = dict.fromkeys(("outcome", "partial_trace", "density", "assign", "record"), 0)
+    counts = dict.fromkeys(("density", "assign", "record"), 0)
     for key, fn in (
-        ("outcome", measurement.outcome_distribution),
-        ("partial_trace", qcore.partial_trace),
         ("assign", perspectives.assign),
         ("record", perspectives.record_distribution),
     ):
@@ -184,7 +186,6 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
     for theta in angles:
         _sweep_op(theta)
-    assert (counts["outcome"], counts["partial_trace"]) == (0, 0)
     # The grid plus one premise assignment per audit; the premise's pure x-spin
     # reference is built once, and record distributions build none.
     assert counts["assign"] == len(angles) * (len(SWEEP_GRID) + 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewfs import protocol, qcore
-from ewfs.measurement import MeasurementSpec, outcome_distribution, pointer_readout_spec
+from ewfs.measurement import MeasurementSpec, pointer_readout_spec
 from ewfs.perspectives import (
     RECORDS,
     AssignmentRule,
@@ -18,7 +18,7 @@ from ewfs.perspectives import (
 )
 from ewfs.qcore import DensityMatrix, StateVector, pure_density
 
-from _oracles import SWEEP_GRID, project_component
+from _oracles import SWEEP_GRID, outcome_distribution, project_component
 
 LAYOUT = protocol.LAYOUT
 TARGETS = (("S", "F"), ("Fbar",), ("R", "Fbar"), ("F",))

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 import ewfs
 from ewfs import cli, perspectives
-from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution
+from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution, merge_other
 
+import cli_digest
 from _oracles import loop_episode_lengths, loop_tally, unchunked_sample_index
 
 SCHEMA = json.loads(
@@ -241,6 +243,28 @@ def test_perspectives_table_prints_no_negative_zero():
     table = _main_in_process(*argv)
     assert "-0.0000" not in table
     assert table.count("+0.0000") == sum(f"{x:+.4f}" in ("+0.0000", "-0.0000") for x in entries)
+
+
+@pytest.mark.parametrize("theta", ["0", "0.7", repr(math.pi)])
+def test_perspectives_predictions_come_from_predict_distribution(theta):
+    # Every printed prediction is the one Born path's value, bit for bit.
+    checked = 0
+    for argv in cli_digest.grid(theta):
+        if argv[0] != "perspectives":
+            continue
+        code, out, _ = cli_digest.run(argv + ["--json"])
+        if code != 0:
+            continue  # not evaluable, or a conditioning the rule refuses
+        payload = json.loads(out)
+        cond = tuple((c["var"], c["value"]) for c in payload["conditioning"])
+        p = perspectives.Perspective(payload["agent"], payload["time"], cond, payload["rule"])
+        for pred in payload["predictions"]:
+            spec = dict(cli._PREDICTION_SPECS)[pred["measurement"]]()
+            want = merge_other(perspectives.predict_distribution(p, spec, float(theta)))
+            got = {o["label"]: o["probability"]["value"] for o in pred["outcomes"]}
+            assert got == want, (argv, pred["measurement"])
+            checked += 1
+    assert checked > 0
 
 
 def test_perspectives_not_evaluable_exit_code():

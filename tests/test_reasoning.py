@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ewfs import protocol
 from ewfs.reasoning import (
     CERTAIN,
     FAILS,
@@ -206,3 +207,23 @@ def test_builtin_rule_sets_and_chains_are_built_once():
     for name in RULESET_NAMES:
         assert builtin_ruleset(name) is builtin_ruleset(name)
         assert standard_chain(name) is standard_chain(name)
+
+
+@pytest.mark.parametrize(
+    "theta, unitary_joints", [(0.0, 2), (2 * np.pi, 2), (0.7, 0), (2.2, 0), (3.0, 0)]
+)
+def test_audit_computes_the_unitary_joint_only_for_a_chain_that_holds(
+    monkeypatch, theta, unitary_joints
+):
+    # The witness is read only when every chain statement holds: at multiples
+    # of 2π that is fr-mixed and all-unitary, elsewhere no chain holds in full.
+    exact_joint, semantics = protocol.exact_joint, []
+
+    def counted(config):
+        semantics.append(config.semantics)
+        return exact_joint(config)
+
+    monkeypatch.setattr(protocol, "exact_joint", counted)
+    reports = [audit(name, theta) for name in RULESET_NAMES]
+    assert semantics.count(protocol.UNITARY) == unitary_joints
+    assert sum(r.witness is not None for r in reports) == unitary_joints

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ewfs import perspectives, qcore
+from ewfs import qcore
 from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import ProtocolConfig, exact_joint
 from ewfs.reasoning import RULESET_NAMES, audit
@@ -96,18 +96,9 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
         finally:
             inside.pop()
 
-    trace_distance = qcore.trace_distance
-
-    def counting_trace_distance(*args):
-        counts["trace_distance"] += 1
-        return trace_distance(*args)
-
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting_validate)
-    for module in (qcore, perspectives):
-        monkeypatch.setattr(module, "trace_distance", counting_trace_distance)
     for theta in angles:
         _sweep_op(theta)
     assert counts["built"] == 47 * len(angles)
     assert counts["eigvalsh in check"] == counts["built"]
-    assert counts["trace_distance"] == 0
