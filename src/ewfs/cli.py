@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import asdict, dataclass
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,17 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, func) -> None:
         p.add_argument("--json", action="store_true", help="print the JSON payload instead of a table")
         p.add_argument("--out", type=Path, default=None, metavar="DIR",
                        help="write JSON (and CSV) outputs plus a run manifest into DIR")
+        # Errors found after parsing are reported by the subcommand's own parser.
+        p.set_defaults(func=func, parser=p)
 
     p_exact = sub.add_parser("exact", help="exact joint announcement distribution")
     p_exact.add_argument("--semantics", choices=(protocol.COLLAPSE, protocol.UNITARY),
                          default=protocol.UNITARY)
     p_exact.add_argument("--theta", type=_finite_float, default=0.0, help="coin phase in radians")
-    add_common(p_exact)
-    p_exact.set_defaults(func=_cmd_exact)
+    add_common(p_exact, _cmd_exact)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo rounds with halting histogram")
     p_mc.add_argument("--semantics", choices=(protocol.COLLAPSE, protocol.UNITARY),
@@ -353,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--theta", type=_finite_float, default=0.0)
     p_mc.add_argument("--rounds", type=_positive_int, default=10_000)
     p_mc.add_argument("--seed", type=_non_negative_int, default=0)
-    add_common(p_mc)
-    p_mc.set_defaults(func=_cmd_mc)
+    add_common(p_mc, _cmd_mc)
 
     p_persp = sub.add_parser("perspectives", help="density matrix an agent assigns")
     p_persp.add_argument("--agent", choices=perspectives.AGENTS, required=True)
@@ -365,34 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_persp.add_argument("--theta", type=_finite_float, default=0.0)
     p_persp.add_argument("--subsystems", type=_register_names, default=None, metavar="NAMES",
                          help="comma-separated registers (default depends on --time)")
-    add_common(p_persp)
-    p_persp.set_defaults(func=_cmd_perspectives)
+    add_common(p_persp, _cmd_perspectives)
 
     p_audit = sub.add_parser("audit", help="statement-chain audit under a rule set")
     p_audit.add_argument("--ruleset", choices=reasoning.RULESET_NAMES, required=True)
     p_audit.add_argument("--theta", type=_finite_float, default=0.0)
-    add_common(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
+    add_common(p_audit, _cmd_audit)
     return parser
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Echo of one run: the command, its flags, the tool version, every emitted file."""
-
-    schema_version: str
-    command: str
-    described_command: str
-    tool_version: str
-    config: dict
-    outputs: list[str]
 
 
 def _config_echo(args) -> dict:
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "json", "out") and v is not None
+        if k not in ("func", "parser", "json", "out") and v is not None
     }
     if "cond" in config:
         config["cond"] = [list(c) for c in config["cond"]]
@@ -400,44 +388,46 @@ def _config_echo(args) -> dict:
 
 
 def _write_outputs(args, payload: dict, extra_files: list) -> None:
+    """Write the payload, its extra files and a manifest into ``--out``: all of them or none."""
     out: Path = args.out
+    files = {f"{payload['command']}.json": json.dumps(payload, indent=2) + "\n", **dict(extra_files)}
+    # The manifest echoes the run: the command, its flags, the tool version, every other file.
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "manifest",
+        "described_command": payload["command"],
+        "tool_version": __version__,
+        "config": _config_echo(args),
+        "outputs": list(files),
+    }
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    main_name = f"{payload['command']}.json"
-    (out / main_name).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    written.append(main_name)
-    for name, content in extra_files:
-        (out / name).write_text(content, encoding="utf-8")
-        written.append(name)
-    manifest = RunManifest(
-        schema_version=SCHEMA_VERSION,
-        command="manifest",
-        described_command=payload["command"],
-        tool_version=__version__,
-        config=_config_echo(args),
-        outputs=written,
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8"
-    )
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    # Stage every file in DIR, then rename each over its target: a failed write leaves none behind.
+    with tempfile.TemporaryDirectory(prefix=".ewfs-", dir=out) as stage:
+        for name, text in files.items():
+            (Path(stage) / name).write_text(text, encoding="utf-8")
+        for name in files:
+            os.replace(Path(stage) / name, out / name)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, human, extra_files = args.func(args)
     except NotEvaluableError as exc:
         print(f"not-evaluable: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a flag combination the library refuses
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if args.out is not None:
         # Files first: an --out that cannot be written is a flag error, and nothing is printed.
         try:
             _write_outputs(args, payload, extra_files)
         except OSError as exc:
-            parser.error(f"argument --out: {exc}")
+            args.parser.error(f"argument --out: {exc}")
     print(json.dumps(payload, indent=2) if args.json else human)
     return 0
 

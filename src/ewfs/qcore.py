@@ -258,28 +258,3 @@ def dephase(rho: DensityMatrix, subsystems: Union[str, Sequence[str]]) -> Densit
     acc = (acc + acc.conj().T) / 2.0
     return DensityMatrix(rho.layout, acc)
 
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity in the squared-overlap convention: (tr sqrt(sqrt(a) b sqrt(a)))^2.
-
-    Eigenvalues below 1e-12 are treated as exact zeros before the square
-    roots; otherwise solver noise of order 1e-16 inflates to 1e-8 through
-    the root and the result would miss the 1e-10 accuracy contract.
-    """
-    if a.layout != b.layout:
-        raise ValueError("fidelity requires identical layouts")
-    sqrt_a = _psd_sqrt(a.matrix)
-    inner_mat = sqrt_a @ b.matrix @ sqrt_a
-    evals = np.linalg.eigvalsh((inner_mat + inner_mat.conj().T) / 2.0)
-    evals = np.where(evals > _RANK_CUT, evals, 0.0)
-    root_sum = float(np.sum(np.sqrt(evals)))
-    return min(root_sum**2, 1.0 + DEFAULT_ATOL)
-
-
-_RANK_CUT = 1e-12
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    evals = np.where(evals > _RANK_CUT, evals, 0.0)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T

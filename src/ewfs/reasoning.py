@@ -38,6 +38,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import protocol
+from .measurement import MeasurementSpec
 from .perspectives import (
     COLLAPSE_AWARE,
     OWN_RECORD_PURE,
@@ -46,10 +47,9 @@ from .perspectives import (
     AssignmentRule,
     NotEvaluableError,
     Perspective,
-    assign,
+    predict_distribution,
     record_distribution,
 )
-from .qcore import fidelity, pure_density
 
 CERTAIN = "certain"
 IMPOSSIBLE = "impossible"
@@ -315,22 +315,25 @@ def _perspective(
 
 
 @lru_cache(maxsize=None)
-def _premise_reference():
-    """The pure x-polarized spin the premise compares against; θ-free, built once."""
-    return pure_density(protocol.spin_right_state())
+def _premise_spec() -> MeasurementSpec:
+    """An x-basis read of the spin; θ-free, built once."""
+    return MeasurementSpec((protocol.S,), (("right", protocol.spin_right_state()),))
 
 
 def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
-    """Check the premise: given tails, the spin is the pure x-polarized state."""
+    """Check the premise: given tails, an x-basis read of the spin gives right with certainty.
+
+    For the pure x-polarized reference this Born probability ⟨→|ρ|→⟩ is the
+    squared-overlap fidelity of the assigned spin state with it.
+    """
     rule = rs.rule_for(PREMISE_ID)
     persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
     try:
-        rho = assign(persp, (protocol.S,), theta)
+        value = predict_distribution(persp, _premise_spec(), theta)["right"]
     except NotEvaluableError:
         return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", NOT_EVALUABLE, None)
-    fid = fidelity(rho, _premise_reference())
-    status = HOLDS if abs(fid - 1.0) <= CERTAINTY_ATOL else FAILS
-    return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", status, fid)
+    status = _status(CERTAIN, value)
+    return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", status, value)
 
 
 def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> AuditReport:

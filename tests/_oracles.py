@@ -16,9 +16,12 @@ hold:
   distribution comparison;
 * helpers that moved out of ``ewfs`` unchanged once nothing there called
   them: ``tensor``, ``tensor_all``, ``inner``, ``identity``,
-  ``partial_trace`` and ``trace_distance`` from ``qcore``, ``compare`` and
-  ``StateComparison`` from ``perspectives``, and ``outcome_distribution``
-  (the Born rule on a built ket or density matrix) from ``measurement``.
+  ``partial_trace``, ``trace_distance`` and the squared-overlap Uhlmann
+  ``fidelity`` (with ``_psd_sqrt`` and ``_RANK_CUT``) from ``qcore``;
+  ``compare`` and ``StateComparison`` from ``perspectives``; and
+  ``outcome_distribution`` (the Born rule on a built ket or density matrix)
+  from ``measurement``.  ``fidelity`` is also the premise's reference: the
+  audit reads the premise as a Born certainty.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from ewfs.qcore import (
     StateVector,
     apply,
     basis_state,
-    fidelity,
     pure_density,
 )
 
@@ -590,6 +592,32 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     diff = a.matrix - b.matrix
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity in the squared-overlap convention: (tr sqrt(sqrt(a) b sqrt(a)))^2.
+
+    Eigenvalues below 1e-12 are treated as exact zeros before the square
+    roots; otherwise solver noise of order 1e-16 inflates to 1e-8 through
+    the root and the result would miss the 1e-10 accuracy contract.
+    """
+    if a.layout != b.layout:
+        raise ValueError("fidelity requires identical layouts")
+    sqrt_a = _psd_sqrt(a.matrix)
+    inner_mat = sqrt_a @ b.matrix @ sqrt_a
+    evals = np.linalg.eigvalsh((inner_mat + inner_mat.conj().T) / 2.0)
+    evals = np.where(evals > _RANK_CUT, evals, 0.0)
+    root_sum = float(np.sum(np.sqrt(evals)))
+    return min(root_sum**2, 1.0 + DEFAULT_ATOL)
+
+
+_RANK_CUT = 1e-12
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    evals = np.where(evals > _RANK_CUT, evals, 0.0)
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
 
 
 @dataclass(frozen=True)

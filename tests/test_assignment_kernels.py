@@ -186,9 +186,9 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
     for theta in angles:
         _sweep_op(theta)
-    # The grid plus one premise assignment per audit; the premise's pure x-spin
-    # reference is built once, and record distributions build none.
-    assert counts["assign"] == len(angles) * (len(SWEEP_GRID) + 3)
+    # The grid alone: the audits' premise and record distributions read Born
+    # probabilities off the branches and build no density matrix.
+    assert counts["assign"] == len(angles) * len(SWEEP_GRID)
     assert counts["record"] > 0
     assert counts["density"] == counts["assign"]
     assert _kernel_cache_sizes() == warm

@@ -330,8 +330,8 @@ def test_exit_code_2_on_flag_combinations(argv):
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("usage: ewfs")
-    assert proc.stderr.splitlines()[-1].startswith("ewfs: error: ")
+    assert proc.stderr.startswith(f"usage: ewfs {argv[0]} ")
+    assert proc.stderr.splitlines()[-1].startswith(f"ewfs {argv[0]}: error: ")
 
 
 @pytest.mark.parametrize("cond", ["w=ok", "w=fail", "q=ok"])
@@ -460,9 +460,13 @@ def test_every_invocation_keeps_the_exit_contract(argv):
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("not-evaluable: "), (argv, lines)
     else:
+        # The top-level parser reports only an unknown subcommand or an argument no
+        # subcommand takes; the subcommand's parser reports every other error.
+        top_level = argv[0] == "bogus" or lines[1] == "ewfs: error: unrecognized arguments: --bogus"
+        prog = "ewfs" if top_level else f"ewfs {argv[0]}"
         assert len(lines) == 2, (argv, lines)
-        assert lines[0].startswith("usage: ewfs"), (argv, lines)
-        assert lines[1].startswith("ewfs") and ": error: " in lines[1], (argv, lines)
+        assert lines[0].startswith(f"usage: {prog} "), (argv, lines)
+        assert lines[1].startswith(f"{prog}: error: "), (argv, lines)
 
 
 # --out values by kind: (path under a fresh temporary directory, whether it can be written).
@@ -510,8 +514,8 @@ def test_out_is_written_before_anything_is_printed(command, kind, as_json):
         if not writable:
             assert code == 2, argv
             assert out.getvalue() == "", argv
-            assert len(lines) == 2 and lines[0].startswith("usage: ewfs"), (argv, lines)
-            assert lines[1].startswith("ewfs: error: argument --out: "), (argv, lines)
+            assert len(lines) == 2 and lines[0].startswith(f"usage: ewfs {command[0]} "), (argv, lines)
+            assert lines[1].startswith(f"ewfs {command[0]}: error: argument --out: "), (argv, lines)
             return
         assert (code, lines) == (0, []), argv
         written = (root / rel / f"{command[0]}.json").read_text(encoding="utf-8")
@@ -520,3 +524,20 @@ def test_out_is_written_before_anything_is_printed(command, kind, as_json):
         jsonschema.validate(manifest, SCHEMA)
         if as_json:
             assert written == out.getvalue()
+
+
+def test_out_writes_no_file_unless_it_can_write_them_all(tmp_path):
+    # The payload could be written, but its CSV's name is taken by a directory.
+    (tmp_path / "halting_histogram.csv").mkdir()
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--rounds", "10", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert err.getvalue().splitlines()[-1] == (
+        f"ewfs mc: error: argument --out: [Errno 21] Is a directory: "
+        f"'{tmp_path / 'halting_histogram.csv'}'"
+    )
+    assert not (tmp_path / "mc.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["halting_histogram.csv"]

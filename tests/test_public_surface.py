@@ -41,6 +41,7 @@ ORACLE_ONLY = (
     "identity",
     "partial_trace",
     "trace_distance",
+    "fidelity",
     "compare",
     "StateComparison",
     "outcome_distribution",

@@ -1,12 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ewfs import protocol
+from ewfs import protocol, qcore
 from ewfs.reasoning import (
     CERTAIN,
     FAILS,
     HOLDS,
     NOT_EVALUABLE,
+    PREMISE_ID,
     RULESET_NAMES,
     RuleSet,
     Statement,
@@ -24,7 +27,10 @@ from ewfs.reasoning import (
     stmt_wbar_22,
     stmt_wbar_23,
 )
-from ewfs.perspectives import AssignmentRule, COLLAPSE_AWARE, UNITARY_GLOBAL
+from ewfs.perspectives import AssignmentRule, COLLAPSE_AWARE, UNITARY_GLOBAL, Perspective, assign
+from ewfs.qcore import pure_density
+
+from _oracles import fidelity
 
 
 def test_statement_validation():
@@ -116,6 +122,47 @@ def test_premise_holds_under_every_ruleset():
         res = premise_result(builtin_ruleset(name))
         assert res.status == HOLDS
         assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+PREMISE_ANGLES = [0.0, np.pi, 2 * np.pi] + list(np.random.default_rng(15).uniform(-20.0, 20.0, 50))
+
+
+def test_premise_value_is_the_fidelity_with_the_x_polarized_spin():
+    # The oracle builds the assigned spin state and its Uhlmann fidelity with
+    # the pure x-polarized reference; the audit reads it as a Born certainty.
+    reference = pure_density(protocol.spin_right_state())
+    for name in RULESET_NAMES:
+        rs = builtin_ruleset(name)
+        persp = Perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rs.rule_for(PREMISE_ID))
+        for theta in PREMISE_ANGLES:
+            res = premise_result(rs, theta)
+            assert res.status == HOLDS, (name, theta)
+            want = fidelity(assign(persp, (protocol.S,), theta), reference)
+            assert abs(res.value - want) <= 1e-12, (name, theta, res.value, want)
+
+
+def test_warm_audit_builds_no_density_matrix_and_no_eigendecomposition(monkeypatch):
+    for theta in (0.0, 0.7):  # warm-up: a chain that holds and chains that break
+        for name in RULESET_NAMES:
+            audit(name, theta)
+    counts = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        qcore.DensityMatrix, "__post_init__", counting("DensityMatrix", qcore.DensityMatrix.__post_init__)
+    )
+    for fname in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, fname, counting(fname, getattr(np.linalg, fname)))
+    for theta in (2 * np.pi, -4 * np.pi, 2.2, -13.7):
+        for name in RULESET_NAMES:
+            audit(name, theta)
+    assert counts == Counter()
 
 
 def test_exact_halting_probability_is_one_twelfth():

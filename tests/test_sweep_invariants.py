@@ -100,5 +100,5 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
     monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting_validate)
     for theta in angles:
         _sweep_op(theta)
-    assert counts["built"] == 47 * len(angles)
+    assert counts["built"] == 44 * len(angles)
     assert counts["eigvalsh in check"] == counts["built"]
