@@ -187,7 +187,7 @@ def assign(
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
     layout, psi, total = _live_branches(p, names, theta)
     rows = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
-    return DensityMatrix(layout, rows @ rows.conj().T / total)
+    return DensityMatrix._gram(layout, rows, total)
 
 
 def predict(

@@ -5,6 +5,12 @@ Everything here is sized for composite systems of a handful of registers
 to double precision.  Values are immutable after construction: the wrapped
 numpy buffers are marked read-only and every operation returns a fresh
 object, so instances can be shared freely between threads.
+
+``DensityMatrix(layout, matrix)`` checks shape, hermiticity, unit trace and
+positivity (one ``eigvalsh``).  The states ``perspectives.assign`` returns
+are Gram matrices ``R R† / t`` built by ``DensityMatrix._gram``: they run
+the same shape, Hermitian and trace checks and are positive semidefinite by
+construction, so they skip the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -144,6 +150,21 @@ class Operator:
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
 
+def _check_hermitian_unit_trace(layout: SpaceLayout, mat: np.ndarray) -> np.ndarray:
+    """Shape, Hermitian and trace checks of a density matrix; returns its adjoint."""
+    d = layout.total_dim
+    if mat.shape != (d, d):
+        raise ValueError(f"density matrix has shape {mat.shape}, layout expects {(d, d)}")
+    adj = mat.conj().T
+    herm = float(np.abs(mat - adj).max())
+    if herm > DEFAULT_ATOL:
+        raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
+    tr = complex(mat.trace())
+    if abs(tr - 1.0) > DEFAULT_ATOL:
+        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+    return adj
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator with layout metadata."""
@@ -154,19 +175,30 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         mat = _freeze(np.asarray(self.matrix, dtype=np.complex128))
         object.__setattr__(self, "matrix", mat)
-        d = self.layout.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"density matrix has shape {mat.shape}, layout expects {(d, d)}")
-        adj = mat.conj().T
-        herm = float(np.abs(mat - adj).max())
-        if herm > DEFAULT_ATOL:
-            raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
-        tr = complex(mat.trace())
-        if abs(tr - 1.0) > DEFAULT_ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        adj = _check_hermitian_unit_trace(self.layout, mat)
         lo = float(np.linalg.eigvalsh((mat + adj) / 2.0).min())
         if lo < -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+
+    @classmethod
+    def _gram(cls, layout: SpaceLayout, rows: np.ndarray, total: float) -> "DensityMatrix":
+        """The Gram state ``rows @ rows† / total``, positive by construction.
+
+        Runs the shape, Hermitian and trace checks but no eigendecomposition.
+        The caller guarantees finite complex ``rows`` (one row per basis state
+        of ``layout``) and ``total >= IMPOSSIBLE_MASS > 0``, as
+        ``perspectives._live_branches`` does.  For such rows ``R R†/t`` is
+        positive semidefinite, and floating-point rounding moves its
+        eigenvalues by about k·u (k the row length, at most 8 branches x 36
+        here; u = 2⁻⁵³), so by under 4e-14, far below ``DEFAULT_ATOL``.
+        """
+        mat = rows @ rows.conj().T / total
+        mat.setflags(write=False)  # fresh array: no defensive copy needed
+        _check_hermitian_unit_trace(layout, mat)
+        out = object.__new__(cls)
+        object.__setattr__(out, "layout", layout)
+        object.__setattr__(out, "matrix", mat)
+        return out
 
     def purity(self) -> float:
         return float((self.matrix @ self.matrix).trace().real)

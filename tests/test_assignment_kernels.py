@@ -176,13 +176,13 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
         ("record", perspectives.record_distribution),
     ):
         _count_calls(monkeypatch, fn, counts, key)
-    validate = qcore.DensityMatrix.__post_init__
+    gram = qcore.DensityMatrix._gram
 
-    def counted_validate(self):
+    def counted_gram(*args):
         counts["density"] += 1
-        validate(self)
+        return gram(*args)
 
-    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counted_validate)
+    monkeypatch.setattr(qcore.DensityMatrix, "_gram", counted_gram)
     angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
     for theta in angles:
         _sweep_op(theta)

@@ -3,8 +3,9 @@
 The fractions are the paper's closed forms, written here and not read from
 the package: the halting witness is 1/12, only ``fr-mixed`` contradicts and
 only at multiples of 2π, and each assigned state's purity depends on the
-rule and checkpoint alone.  Every density matrix the sweep builds runs its
-full validation, positivity included.
+rule and checkpoint alone.  Every state the sweep assigns is Gram-built:
+it runs the shape, Hermitian and trace checks and is positive by
+construction, so it needs no eigendecomposition.
 """
 
 import math
@@ -82,23 +83,32 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
         _sweep_op(theta)
     counts = Counter()
     inside = []
-    eigvalsh, validate = np.linalg.eigvalsh, qcore.DensityMatrix.__post_init__
+    eigvalsh = np.linalg.eigvalsh
 
     def counting_eigvalsh(*args, **kwargs):
-        counts["eigvalsh in check" if inside else "eigvalsh elsewhere"] += 1
+        counts["eigvalsh in gram"] += "gram" in inside
         return eigvalsh(*args, **kwargs)
 
-    def counting_validate(self):
-        counts["built"] += 1
-        inside.append(self)
-        try:
-            validate(self)
-        finally:
-            inside.pop()
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            inside.append(key)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return counted
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting_validate)
+    dm, checks = qcore.DensityMatrix, qcore._check_hermitian_unit_trace
+    monkeypatch.setattr(dm, "__post_init__", counting("public", dm.__post_init__))
+    monkeypatch.setattr(dm, "_gram", counting("gram", dm._gram))
+    monkeypatch.setattr(qcore, "_check_hermitian_unit_trace", counting("checks", checks))
     for theta in angles:
         _sweep_op(theta)
-    assert counts["built"] == 44 * len(angles)
-    assert counts["eigvalsh in check"] == counts["built"]
+    # Every assignment is Gram-built: shape, Hermitian and trace checked, no eigendecomposition.
+    assert counts["gram"] == 44 * len(angles)
+    assert counts["checks"] == counts["gram"]
+    assert counts["eigvalsh in gram"] == 0
+    assert counts["public"] == 0
