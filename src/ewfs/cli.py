@@ -138,7 +138,7 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
     halting = {
         "episodes": episodes,
         "mean_round": mean_round,
-        "expected_mean": (1.0 / halt_p) if halt_p > 0 else float("inf"),
+        "expected_mean": 1.0 / halt_p,
         "histogram": [{"length": k, "count": c} for k, c in hist],
         "leftover_rounds": leftover,
     }

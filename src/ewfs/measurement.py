@@ -67,7 +67,7 @@ class MeasurementSpec:
                 raise ValueError("outcome vectors live on different layouts")
         gram = rows.conj() @ rows.T
         dev = float(np.max(np.abs(gram - np.eye(len(rows)))))
-        if dev > DEFAULT_ATOL:
+        if not dev <= DEFAULT_ATOL:
             raise ValueError(f"listed outcomes are not orthonormal (Gram deviation {dev:.3e})")
         if len(self.outcomes) < first.total_dim:
             object.__setattr__(self, "outcomes", self.outcomes + _complement(first, list(rows)))
@@ -122,7 +122,7 @@ def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float = 1.0
 
 def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:
     total = probs.sum()
-    if abs(total - 1.0) > DEFAULT_ATOL:
+    if not abs(total - 1.0) <= DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
     return dict(zip(spec.labels, probs.tolist()))
 

@@ -117,11 +117,11 @@ class JointDistribution:
     def __post_init__(self) -> None:
         cells = {}
         for (wbar, w), p in dict(self.entries).items():
-            if p < -IMPOSSIBLE_MASS or p > 1.0 + IMPOSSIBLE_MASS:
+            if not -IMPOSSIBLE_MASS <= p <= 1.0 + IMPOSSIBLE_MASS:
                 raise ValueError(f"probability {p!r} out of range for cell {(wbar, w)}")
             cells[(wbar, w)] = max(float(p), 0.0)
         total = sum(cells.values())
-        if abs(total - 1.0) > DEFAULT_ATOL:
+        if not abs(total - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"joint probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "entries", MappingProxyType(cells))
 

@@ -113,7 +113,7 @@ class StateVector:
                 f"amplitude vector has length {amps.size}, layout expects {self.layout.total_dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT_ATOL:
+        if not abs(norm - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"state vector is not normalized (norm {norm!r})")
 
     def tensorized(self) -> np.ndarray:
@@ -137,14 +137,14 @@ class Operator:
             raise ValueError(f"operator matrix has shape {mat.shape}, layout expects {(d, d)}")
         if self.kind == "unitary":
             err = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if err > DEFAULT_ATOL:
+            if not err <= DEFAULT_ATOL:
                 raise ValueError(f"operator flagged unitary fails U+U=I by {err:.3e}")
         elif self.kind == "projector":
             err = max(
                 float(np.max(np.abs(mat @ mat - mat))),
                 float(np.max(np.abs(mat - mat.conj().T))),
             )
-            if err > DEFAULT_ATOL:
+            if not err <= DEFAULT_ATOL:
                 raise ValueError(f"operator flagged projector fails P^2=P / P+=P by {err:.3e}")
         elif self.kind != "general":
             raise ValueError(f"unknown operator kind {self.kind!r}")
@@ -157,10 +157,10 @@ def _check_hermitian_unit_trace(layout: SpaceLayout, mat: np.ndarray) -> np.ndar
         raise ValueError(f"density matrix has shape {mat.shape}, layout expects {(d, d)}")
     adj = mat.conj().T
     herm = float(np.abs(mat - adj).max())
-    if herm > DEFAULT_ATOL:
+    if not herm <= DEFAULT_ATOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = complex(mat.trace())
-    if abs(tr - 1.0) > DEFAULT_ATOL:
+    if not abs(tr - 1.0) <= DEFAULT_ATOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
     return adj
 
@@ -177,7 +177,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         adj = _check_hermitian_unit_trace(self.layout, mat)
         lo = float(np.linalg.eigvalsh((mat + adj) / 2.0).min())
-        if lo < -DEFAULT_ATOL:
+        if not lo >= -DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
 
     @classmethod

@@ -3,18 +3,19 @@
 The agents' published claims are formalized as conditional-probability
 assertions over the round records (r, z, wbar, w):
 
-* ``certain(event | condition)``    holds iff P = 1,
-* ``impossible(event | condition)`` holds iff P = 0,
-* ``nonzero(event | condition)``    holds iff P > 0,
+* ``certain(event | condition)`` holds iff P = 1 within ``qcore.DEFAULT_ATOL``,
+* ``nonzero(event | condition)`` holds iff P > ``qcore.IMPOSSIBLE_MASS``,
 
 with P computed from the state the speaker assigns under a configurable
-rule set.  Nested claims ("A is certain that B is certain that ...") unfold
-by the minimal rule sufficient for the argument audited here: the outer
-speaker must assign probability one to some value of the inner speaker's
-record, and the inner claim re-conditioned on that value must hold.  No
-general epistemic logic is attempted.
+rule set; the assignment kernels prune branches at that same mass.  Nested
+claims ("A is certain that B is certain that ...") unfold by the minimal
+rule sufficient for the argument audited here: the outer speaker must
+assign probability one to some value of the inner speaker's record, and the
+inner claim re-conditioned on that value must hold.  No general epistemic
+logic is attempted.
 
-Three built-in rule sets drive the audit:
+``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
+with the chain of statement values it is audited with:
 
 * ``all-collapse``  -- every speaker uses collapse-aware mixtures; the chain
   breaks at its first link and no contradiction appears.
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import protocol
 from .measurement import MeasurementSpec
@@ -50,22 +52,15 @@ from .perspectives import (
     predict_distribution,
     record_distribution,
 )
+from .qcore import DEFAULT_ATOL, IMPOSSIBLE_MASS
 
 CERTAIN = "certain"
-IMPOSSIBLE = "impossible"
 NONZERO = "nonzero"
-CLAIM_KINDS = (CERTAIN, IMPOSSIBLE, NONZERO)
+CLAIM_KINDS = (CERTAIN, NONZERO)
 
 HOLDS = "holds"
 FAILS = "fails"
 NOT_EVALUABLE = "not-evaluable"
-
-# Certainty/impossibility are exact up to the global tolerance; "nonzero"
-# uses the impossibility mass threshold.
-CERTAINTY_ATOL = 1e-10
-NONZERO_FLOOR = 1e-12
-
-RULESET_NAMES = ("fr-mixed", "all-collapse", "all-unitary")
 
 # The uncontested premise: conditioned on her own tails record, the coin
 # friend describes the outgoing spin as the pure x-polarized state.
@@ -152,7 +147,7 @@ class AuditReport:
         impossible_halt = (
             self.chain_conclusion == "impossible(halt)"
             and self.witness is not None
-            and self.witness > NONZERO_FLOOR
+            and self.witness > IMPOSSIBLE_MASS
         )
         if self.contradiction != impossible_halt:
             raise ValueError(
@@ -168,98 +163,70 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# The published statements.
+# The published statements and the built-in audits.
 # ---------------------------------------------------------------------------
 
+# Coin friend, own tails record: the lab-L observer must announce fail.
+FBAR_02 = Statement(
+    "Fbar_02", "Fbar", protocol.T20, CERTAIN, (("r", protocol.TAILS),), event=("w", protocol.FAIL)
+)
+# Weakened replacement: given okbar, the ok announcement has nonzero probability.
+FBAR_02_STAR = Statement(
+    "Fbar_02_star", "Fbar", protocol.T30, NONZERO, (("wbar", protocol.OKBAR),),
+    event=("w", protocol.OK),
+)
+# Spin friend, own +1/2 record: the coin friend's record must read tails.
+F_12 = Statement(
+    "F_12", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),), event=("r", protocol.TAILS)
+)
+# Spin friend: nested certainty about the coin friend's fail prediction.
+F_13 = Statement("F_13", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),), inner=FBAR_02)
+# Lab-Lbar observer, own okbar record: the spin record must read +1/2.
+WBAR_22 = Statement(
+    "Wbar_22", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),),
+    event=("z", protocol.Z_PLUS),
+)
+# Lab-Lbar observer: nested certainty reaching down to the fail prediction.
+WBAR_23 = Statement(
+    "Wbar_23", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),), inner=F_13
+)
+# Weakened replacement drawn directly from the final global state.
+WBAR_23_STAR = Statement(
+    "Wbar_23_star", "Wbar", protocol.T30, NONZERO, (("wbar", protocol.OKBAR),),
+    event=("w", protocol.OK),
+)
 
-def stmt_fbar_02() -> Statement:
-    """Coin friend, own tails record: the lab-L observer must announce fail."""
-    return Statement(
-        "Fbar_02", "Fbar", protocol.T20, CERTAIN, (("r", protocol.TAILS),),
-        event=("w", protocol.FAIL),
-    )
+_UNITARY = AssignmentRule(UNITARY_GLOBAL)
+_OWN = AssignmentRule(OWN_RECORD_PURE)
+_FR_CHAIN = (FBAR_02, F_12, F_13, WBAR_22, WBAR_23)
+# In fr-mixed, friends treat their own records as collapse facts: the premise
+# and both friend statements use own-record conditioning, while the
+# observers' inferences run on the global superposition description.
+_FR_OWN_IDS = (PREMISE_ID, FBAR_02.id, F_12.id, F_13.id)
 
-
-def stmt_fbar_02_star() -> Statement:
-    """Weakened replacement: given okbar, the ok announcement has nonzero probability."""
-    return Statement(
-        "Fbar_02_star", "Fbar", protocol.T30, NONZERO, (("wbar", protocol.OKBAR),),
-        event=("w", protocol.OK),
-    )
-
-
-def stmt_f_12() -> Statement:
-    """Spin friend, own +1/2 record: the coin friend's record must read tails."""
-    return Statement(
-        "F_12", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),),
-        event=("r", protocol.TAILS),
-    )
-
-
-def stmt_f_13() -> Statement:
-    """Spin friend: nested certainty about the coin friend's fail prediction."""
-    return Statement(
-        "F_13", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),),
-        inner=stmt_fbar_02(),
-    )
-
-
-def stmt_wbar_22() -> Statement:
-    """Lab-Lbar observer, own okbar record: the spin record must read +1/2."""
-    return Statement(
-        "Wbar_22", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),),
-        event=("z", protocol.Z_PLUS),
-    )
-
-
-def stmt_wbar_23() -> Statement:
-    """Lab-Lbar observer: nested certainty reaching down to the fail prediction."""
-    return Statement(
-        "Wbar_23", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),),
-        inner=stmt_f_13(),
-    )
+# Each built-in rule set and the statement chain it is audited with, in CLI order.
+BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingProxyType({
+    "fr-mixed": (RuleSet("fr-mixed", _UNITARY, tuple((i, _OWN) for i in _FR_OWN_IDS)), _FR_CHAIN),
+    "all-collapse": (RuleSet("all-collapse", AssignmentRule(COLLAPSE_AWARE)), _FR_CHAIN),
+    "all-unitary": (RuleSet("all-unitary", _UNITARY), (FBAR_02_STAR, F_12, WBAR_22, WBAR_23_STAR)),
+})
+RULESET_NAMES = tuple(BUILTIN_AUDITS)
 
 
-def stmt_wbar_23_star() -> Statement:
-    """Weakened replacement drawn directly from the final global state."""
-    return Statement(
-        "Wbar_23_star", "Wbar", protocol.T30, NONZERO, (("wbar", protocol.OKBAR),),
-        event=("w", protocol.OK),
-    )
+def _builtin(name: str) -> tuple[RuleSet, tuple[Statement, ...]]:
+    try:
+        return BUILTIN_AUDITS[name]
+    except KeyError:
+        raise ValueError(f"unknown rule set {name!r}; choose from {RULESET_NAMES}") from None
 
 
-@lru_cache(maxsize=None)
 def builtin_ruleset(name: str) -> RuleSet:
-    if name == "all-collapse":
-        return RuleSet(name, AssignmentRule(COLLAPSE_AWARE))
-    if name == "all-unitary":
-        return RuleSet(name, AssignmentRule(UNITARY_GLOBAL))
-    if name == "fr-mixed":
-        # Friends treat their own records as collapse facts; the observers'
-        # inferences run on the global superposition description.  The premise
-        # and both friend statements use own-record conditioning.
-        own = AssignmentRule(OWN_RECORD_PURE)
-        return RuleSet(
-            name,
-            AssignmentRule(UNITARY_GLOBAL),
-            overrides=(
-                (PREMISE_ID, own),
-                ("Fbar_02", own),
-                ("F_12", own),
-                ("F_13", own),
-            ),
-        )
-    raise ValueError(f"unknown rule set {name!r}; choose from {RULESET_NAMES}")
+    return _builtin(name)[0]
 
 
-@lru_cache(maxsize=None)
 def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
     """The statement chain a rule set is audited with."""
-    if ruleset_name in ("fr-mixed", "all-collapse"):
-        return (stmt_fbar_02(), stmt_f_12(), stmt_f_13(), stmt_wbar_22(), stmt_wbar_23())
-    if ruleset_name == "all-unitary":
-        return (stmt_fbar_02_star(), stmt_f_12(), stmt_wbar_22(), stmt_wbar_23_star())
-    raise ValueError(f"unknown rule set {ruleset_name!r}; choose from {RULESET_NAMES}")
+    return _builtin(ruleset_name)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +236,8 @@ def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
 
 def _status(kind: str, value: float) -> str:
     if kind == CERTAIN:
-        return HOLDS if abs(value - 1.0) <= CERTAINTY_ATOL else FAILS
-    if kind == IMPOSSIBLE:
-        return HOLDS if abs(value) <= CERTAINTY_ATOL else FAILS
-    return HOLDS if value > NONZERO_FLOOR else FAILS
+        return HOLDS if abs(value - 1.0) <= DEFAULT_ATOL else FAILS
+    return HOLDS if value > IMPOSSIBLE_MASS else FAILS
 
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
@@ -295,15 +260,14 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
         value = dist.get(st.event[1], 0.0)
         return StatementResult(st.id, st.describe(), _status(st.kind, value), value)
 
-    certain_values = [v for v, p in dist.items() if abs(p - 1.0) <= CERTAINTY_ATOL]
+    certain_values = [v for v, p in dist.items() if abs(p - 1.0) <= DEFAULT_ATOL]
     if not certain_values:
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, max(dist.values()))
     inner = st.inner.reconditioned(var, certain_values[0])
     inner_result = _evaluate(inner, rs, theta, seen)
-    status = inner_result.status if inner_result.status != NOT_EVALUABLE else NOT_EVALUABLE
-    return StatementResult(st.id, st.describe(), status, inner_result.value)
+    return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
 
 @lru_cache(maxsize=None)
@@ -314,10 +278,9 @@ def _perspective(
     return Perspective(speaker, time, condition, rule)
 
 
-@lru_cache(maxsize=None)
-def _premise_spec() -> MeasurementSpec:
-    """An x-basis read of the spin; θ-free, built once."""
-    return MeasurementSpec((protocol.S,), (("right", protocol.spin_right_state()),))
+# The premise reads the spin in the x basis; θ-free, built once.
+_PREMISE_SPEC = MeasurementSpec((protocol.S,), (("right", protocol.spin_right_state()),))
+_PREMISE_DESCRIPTION = "spin is pure x-polarized | r=tails"
 
 
 def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
@@ -329,11 +292,10 @@ def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
     rule = rs.rule_for(PREMISE_ID)
     persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
     try:
-        value = predict_distribution(persp, _premise_spec(), theta)["right"]
+        value = predict_distribution(persp, _PREMISE_SPEC, theta)["right"]
     except NotEvaluableError:
-        return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", NOT_EVALUABLE, None)
-    status = _status(CERTAIN, value)
-    return StatementResult(PREMISE_ID, "spin is pure x-polarized | r=tails", status, value)
+        return StatementResult(PREMISE_ID, _PREMISE_DESCRIPTION, NOT_EVALUABLE, None)
+    return StatementResult(PREMISE_ID, _PREMISE_DESCRIPTION, _status(CERTAIN, value), value)
 
 
 def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> AuditReport:
@@ -360,7 +322,7 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
         if {st.kind for st in statements} == {CERTAIN}:
             conclusion = "impossible(halt)"
             conclusion_value = 0.0
-            contradiction = witness > NONZERO_FLOOR
+            contradiction = witness > IMPOSSIBLE_MASS
         else:
             conclusion = "nonzero(halt)"
             nz = [res for st, res in zip(statements, results) if st.kind == NONZERO]
@@ -376,7 +338,7 @@ def exact_halting_probability(theta: float = 0.0) -> float:
 
 def audit(ruleset_name: str, theta: float = 0.0) -> AuditReport:
     """Evaluate a built-in rule set's standard chain, premise row included."""
-    rs = builtin_ruleset(ruleset_name)
-    report = chain(standard_chain(ruleset_name), rs, theta)
+    rs, statements = _builtin(ruleset_name)
+    report = chain(statements, rs, theta)
     premise = premise_result(rs, theta)
     return replace(report, results=(premise,) + report.results)

@@ -222,21 +222,6 @@ def lab_basis_rows() -> np.ndarray:
     return np.array([np.sqrt(0.5) * (e01 - e12), np.sqrt(0.5) * (e01 + e12)])
 
 
-def ok_vector() -> np.ndarray:
-    v = np.zeros(6, dtype=complex)
-    v[np.ravel_multi_index((0, 1), (2, 3))] = np.sqrt(0.5)
-    v[np.ravel_multi_index((1, 2), (2, 3))] = -np.sqrt(0.5)
-    return v
-
-
-def okbar_down_vector() -> np.ndarray:
-    """|okbar> (x) |down> on (coin, coin-memory, spin)."""
-    v = np.zeros(12, dtype=complex)
-    v[np.ravel_multi_index((0, 1, 0), (2, 3, 2))] = np.sqrt(0.5)
-    v[np.ravel_multi_index((1, 2, 0), (2, 3, 2))] = -np.sqrt(0.5)
-    return v
-
-
 def geometric_mean_se(lengths) -> tuple[float, float]:
     """Sample mean and its standard error for episode lengths."""
     arr = np.asarray(lengths, dtype=float)

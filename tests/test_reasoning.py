@@ -6,11 +6,17 @@ import pytest
 from ewfs import protocol, qcore
 from ewfs.reasoning import (
     CERTAIN,
+    F_12,
+    F_13,
     FAILS,
+    FBAR_02,
+    FBAR_02_STAR,
     HOLDS,
     NOT_EVALUABLE,
     PREMISE_ID,
     RULESET_NAMES,
+    WBAR_22,
+    WBAR_23,
     RuleSet,
     Statement,
     audit,
@@ -20,12 +26,6 @@ from ewfs.reasoning import (
     exact_halting_probability,
     premise_result,
     standard_chain,
-    stmt_f_12,
-    stmt_f_13,
-    stmt_fbar_02,
-    stmt_fbar_02_star,
-    stmt_wbar_22,
-    stmt_wbar_23,
 )
 from ewfs.perspectives import AssignmentRule, COLLAPSE_AWARE, UNITARY_GLOBAL, Perspective, assign
 from ewfs.qcore import pure_density
@@ -39,7 +39,7 @@ def test_statement_validation():
     with pytest.raises(ValueError):
         Statement("X", "F", "n:20", CERTAIN, ())  # neither event nor inner
     with pytest.raises(ValueError):
-        Statement("X", "F", "n:20", CERTAIN, (), event=("w", "fail"), inner=stmt_fbar_02())
+        Statement("X", "F", "n:20", CERTAIN, (), event=("w", "fail"), inner=FBAR_02)
     with pytest.raises(ValueError):
         Statement("X", "F", "n:20", CERTAIN, (), event=("spin", "fail"))  # not a record
     with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def test_audit_report_enforces_contradiction_invariant():
 
 
 def test_fail_prediction_holds_only_with_own_record_conditioning():
-    st = stmt_fbar_02()
+    st = FBAR_02
     assert evaluate(st, builtin_ruleset("fr-mixed")).status == HOLDS
     res = evaluate(st, builtin_ruleset("all-collapse"))
     assert res.status == FAILS
@@ -67,36 +67,36 @@ def test_fail_prediction_holds_only_with_own_record_conditioning():
 
 
 def test_star_statement_nonzero_half():
-    res = evaluate(stmt_fbar_02_star(), builtin_ruleset("all-unitary"))
+    res = evaluate(FBAR_02_STAR, builtin_ruleset("all-unitary"))
     assert res.status == HOLDS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_tails_inference_holds_everywhere():
     for name in RULESET_NAMES:
-        res = evaluate(stmt_f_12(), builtin_ruleset(name))
+        res = evaluate(F_12, builtin_ruleset(name))
         assert res.status == HOLDS
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_announcement_certainty_depends_on_rule():
-    res = evaluate(stmt_wbar_22(), builtin_ruleset("fr-mixed"))
+    res = evaluate(WBAR_22, builtin_ruleset("fr-mixed"))
     assert res.status == HOLDS
-    res = evaluate(stmt_wbar_22(), builtin_ruleset("all-collapse"))
+    res = evaluate(WBAR_22, builtin_ruleset("all-collapse"))
     assert res.status == FAILS
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_nested_statement_follows_inner_claim():
-    assert evaluate(stmt_f_13(), builtin_ruleset("fr-mixed")).status == HOLDS
-    res = evaluate(stmt_f_13(), builtin_ruleset("all-collapse"))
+    assert evaluate(F_13, builtin_ruleset("fr-mixed")).status == HOLDS
+    res = evaluate(F_13, builtin_ruleset("all-collapse"))
     assert res.status == FAILS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_doubly_nested_statement():
-    assert evaluate(stmt_wbar_23(), builtin_ruleset("fr-mixed")).status == HOLDS
-    res = evaluate(stmt_wbar_23(), builtin_ruleset("all-collapse"))
+    assert evaluate(WBAR_23, builtin_ruleset("fr-mixed")).status == HOLDS
+    res = evaluate(WBAR_23, builtin_ruleset("all-collapse"))
     # the observer is not even certain of the spin record under collapse
     assert res.status == FAILS
     assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
@@ -211,7 +211,7 @@ def test_audit_deterministic():
 def test_chain_rejects_duplicate_ids():
     rs = builtin_ruleset("fr-mixed")
     with pytest.raises(ValueError):
-        chain((stmt_fbar_02(), stmt_fbar_02()), rs)
+        chain((FBAR_02, FBAR_02), rs)
 
 
 def test_cycle_detection():
@@ -230,7 +230,7 @@ def test_custom_ruleset_override():
     )
     assert rs.rule_for("Fbar_02").kind == COLLAPSE_AWARE
     assert rs.rule_for("F_12").kind == UNITARY_GLOBAL
-    res = evaluate(stmt_fbar_02(), rs)
+    res = evaluate(FBAR_02, rs)
     assert res.status == FAILS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
@@ -246,7 +246,7 @@ def test_standard_chain_contents():
 
 def test_evaluation_is_seed_free():
     # nothing in the audit consumes randomness; repeated calls are identical
-    values = [evaluate(stmt_wbar_22(), builtin_ruleset("all-collapse")).value for _ in range(3)]
+    values = [evaluate(WBAR_22, builtin_ruleset("all-collapse")).value for _ in range(3)]
     assert values[0] == values[1] == values[2]
 
 
