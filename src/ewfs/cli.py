@@ -196,11 +196,11 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
             f"  {name:<5} " + "  ".join(f"P({l})={_prob_cell(p)}" for l, p in merged.items())
         )
 
-    mat = rho.matrix
+    mat, purity = rho.matrix, rho.purity()
     lines = [
         f"assigned state  agent={args.agent}  time={args.time}  rule={rule.kind}"
         f"  conditioning={dict(conditioning) or '-'}  theta={args.theta}",
-        f"subsystems: {', '.join(rho.layout.names)}   purity: {rho.purity():.10f}",
+        f"subsystems: {', '.join(rho.layout.names)}   purity: {purity:.10f}",
     ]
     for part, rows in (("real", mat.real), ("imag", mat.imag)):
         lines.append(f"{part} part:")
@@ -220,7 +220,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         "theta": args.theta,
         "subsystems": list(rho.layout.names),
         "matrix": {"real": mat.real.tolist(), "imag": mat.imag.tolist()},
-        "purity": rho.purity(),
+        "purity": purity,
         "predictions": predictions,
     }
     return payload, "\n".join(lines), []

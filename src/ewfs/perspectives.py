@@ -166,12 +166,17 @@ def _kernel(
 
 
 def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
-    """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight."""
+    """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight.
+
+    One pass over the weights decides liveness; the mask is built only when
+    a branch dies.  ``initial=inf`` lets a kernel with no branches left reach
+    the ``NotEvaluableError`` below.
+    """
     layout, m = _kernel(p.time, p.conditioning, p.rule.kind == COLLAPSE_AWARE, names)
     psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
     weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
-    live = weights >= IMPOSSIBLE_MASS
-    if not live.all():
+    if not weights.min(initial=np.inf) >= IMPOSSIBLE_MASS:
+        live = weights >= IMPOSSIBLE_MASS
         psi, weights = psi[live], weights[live]
     if not len(psi):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")

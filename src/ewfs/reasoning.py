@@ -12,7 +12,8 @@ claims ("A is certain that B is certain that ...") unfold by the minimal
 rule sufficient for the argument audited here: the outer speaker must
 assign probability one to some value of the inner speaker's record, and the
 inner claim re-conditioned on that value must hold.  No general epistemic
-logic is attempted.
+logic is attempted.  A chain reads each perspective's record distribution
+once: a nested certainty reuses what an earlier link of the same chain read.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
 with the chain of statement values it is audited with:
@@ -242,19 +243,31 @@ def _status(kind: str, value: float) -> str:
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Evaluate one statement under a rule set; exact, no sampling."""
-    return _evaluate(st, rs, theta, seen=())
+    return _evaluate(st, rs, theta, seen=(), reads={})
 
 
-def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -> StatementResult:
+# What one evaluation or chain has read: (perspective, record) -> merged
+# record distribution, or None where the conditioning has probability zero.
+_Reads = dict[tuple[Perspective, str], dict[str, float] | None]
+
+
+def _evaluate(
+    st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...], reads: _Reads
+) -> StatementResult:
     if st.id in seen:
         raise ValueError(f"cyclic statement dependency through {st.id!r}")
     seen = seen + (st.id,)
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
-    try:
-        dist = record_distribution(_perspective(st.speaker, st.time, st.condition, rule), var, theta)
-    except NotEvaluableError:
+    key = (_perspective(st.speaker, st.time, st.condition, rule), var)
+    if key not in reads:
+        try:
+            reads[key] = record_distribution(*key, theta)
+        except NotEvaluableError:
+            reads[key] = None
+    dist = reads[key]
+    if dist is None:
         return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
     if st.inner is None:
         value = dist.get(st.event[1], 0.0)
@@ -266,7 +279,7 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, max(dist.values()))
     inner = st.inner.reconditioned(var, certain_values[0])
-    inner_result = _evaluate(inner, rs, theta, seen)
+    inner_result = _evaluate(inner, rs, theta, seen, reads)
     return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
 
@@ -306,11 +319,31 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
     positive, the report flags a contradiction and carries that probability
     as the witness.  A chain whose surviving final claim is ``nonzero``
     composes into ``nonzero(halt)`` and cannot contradict the dynamics.
+
+    Raises ``ValueError`` for an empty chain, a repeated statement id, or an
+    override id that is neither ``PREMISE_ID`` nor the id of a chain
+    statement or of a statement nested in one.  Each (perspective, record)
+    distribution is read once per call and shared by every statement that
+    needs it; nothing outlives the call.
     """
+    if not statements:
+        raise ValueError("empty chain: no statement to conclude from")
     ids = [st.id for st in statements]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statement ids in chain: {ids}")
-    results = tuple(evaluate(st, rs, theta) for st in statements)
+    known = {PREMISE_ID}
+    for st in statements:
+        nested = st
+        while nested is not None:
+            known.add(nested.id)
+            nested = nested.inner
+    for sid, _ in rs.overrides:
+        if sid not in known:
+            raise ValueError(
+                f"rule set {rs.name!r} overrides {sid!r}, which names no statement of the chain"
+            )
+    reads: _Reads = {}
+    results = tuple(_evaluate(st, rs, theta, seen=(), reads=reads) for st in statements)
 
     conclusion: str | None = None
     conclusion_value: float | None = None

@@ -17,7 +17,9 @@ hold:
 * helpers that moved out of ``ewfs`` unchanged once nothing there called
   them: ``tensor``, ``tensor_all``, ``inner``, ``identity``,
   ``partial_trace``, ``trace_distance`` and the squared-overlap Uhlmann
-  ``fidelity`` (with ``_psd_sqrt`` and ``_RANK_CUT``) from ``qcore``;
+  ``fidelity`` (with ``_psd_sqrt`` and ``_RANK_CUT``) from ``qcore``, and
+  the matrix-product ``purity`` that ``DensityMatrix.purity`` computed
+  before its one-pass sum;
   ``compare`` and ``StateComparison`` from ``perspectives``; and
   ``outcome_distribution`` (the Born rule on a built ket or density matrix)
   from ``measurement``.  ``fidelity`` is also the premise's reference: the
@@ -510,9 +512,10 @@ def distributions_match(a, b, atol: float = DEFAULT_ATOL) -> bool:
 
 
 # Helpers that left the library because nothing in it calls them: products
-# and inner products of states, the partial trace, the distinguishability
-# measures and the Born rule on a built state.  They are kept verbatim as
-# reference evidence beside the engine's own paths.
+# and inner products of states, the partial trace, the matrix-product
+# purity, the distinguishability measures and the Born rule on a built
+# state.  They are kept verbatim as reference evidence beside the engine's
+# own paths.
 
 
 def tensor(a, b):
@@ -577,6 +580,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     diff = a.matrix - b.matrix
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def purity(rho: DensityMatrix) -> float:
+    """tr ρ² by the full d×d matrix product."""
+    m = rho.matrix
+    return float((m @ m).trace().real)
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

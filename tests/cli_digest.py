@@ -1,6 +1,6 @@
 """Byte digest of the CLI over a fixed grid, for comparing two checkouts.
 
-    python tests/cli_digest.py
+    python tests/cli_digest.py [--runs]
 
 Runs ``ewfs.cli.main`` in process, loaded from this checkout's ``src/``,
 over a fixed grid and prints the number of runs and one sha256 over every
@@ -14,11 +14,17 @@ run's argv, exit code, stdout and stderr:
 The digest also covers the ``repr`` of every assigned-state purity on the
 benchmark's sweep grid at the same angles.  An optimisation that claims
 unchanged output prints the same two lines on its parent and on the change.
+
+With ``--runs`` it first prints one line per run (argv, exit code, sha256 of
+stdout + stderr) and one line per sweep purity (angle, perspective, ``repr``
+of the value), so ``diff`` of two checkouts' output names what moved.
+
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -63,7 +69,12 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Byte digest of the CLI over a fixed grid.")
+    parser.add_argument(
+        "--runs", action="store_true", help="also print one line per run and per sweep purity"
+    )
+    show = parser.parse_args(args).runs
     # A wide terminal keeps argparse's usage on one line, whatever the caller's.
     os.environ["COLUMNS"] = "10000"
     digest = hashlib.sha256()
@@ -74,10 +85,16 @@ def main() -> int:
                 code, out, err = run(argv + fmt)
                 digest.update(repr((argv + fmt, code, out, err)).encode("utf-8"))
                 count += 1
+                if show:
+                    output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
+                    print(f"run {' '.join(argv + fmt)}  exit {code}  sha256 {output}")
         for agent, time, cond, rule in SWEEP_GRID:
             p = perspectives.Perspective(agent, time, cond, perspectives.AssignmentRule(rule))
             rho = perspectives.assign(p, default_registers(time), float(theta))
-            digest.update(repr((theta, agent, time, cond, rule, rho.purity())).encode("utf-8"))
+            purity = rho.purity()
+            digest.update(repr((theta, agent, time, cond, rule, purity)).encode("utf-8"))
+            if show:
+                print(f"purity {theta} {agent} {time} {cond} {rule} {purity!r}")
     print(f"runs {count}")
     print(f"sha256 {digest.hexdigest()}")
     return 0

@@ -1,0 +1,107 @@
+"""Each θ computes each quantity once: purity in one pass, one read per chain link.
+
+* ``DensityMatrix.purity`` sums Σ|ρᵢⱼ|² in one pass; on the sweep grid it
+  stays within 1e-15 of the matrix-product trace kept in ``_oracles``.
+* ``chain`` reads each (perspective, record) distribution once per call, so
+  the three built-in audits make 10 record reads and 13 Born predictions
+  per angle (the premise adds one prediction per audit), and the shared
+  reads change no verdict and no value against ``evaluate`` one statement
+  at a time.
+* ``chain`` rejects an empty chain and an override id that names no
+  statement, instead of concluding from nothing or ignoring the override.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ewfs import perspectives, reasoning
+from ewfs.perspectives import COLLAPSE_AWARE, RULE_KINDS, UNITARY_GLOBAL, AssignmentRule
+from ewfs.reasoning import (
+    BUILTIN_AUDITS,
+    FBAR_02,
+    PREMISE_ID,
+    RULESET_NAMES,
+    WBAR_23,
+    RuleSet,
+    audit,
+    builtin_ruleset,
+    chain,
+    evaluate,
+    standard_chain,
+)
+
+from _oracles import SWEEP_GRID, default_registers, purity
+from test_rule_assignments import AUDITED
+from test_sweep_invariants import GENERIC, MULTIPLES_OF_2PI
+
+
+def test_purity_matches_the_matrix_product_trace():
+    for theta in MULTIPLES_OF_2PI + GENERIC:
+        for agent, time, cond, rule in SWEEP_GRID:
+            p = perspectives.Perspective(agent, time, cond, AssignmentRule(rule))
+            rho = perspectives.assign(p, default_registers(time), theta)
+            assert abs(rho.purity() - purity(rho)) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2 * np.pi])
+def test_audits_read_each_perspective_once_per_chain(monkeypatch, theta):
+    for name in RULESET_NAMES:  # warm-up: θ-free kernels and perspectives built once
+        audit(name, theta)
+    calls = {"record": 0, "predict": 0}
+    record, predict = perspectives.record_distribution, perspectives.predict_distribution
+
+    def counted_record(*args, **kwargs):
+        calls["record"] += 1
+        return record(*args, **kwargs)
+
+    def counted_predict(*args, **kwargs):
+        calls["predict"] += 1
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(reasoning, "record_distribution", counted_record)
+    monkeypatch.setattr(reasoning, "predict_distribution", counted_predict)
+    monkeypatch.setattr(perspectives, "predict_distribution", counted_predict)
+    for name in RULESET_NAMES:
+        audit(name, theta)
+    assert calls == {"record": 10, "predict": 13}
+
+
+def _same_as_one_at_a_time(statements, rs, theta):
+    assert chain(statements, rs, theta).results == tuple(
+        evaluate(st, rs, theta) for st in statements
+    )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("name", RULESET_NAMES)
+def test_shared_reads_change_no_builtin_result(name, theta):
+    rs, statements = BUILTIN_AUDITS[name]
+    _same_as_one_at_a_time(statements, rs, theta)
+
+
+def test_shared_reads_change_no_result_over_every_rule_assignment():
+    statements = standard_chain("fr-mixed")
+    for kinds in itertools.product(RULE_KINDS, repeat=len(AUDITED)):
+        overrides = tuple((sid, AssignmentRule(kind)) for sid, kind in zip(AUDITED, kinds))
+        _same_as_one_at_a_time(
+            statements, RuleSet("scan", AssignmentRule(UNITARY_GLOBAL), overrides), 0.0
+        )
+
+
+def test_chain_rejects_an_override_that_names_no_statement():
+    # "Fbar02" misspells Fbar_02: silently ignored, the chain would hold at 1.0.
+    collapse = AssignmentRule(COLLAPSE_AWARE)
+    rs = RuleSet("custom", AssignmentRule(UNITARY_GLOBAL), overrides=(("Fbar02", collapse),))
+    with pytest.raises(ValueError, match="'Fbar02'"):
+        chain((FBAR_02,), rs)
+    # The premise and statements nested in a chain statement are overridable.
+    overrides = tuple((sid, collapse) for sid in (PREMISE_ID, "F_13", "Fbar_02"))
+    nested = RuleSet("custom", AssignmentRule(UNITARY_GLOBAL), overrides)
+    assert chain((WBAR_23,), nested).results[0].statement_id == "Wbar_23"
+
+
+def test_chain_rejects_an_empty_chain():
+    with pytest.raises(ValueError, match="empty chain"):
+        chain((), builtin_ruleset("fr-mixed"))
