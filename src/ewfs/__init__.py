@@ -24,7 +24,6 @@ from .perspectives import (
     NotEvaluableError,
     Perspective,
     assign,
-    predict,
 )
 from .protocol import (
     JointDistribution,
@@ -71,7 +70,6 @@ __all__ = [
     "dephase",
     "evaluate",
     "exact_joint",
-    "predict",
     "run_round",
     "sample_records",
 ]

@@ -111,20 +111,20 @@ def _complement(sub: SpaceLayout, listed: list[np.ndarray]) -> tuple[tuple[str, 
     return tuple((f"other_{i}", StateVector(sub, vec)) for i, vec in enumerate(added))
 
 
-def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float = 1.0) -> dict[str, float]:
-    """Born probabilities ``Σ_b ‖⟨o|ψ_b⟩‖² / total`` of every outcome; sums to one.
+def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float) -> dict[str, float]:
+    """Born probabilities ``Σ_b ‖⟨o|ψ_b⟩‖²`` of every outcome over their sum; sums to one.
 
     ``psi`` holds branch amplitudes of shape (branches, target dim, rest),
-    the target registers in the declaration order of ``spec.target``.
+    the target registers in the declaration order of ``spec.target``, and
+    ``total`` is their squared norm, which the outcome masses must add up
+    to.  Dividing by the masses' own sum instead keeps every probability in
+    [0, 1]: in floating point no summand exceeds the sum.
     """
-    return _labeled(spec, (np.abs(spec.basis.conj() @ psi) ** 2).sum(axis=(0, 2)) / total)
-
-
-def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:
-    total = probs.sum()
-    if not abs(total - 1.0) <= DEFAULT_ATOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    return dict(zip(spec.labels, probs.tolist()))
+    masses = (np.abs(spec.basis.conj() @ psi) ** 2).sum(axis=(0, 2))
+    mass = masses.sum()
+    if not abs(mass / total - 1.0) <= DEFAULT_ATOL:
+        raise ValueError(f"outcome probabilities sum to {mass / total!r}, expected 1")
+    return dict(zip(spec.labels, (masses / mass).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +203,11 @@ def build_dilation(dspec: DilationSpec, layout: SpaceLayout) -> Operator:
 
 
 def pointer_readout_spec(
-    layout: SpaceLayout, memory: str, labels: Sequence[str] | None = None
+    layout: SpaceLayout, memory: str, labels: Sequence[str]
 ) -> MeasurementSpec:
-    """Computational-basis readout spec for one register."""
+    """Computational-basis readout spec for one register, one label per basis state."""
     sub = layout.sub((memory,))
     dim = sub.total_dim
-    if labels is None:
-        labels = ("init",) + tuple(f"slot_{i}" for i in range(1, dim))
     labels = tuple(labels)
     if len(labels) != dim:
         raise ValueError(f"need {dim} labels for register {memory!r}, got {len(labels)}")

@@ -195,19 +195,6 @@ def assign(
     return DensityMatrix._gram(layout, rows, total)
 
 
-def predict(
-    p: Perspective,
-    spec: MeasurementSpec,
-    event: str,
-    theta: float = 0.0,
-) -> float:
-    """Born probability of one outcome of ``spec`` under the assigned state."""
-    dist = predict_distribution(p, spec, theta)
-    if event not in dist:
-        raise ValueError(f"unknown outcome {event!r}; spec offers {sorted(dist)}")
-    return dist[event]
-
-
 def predict_distribution(
     p: Perspective, spec: MeasurementSpec, theta: float = 0.0
 ) -> dict[str, float]:

@@ -94,18 +94,18 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Classical outcomes of one round plus the halting flag."""
+    """Classical outcomes of one round."""
 
     round_index: int
     r: str
     z: str
     wbar: str
     w: str
-    halted: bool
 
-    def __post_init__(self) -> None:
-        if self.halted != (self.wbar == OKBAR and self.w == OK):
-            raise ValueError("halted flag inconsistent with (wbar, w) outcomes")
+    @property
+    def halted(self) -> bool:
+        """The round halts when both observers announce their special outcome."""
+        return self.wbar == OKBAR and self.w == OK
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,40 +291,37 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     which is the pointer-basis dephasing left by the friends' records.
     """
     psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
-    lbar_dual, l_dual_t, lbar_weights, l_weights_t = _observer_bases()
+    lbar_dual, l_dual, lbar_weights, l_weights = _observers()[:4]
     if config.semantics == UNITARY:
-        return np.abs(lbar_dual @ psi @ l_dual_t) ** 2
-    return lbar_weights @ np.abs(psi) ** 2 @ l_weights_t
+        return np.abs(lbar_dual @ psi @ l_dual.T) ** 2
+    return lbar_weights @ np.abs(psi) ** 2 @ l_weights.T
 
 
 @lru_cache(maxsize=None)
-def _observer_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The θ-free factors of ``_announcement_probs``, read-only.
+def _observers() -> tuple:
+    """The θ-free factors of both exact tables; the arrays are read-only.
 
-    Lbar's conjugated basis, L's conjugated basis transposed, and the same
-    two as squared moduli.
+    Lbar's and L's conjugated bases, the same two as squared moduli, the
+    coin record ``r`` each Lbar outcome reads out and the spin record ``z``
+    each L outcome reads out, and the merged ``wbar`` and ``w`` labels.
     """
-    b_lbar, b_l = wbar_measurement().basis, w_measurement().basis
-    out = (b_lbar.conj(), b_l.conj().T, np.abs(b_lbar) ** 2, (np.abs(b_l) ** 2).T)
-    for arr in out:
+    lbar, l = wbar_measurement(), w_measurement()
+    lbar_weights, l_weights = np.abs(lbar.basis) ** 2, np.abs(l.basis) ** 2
+    r_read = lbar_weights.reshape(6, 2, 3).sum(axis=2)
+    z_read = l_weights.reshape(6, 2, 3).sum(axis=1)
+    arrays = (lbar.basis.conj(), l.basis.conj(), lbar_weights, l_weights, r_read, z_read)
+    for arr in arrays:
         arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _announcement_cells() -> tuple[tuple[tuple[str, str], ...], ...]:
-    """The ``(wbar, w)`` cell each completed (Lbar, L) outcome pair falls in."""
-    wbar_labels = [_simplify(l) for l in wbar_measurement().labels]
-    w_labels = [_simplify(l) for l in w_measurement().labels]
-    return tuple(tuple((wb, w) for w in w_labels) for wb in wbar_labels)
+    return arrays + tuple(tuple(map(_simplify, spec.labels)) for spec in (lbar, l))
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
+    wbar_labels, w_labels = _observers()[6:]
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    for keys, row in zip(_announcement_cells(), _announcement_probs(config).tolist()):
-        for key, p in zip(keys, row):
-            cells[key] += p
+    for wb, row in zip(wbar_labels, _announcement_probs(config).tolist()):
+        for w, p in zip(w_labels, row):
+            cells[(wb, w)] += p
     return JointDistribution(cells)
 
 
@@ -337,11 +334,8 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     unitary semantics they are read out of the observers' post-measurement
     lab states, so the announcements come first.
     """
-    b_lbar = np.abs(wbar_measurement().basis) ** 2
-    b_l = np.abs(w_measurement().basis) ** 2
+    _, _, b_lbar, b_l, r_read, z_read, wbar_labels, w_labels = _observers()
     if config.semantics == UNITARY:
-        r_read = b_lbar.reshape(6, 2, 3).sum(axis=2)
-        z_read = b_l.reshape(6, 2, 3).sum(axis=1)
         probs = _announcement_probs(config)
         table = probs[:, :, None, None] * r_read[:, None, :, None] * z_read[None, :, None, :]
         axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
@@ -351,10 +345,10 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
             "kaf,afsz,jsz->azkj", b_lbar.reshape(6, 2, 3), pointer, b_l.reshape(6, 2, 3)
         )
         axes = (0, 1, 2, 3)
-    labels = ((HEADS, TAILS), F_POINTER_LABELS, wbar_measurement().labels, w_measurement().labels)
+    labels = ((HEADS, TAILS), F_POINTER_LABELS, wbar_labels, w_labels)
     out: dict[tuple[str, str, str, str], float] = {}
     for idx in zip(*np.nonzero(table >= _PRUNE)):
-        key = tuple(_simplify(labels[v][idx[axes[v]]]) for v in range(4))
+        key = tuple(labels[v][idx[axes[v]]] for v in range(4))
         out[key] = out.get(key, 0.0) + float(table[idx])
     return out
 
@@ -381,7 +375,7 @@ def run_round(config: ProtocolConfig, rng: np.random.Generator, round_index: int
     """One round drawn from the exact record distribution with one uniform."""
     keys, cum = _record_cdf(config)
     r, z, wbar, w = keys[int(_draw(cum, rng.random()))]
-    return RoundRecord(round_index, r, z, wbar, w, wbar == OKBAR and w == OK)
+    return RoundRecord(round_index, r, z, wbar, w)
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:

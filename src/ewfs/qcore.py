@@ -116,10 +116,6 @@ class StateVector:
         if not abs(norm - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"state vector is not normalized (norm {norm!r})")
 
-    def tensorized(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per subsystem."""
-        return self.amplitudes.reshape(self.layout.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:

@@ -12,8 +12,9 @@ claims ("A is certain that B is certain that ...") unfold by the minimal
 rule sufficient for the argument audited here: the outer speaker must
 assign probability one to some value of the inner speaker's record, and the
 inner claim re-conditioned on that value must hold.  No general epistemic
-logic is attempted.  A chain reads each perspective's record distribution
-once: a nested certainty reuses what an earlier link of the same chain read.
+logic is attempted.  A chain reads each standpoint's record distribution
+once: a nested certainty, or another speaker at the same checkpoint with the
+same conditioning and rule, reuses what an earlier link of the chain read.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
 with the chain of statement values it is audited with:
@@ -141,20 +142,16 @@ class AuditReport:
     results: tuple[StatementResult, ...]
     chain_conclusion: str | None
     conclusion_value: float | None
-    contradiction: bool
     witness: float | None
 
-    def __post_init__(self) -> None:
-        impossible_halt = (
+    @property
+    def contradiction(self) -> bool:
+        """The chain concludes impossible(halt) while the exact halting probability is positive."""
+        return (
             self.chain_conclusion == "impossible(halt)"
             and self.witness is not None
             and self.witness > IMPOSSIBLE_MASS
         )
-        if self.contradiction != impossible_halt:
-            raise ValueError(
-                "contradiction flag must mean: the chain concludes impossible(halt) "
-                "while the exact halting probability is positive"
-            )
 
     def result(self, statement_id: str) -> StatementResult:
         for res in self.results:
@@ -246,9 +243,10 @@ def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     return _evaluate(st, rs, theta, seen=(), reads={})
 
 
-# What one evaluation or chain has read: (perspective, record) -> merged
-# record distribution, or None where the conditioning has probability zero.
-_Reads = dict[tuple[Perspective, str], dict[str, float] | None]
+# What one evaluation or chain has read: (checkpoint, conditioning, rule,
+# record) -> merged record distribution, or None where the conditioning has
+# probability zero.
+_Reads = dict[tuple, dict[str, float] | None]
 
 
 def _evaluate(
@@ -260,10 +258,14 @@ def _evaluate(
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
-    key = (_perspective(st.speaker, st.time, st.condition, rule), var)
+    persp = _perspective(st.speaker, st.time, st.condition, rule)
+    # The speaker is left out of the key: an assignment depends only on the
+    # checkpoint, conditioning and rule (``perspectives._kernel`` takes no
+    # agent), so two speakers who share those read the same distribution.
+    key = (st.time, st.condition, rule, var)
     if key not in reads:
         try:
-            reads[key] = record_distribution(*key, theta)
+            reads[key] = record_distribution(persp, var, theta)
         except NotEvaluableError:
             reads[key] = None
     dist = reads[key]
@@ -322,9 +324,9 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
 
     Raises ``ValueError`` for an empty chain, a repeated statement id, or an
     override id that is neither ``PREMISE_ID`` nor the id of a chain
-    statement or of a statement nested in one.  Each (perspective, record)
-    distribution is read once per call and shared by every statement that
-    needs it; nothing outlives the call.
+    statement or of a statement nested in one.  Each (checkpoint,
+    conditioning, rule, record) distribution is read once per call and
+    shared by every statement that needs it; nothing outlives the call.
     """
     if not statements:
         raise ValueError("empty chain: no statement to conclude from")
@@ -347,7 +349,6 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
 
     conclusion: str | None = None
     conclusion_value: float | None = None
-    contradiction = False
     witness: float | None = None
     if all(res.status == HOLDS for res in results):
         # Only a chain that holds in full needs the unitary joint.
@@ -355,12 +356,11 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
         if {st.kind for st in statements} == {CERTAIN}:
             conclusion = "impossible(halt)"
             conclusion_value = 0.0
-            contradiction = witness > IMPOSSIBLE_MASS
         else:
             conclusion = "nonzero(halt)"
             nz = [res for st, res in zip(statements, results) if st.kind == NONZERO]
             conclusion_value = nz[-1].value if nz else None
-    return AuditReport(rs.name, results, conclusion, conclusion_value, contradiction, witness)
+    return AuditReport(rs.name, results, conclusion, conclusion_value, witness)
 
 
 def exact_halting_probability(theta: float = 0.0) -> float:

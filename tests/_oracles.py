@@ -41,7 +41,6 @@ from ewfs.measurement import (
     DilationSpec,
     MeasurementSpec,
     _check_target,
-    _labeled,
     born_distribution,
     build_dilation,
 )
@@ -361,8 +360,7 @@ def collapse_round(config, rng, round_index: int = 0) -> protocol.RoundRecord:
         pick = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(posts) - 1)
         state = after @ (posts[pick] / np.sqrt(probs[pick]))
         rec[record] = outcomes[pick][0]
-    halted = rec["wbar"] == "okbar" and rec["w"] == "ok"
-    return protocol.RoundRecord(round_index, rec["r"], rec["z"], rec["wbar"], rec["w"], halted)
+    return protocol.RoundRecord(round_index, rec["r"], rec["z"], rec["wbar"], rec["w"])
 
 
 # The branch walk: the global state at the checkpoint, sliced by projection
@@ -379,7 +377,7 @@ def project_component(state: StateVector, target, component: np.ndarray):
     dims = state.layout.dims
     axes = state.layout.axes(target)
     b = np.asarray(component, dtype=np.complex128).reshape([dims[a] for a in axes])
-    residual = np.tensordot(b.conj(), state.tensorized(), axes=(tuple(range(b.ndim)), axes))
+    residual = np.tensordot(b.conj(), state.amplitudes.reshape(dims), axes=(tuple(range(b.ndim)), axes))
     rest = [a for a in range(len(dims)) if a not in axes]
     post = np.transpose(np.multiply.outer(b, residual), np.argsort(list(axes) + rest)).reshape(-1)
     return float(np.sum(np.abs(residual) ** 2)), post
@@ -445,7 +443,8 @@ def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
     """Pure state of Lbar plus spin after the coin interaction (before the spin one)."""
     # F is still in its ready state, so the global state is this one (x) |ready>.
     layout = protocol.LAYOUT.sub((protocol.R, protocol.FBAR, protocol.S))
-    return StateVector(layout, protocol.global_state(theta, protocol.T10).tensorized()[..., 0])
+    amplitudes = protocol.global_state(theta, protocol.T10).amplitudes.reshape(protocol.LAYOUT.dims)
+    return StateVector(layout, amplitudes[..., 0])
 
 
 @cache
@@ -629,14 +628,22 @@ def compare(a: DensityMatrix, b: DensityMatrix) -> StateComparison:
     return StateComparison(trace_distance(a, b), fidelity(a, b))
 
 
+def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:
+    """Outcome probabilities by label, which must sum to one."""
+    total = probs.sum()
+    if not abs(total - 1.0) <= DEFAULT_ATOL:
+        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
+    return dict(zip(spec.labels, probs.tolist()))
+
+
 def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:
     """Born-rule probabilities of every outcome on a pure or mixed state; sums to one."""
     _check_target(state.layout, spec)
     dims, axes = state.layout.dims, state.layout.axes(spec.target)
     front, d = tuple(range(len(axes))), spec.basis.shape[1]
     if isinstance(state, StateVector):
-        psi = np.moveaxis(state.tensorized(), axes, front).reshape(1, d, -1)
-        return born_distribution(spec, psi)
+        psi = np.moveaxis(state.amplitudes.reshape(dims), axes, front).reshape(1, d, -1)
+        return born_distribution(spec, psi, 1.0)
     if not isinstance(state, DensityMatrix):
         raise TypeError("outcome_distribution expects a StateVector or DensityMatrix")
     # Target rows and columns to the front of each half, then trace out the rest.

@@ -9,6 +9,7 @@ run's argv, exit code, stdout and stderr:
 * ``exact`` for both semantics and ``audit`` for all three rule sets;
 * ``perspectives`` for every agent x checkpoint x rule x conditioning in
   {none, r=tails, z=+1/2, wbar=okbar};
+* ``mc`` for both semantics with ``--rounds 2000 --seed 7`` (``MC_ARGS``);
 * each as a table and as ``--json``, at every angle in ``THETAS``.
 
 The digest also covers the ``repr`` of every assigned-state purity on the
@@ -42,6 +43,7 @@ from _oracles import SWEEP_GRID, default_registers  # noqa: E402
 
 THETAS = ("0", "0.7", "1.57", repr(math.pi), "2.2", "-1", repr(2 * math.pi), "1e-05")
 CONDITIONS = ((), ("r=tails",), ("z=+1/2",), ("wbar=okbar",))
+MC_ARGS = ("--rounds", "2000", "--seed", "7")
 
 
 def grid(theta: str) -> list[list[str]]:
@@ -57,6 +59,11 @@ def grid(theta: str) -> list[list[str]]:
                         + [f"--cond={c}" for c in cond]
                     )
     return [argv + ["--theta", theta] for argv in argvs]
+
+
+def mc_grid(theta: str) -> list[list[str]]:
+    """The ``mc`` argvs at one angle, kept out of ``grid`` so its golden groups stay as pinned."""
+    return [["mc", "--semantics", sem, *MC_ARGS, "--theta", theta] for sem in ("collapse", "unitary")]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -80,7 +87,7 @@ def main(args: list[str] | None = None) -> int:
     digest = hashlib.sha256()
     count = 0
     for theta in THETAS:
-        for argv in grid(theta):
+        for argv in grid(theta) + mc_grid(theta):
             for fmt in ([], ["--json"]):
                 code, out, err = run(argv + fmt)
                 digest.update(repr((argv + fmt, code, out, err)).encode("utf-8"))

@@ -21,15 +21,16 @@ from ewfs.qcore import DensityMatrix, StateVector, pure_density
 from _oracles import SWEEP_GRID, outcome_distribution, project_component
 
 LAYOUT = protocol.LAYOUT
+SLOT_LABELS = ("init", "slot_1", "slot_2")
 TARGETS = (("S", "F"), ("Fbar",), ("R", "Fbar"), ("F",))
 SUB_LAYOUTS = (("R", "Fbar", "S", "F"), ("R", "Fbar", "S"), ("Fbar", "S", "F"), ("S", "F"),
                ("R", "Fbar"), ("Fbar",), ("F",))
 # A listed basis that spans its target, and one that the spec completes.
 LISTED_SPECS = {
     ("S", "F"): protocol.w_measurement,
-    ("Fbar",): lambda: pointer_readout_spec(LAYOUT, "Fbar"),
+    ("Fbar",): lambda: pointer_readout_spec(LAYOUT, "Fbar", SLOT_LABELS),
     ("R", "Fbar"): protocol.wbar_measurement,
-    ("F",): lambda: pointer_readout_spec(LAYOUT, "F"),
+    ("F",): lambda: pointer_readout_spec(LAYOUT, "F", SLOT_LABELS),
 }
 PROTOCOL_SPECS = (
     protocol.coin_measurement,
@@ -142,7 +143,7 @@ def test_predict_distribution_checks_the_target_order():
 def test_spec_basis_is_read_only_and_built_once():
     okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
     specs = [build() for build in PROTOCOL_SPECS] + [
-        pointer_readout_spec(LAYOUT, "F"),
+        pointer_readout_spec(LAYOUT, "F", SLOT_LABELS),
         MeasurementSpec(("R", "Fbar"), (("okbar", okbar),)),
     ]
     for spec in specs:

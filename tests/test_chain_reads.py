@@ -2,11 +2,11 @@
 
 * ``DensityMatrix.purity`` sums Σ|ρᵢⱼ|² in one pass; on the sweep grid it
   stays within 1e-15 of the matrix-product trace kept in ``_oracles``.
-* ``chain`` reads each (perspective, record) distribution once per call, so
-  the three built-in audits make 10 record reads and 13 Born predictions
-  per angle (the premise adds one prediction per audit), and the shared
-  reads change no verdict and no value against ``evaluate`` one statement
-  at a time.
+* ``chain`` reads each (checkpoint, conditioning, rule, record) distribution
+  once per call, whichever speaker asks, so the three built-in audits make 9
+  record reads and 12 Born predictions per angle (the premise adds one
+  prediction per audit), and the shared reads change no verdict and no
+  value against ``evaluate`` one statement at a time.
 * ``chain`` rejects an empty chain and an override id that names no
   statement, instead of concluding from nothing or ignoring the override.
 """
@@ -65,7 +65,7 @@ def test_audits_read_each_perspective_once_per_chain(monkeypatch, theta):
     monkeypatch.setattr(perspectives, "predict_distribution", counted_predict)
     for name in RULESET_NAMES:
         audit(name, theta)
-    assert calls == {"record": 10, "predict": 13}
+    assert calls == {"record": 9, "predict": 12}
 
 
 def _same_as_one_at_a_time(statements, rs, theta):

@@ -211,9 +211,8 @@ def test_readout_memory_after_coin_interaction():
 
 
 def test_readout_unentangled_memory_is_init():
-    dist = outcome_distribution(
-        initial_state(0.0), pointer_readout_spec(protocol.LAYOUT, "F")
-    )
+    spec = pointer_readout_spec(protocol.LAYOUT, "F", ("init", "slot_1", "slot_2"))
+    dist = outcome_distribution(initial_state(0.0), spec)
     assert dist == pytest.approx({"init": 1.0, "slot_1": 0.0, "slot_2": 0.0}, abs=1e-12)
 
 

@@ -15,7 +15,6 @@ from ewfs.perspectives import (
     TIMES,
     Perspective,
     assign,
-    predict,
     predict_distribution,
     record_distribution,
 )
@@ -104,26 +103,26 @@ def test_spin_premise_pure_under_every_rule():
 
 def test_predict_fail_certain_for_own_record():
     p = persp("Fbar", "n:20", [("r", "tails")], OWN_RECORD_PURE)
-    assert predict(p, protocol.w_measurement(), "ok") == pytest.approx(0.0, abs=1e-12)
-    assert predict(p, protocol.w_measurement(), "fail") == pytest.approx(1.0, abs=1e-12)
+    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.0, abs=1e-12)
+    assert predict_distribution(p, protocol.w_measurement())["fail"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_half_under_collapse_mixture():
     p = persp("W", "n:20", [("r", "tails")], COLLAPSE_AWARE)
-    assert predict(p, protocol.w_measurement(), "ok") == pytest.approx(0.5, abs=1e-12)
+    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_predict_conditional_on_announcement():
     p = persp("Wbar", "n:30", [("wbar", "okbar")])
-    assert predict(p, protocol.w_measurement(), "ok") == pytest.approx(0.5, abs=1e-12)
+    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.5, abs=1e-12)
     z = record_distribution(p, "z")
     assert z["+1/2"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_joint_event_pure_vs_mixture():
     joint = product_spec(protocol.wbar_measurement(), protocol.spin_measurement())
-    pure = predict(persp("Wbar", "n:10"), joint, "okbar&-1/2")
-    mixed = predict(persp("Wbar", "n:10", rule=COLLAPSE_AWARE), joint, "okbar&-1/2")
+    pure = predict_distribution(persp("Wbar", "n:10"), joint)["okbar&-1/2"]
+    mixed = predict_distribution(persp("Wbar", "n:10", rule=COLLAPSE_AWARE), joint)["okbar&-1/2"]
     assert pure == pytest.approx(0.0, abs=1e-12)
     assert mixed == pytest.approx(1.0 / 3.0, abs=1e-12)
 

@@ -1,0 +1,84 @@
+"""Every probability the package reports lies in [0, 1], not just within ulps of it.
+
+``born_distribution`` divides each outcome's mass by the sum of the masses,
+so in floating point no quotient exceeds 1; dividing by the branch weight
+instead let merged predictions reach 1 + 4.4e-16.  Two scans check it:
+
+* every ``probability.value`` and audit statement ``value`` in every
+  ``--json`` payload of the digest grid (``tests/cli_digest.py``, ``mc``
+  included);
+* every merged Born prediction of the four protocol measurements, for every
+  agent x checkpoint x rule x single-record conditioning, at 20 angles.
+"""
+
+import json
+import os
+from unittest import mock
+
+import numpy as np
+
+from ewfs import perspectives, protocol
+from ewfs.perspectives import AGENTS, RECORDS, RULE_KINDS, TIMES, NotEvaluableError, Perspective
+
+from cli_digest import THETAS, grid, mc_grid, run
+
+SPECS = (
+    protocol.coin_measurement,
+    protocol.spin_measurement,
+    protocol.wbar_measurement,
+    protocol.w_measurement,
+)
+CONDITIONS = ((),) + tuple(((var, value),) for var, (_, _, values) in RECORDS.items() for value in values)
+ANGLES = np.linspace(0.0, 2 * np.pi, 20)
+
+
+def _probability_values(node):
+    """``value`` of every probability object, and of every audit statement."""
+    if isinstance(node, dict):
+        if node.keys() == {"value", "fraction"} or "status" in node:
+            if node["value"] is not None:
+                yield node["value"]
+        for child in node.values():
+            yield from _probability_values(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _probability_values(child)
+
+
+def test_json_probabilities_on_the_digest_grid_lie_in_the_unit_interval():
+    outside, checked = [], 0
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
+        for theta in THETAS:
+            for argv in grid(theta) + mc_grid(theta):
+                code, out, _ = run(argv + ["--json"])
+                if code == 0:
+                    values = list(_probability_values(json.loads(out)))
+                    checked += len(values)
+                    outside += [(argv, v) for v in values if not 0.0 <= v <= 1.0]
+    assert checked > 4_000
+    assert outside == []
+
+
+def test_merged_predictions_lie_in_the_unit_interval():
+    outside, checked = [], 0
+    for agent in AGENTS:
+        for time in TIMES:
+            for rule in RULE_KINDS:
+                for cond in CONDITIONS:
+                    try:
+                        p = Perspective(agent, time, cond, rule)
+                    except ValueError:
+                        continue  # a record that does not exist yet, or another agent's own record
+                    for build in SPECS:
+                        for theta in ANGLES:
+                            try:
+                                dist = perspectives.predict_distribution(p, build(), theta)
+                            except NotEvaluableError:
+                                continue
+                            merged = protocol.merge_other(dist)
+                            checked += len(merged)
+                            outside += [
+                                (p, label, v) for label, v in merged.items() if not 0.0 <= v <= 1.0
+                            ]
+    assert checked > 10_000
+    assert outside == []

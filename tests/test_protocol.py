@@ -49,10 +49,9 @@ def test_config_validation():
 
 
 def test_round_record_halting_consistency():
-    with pytest.raises(ValueError):
-        RoundRecord(0, "tails", "+1/2", "okbar", "ok", False)
-    rec = RoundRecord(0, "tails", "+1/2", "okbar", "ok", True)
-    assert rec.halted
+    assert RoundRecord(0, "tails", "+1/2", "okbar", "ok").halted is True
+    for wbar, w in (("okbar", "fail"), ("failbar", "ok"), ("other", "other")):
+        assert RoundRecord(0, "tails", "+1/2", wbar, w).halted is False
 
 
 def test_joint_distribution_validation():

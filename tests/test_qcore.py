@@ -219,7 +219,7 @@ def test_embed_acts_as_identity_elsewhere():
     big = embed(op, layout)
     state = random_state(layout)
     # embed then apply vs reshape-contract by hand
-    t = state.tensorized()
+    t = state.amplitudes.reshape(layout.dims)
     want = np.tensordot(u, t, axes=([1], [1])).transpose(1, 0, 2).reshape(-1)
     assert np.allclose(apply(big, state).amplitudes, want, atol=1e-12)
 

@@ -51,11 +51,14 @@ def test_statement_validation():
 def test_audit_report_enforces_contradiction_invariant():
     from ewfs.reasoning import AuditReport
 
-    with pytest.raises(ValueError):
-        AuditReport("x", (), "impossible(halt)", 0.0, False, 1.0 / 12.0)
-    with pytest.raises(ValueError):
-        AuditReport("x", (), "nonzero(halt)", 0.5, True, 1.0 / 12.0)
-    AuditReport("x", (), "impossible(halt)", 0.0, True, 1.0 / 12.0)
+    # Only impossible(halt) against a positive exact halting probability contradicts.
+    assert AuditReport("x", (), "impossible(halt)", 0.0, 1.0 / 12.0).contradiction is True
+    for conclusion, witness in (
+        ("nonzero(halt)", 1.0 / 12.0),
+        ("impossible(halt)", None),
+        ("impossible(halt)", 0.0),
+    ):
+        assert AuditReport("x", (), conclusion, 0.0, witness).contradiction is False
 
 
 def test_fail_prediction_holds_only_with_own_record_conditioning():
