@@ -46,10 +46,10 @@ RULE_FLAGS = {
 }
 
 _PREDICTION_SPECS = (
-    ("coin", protocol.coin_measurement),
-    ("spin", protocol.spin_measurement),
-    ("wbar", protocol.wbar_measurement),
-    ("w", protocol.w_measurement),
+    ("coin", protocol.COIN_MEASUREMENT),
+    ("spin", protocol.SPIN_MEASUREMENT),
+    ("wbar", protocol.WBAR_MEASUREMENT),
+    ("w", protocol.W_MEASUREMENT),
 )
 
 
@@ -181,8 +181,7 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
 
     predictions = []
     pred_lines = []
-    for name, build in _PREDICTION_SPECS:
-        spec = build()
+    for name, spec in _PREDICTION_SPECS:
         if not set(spec.target) <= set(subsystems):
             continue
         merged = protocol.merge_other(perspectives.predict_distribution(persp, spec, args.theta))

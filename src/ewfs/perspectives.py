@@ -120,16 +120,26 @@ class Perspective:
                 )
 
 
-@lru_cache(maxsize=None)
-def _projectors(var: str) -> tuple[tuple[str, np.ndarray], ...]:
-    """(label, projector on the whole layout) of each outcome of the measurement fixing a record.
+# record variable -> measurement whose outcome reproduces it
+RECORD_READOUTS: Mapping[str, MeasurementSpec] = MappingProxyType({
+    "r": protocol.COIN_MEASUREMENT,
+    "z": pointer_readout_spec(protocol.LAYOUT, protocol.F, protocol.F_POINTER_LABELS),
+    "wbar": protocol.WBAR_MEASUREMENT,
+    "w": protocol.W_MEASUREMENT,
+})
 
-    ``wbar=failbar`` means "anything but the special outcome"; on the
-    protocol's reachable states the listed failbar vector is the only
-    complement component with support, so slicing on it alone is exact there.
-    """
-    spec = record_readout_spec(var)
-    return tuple((label, embed(projector(vec), protocol.LAYOUT).matrix) for label, vec in spec.outcomes)
+# record variable -> (label, projector on the whole layout) of each outcome of
+# the measurement fixing it, for the records a checkpoint can hold.
+# ``wbar=failbar`` means "anything but the special outcome"; on the
+# protocol's reachable states the listed failbar vector is the only
+# complement component with support, so slicing on it alone is exact there.
+_PROJECTORS: Mapping[str, tuple[tuple[str, np.ndarray], ...]] = MappingProxyType({
+    var: tuple(
+        (label, embed(projector(vec), protocol.LAYOUT).matrix)
+        for label, vec in RECORD_READOUTS[var].outcomes
+    )
+    for var in ("r", "z", "wbar")
+})
 
 
 @lru_cache(maxsize=None)
@@ -146,14 +156,14 @@ def _kernel(
     """
     layout = protocol.LAYOUT.sub(names)
     cond = dict(conditioning)
-    branches = [np.array(protocol._coin_branches(protocol.T20 if time == protocol.T30 else time))]
+    branches = [np.array(protocol._BRANCHES[protocol.T20 if time == protocol.T30 else time])]
     for var in ("r", "z", "wbar"):  # protocol order
         if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[time]:
             break
         if var not in cond and not collapse:
             continue
         # every outcome, or only the one conditioned on
-        outcomes = [proj for label, proj in _projectors(var) if cond.get(var, label) == label]
+        outcomes = [proj for label, proj in _PROJECTORS[var] if cond.get(var, label) == label]
         split = [b @ proj.T for b in branches for proj in outcomes]
         branches = [b for b in split if np.vdot(b, b).real >= IMPOSSIBLE_MASS]
     dims, kept = protocol.LAYOUT.dims, protocol.LAYOUT.axes(names)
@@ -172,7 +182,9 @@ def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
     a branch dies.  ``initial=inf`` lets a kernel with no branches left reach
     the ``NotEvaluableError`` below.
     """
-    layout, m = _kernel(p.time, p.conditioning, p.rule.kind == COLLAPSE_AWARE, names)
+    # Neither order changes the kernel, so sorting both keys it by sets.
+    names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
+    layout, m = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
     psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
     weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
     if not weights.min(initial=np.inf) >= IMPOSSIBLE_MASS:
@@ -204,20 +216,6 @@ def predict_distribution(
     return born_distribution(spec, psi, total)
 
 
-@lru_cache(maxsize=None)
-def record_readout_spec(var: str) -> MeasurementSpec:
-    """Measurement whose outcome reproduces a record variable."""
-    if var == "r":
-        return protocol.coin_measurement()
-    if var == "z":
-        return pointer_readout_spec(protocol.LAYOUT, protocol.F, protocol.F_POINTER_LABELS)
-    if var == "wbar":
-        return protocol.wbar_measurement()
-    if var == "w":
-        return protocol.w_measurement()
-    raise ValueError(f"unknown record variable {var!r}")
-
-
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:
     """Distribution a perspective assigns to a record variable, 'other' outcomes merged."""
-    return protocol.merge_other(predict_distribution(p, record_readout_spec(var), theta))
+    return protocol.merge_other(predict_distribution(p, RECORD_READOUTS[var], theta))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -146,63 +145,28 @@ def coin_amplitudes(theta: float = 0.0) -> np.ndarray:
     return np.array([_SQRT_THIRD, np.exp(1j * theta) * _SQRT_TWO_THIRDS])
 
 
-@lru_cache(maxsize=None)
-def coin_measurement() -> MeasurementSpec:
-    return pointer_readout_spec(LAYOUT, R, (HEADS, TAILS))
+COIN_MEASUREMENT = pointer_readout_spec(LAYOUT, R, (HEADS, TAILS))
+# Spin readout in the down/up basis, labeled by the recorded z value.
+SPIN_MEASUREMENT = pointer_readout_spec(LAYOUT, S, (Z_MINUS, Z_PLUS))
+# The x-polarized spin (|down> + |up>)/sqrt(2).
+SPIN_RIGHT_STATE = superpose([(np.sqrt(0.5), vec) for _, vec in SPIN_MEASUREMENT.outcomes])
 
-
-@lru_cache(maxsize=None)
-def spin_measurement() -> MeasurementSpec:
-    """Spin readout in the down/up basis, labeled by the recorded z value."""
-    return pointer_readout_spec(LAYOUT, S, (Z_MINUS, Z_PLUS))
-
-
-@lru_cache(maxsize=None)
-def spin_right_state() -> StateVector:
-    """The x-polarized spin (|down> + |up>)/sqrt(2)."""
-    (_, down), (_, up) = spin_measurement().outcomes
-    return superpose([(np.sqrt(0.5), down), (np.sqrt(0.5), up)])
-
-
-@lru_cache(maxsize=None)
-def spin_preparation_rotation() -> Operator:
-    """Unitary turning |down> into the x-polarized spin (used on a tails outcome)."""
-    m = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    return Operator(LAYOUT.sub((S,)), m, kind="unitary")
-
-
-@lru_cache(maxsize=None)
-def coin_dilation() -> DilationSpec:
-    """Measure-and-prepare step of the coin friend as a single interaction.
-
-    The outcome is written into the Fbar memory; a tails outcome additionally
-    rotates the outgoing spin from |down> to the x-polarized state.
-    """
-    return DilationSpec(
-        measurement=coin_measurement(),
-        memory=FBAR,
-        pointer_map=((HEADS, 1), (TAILS, 2)),
-        preparations=((TAILS, spin_preparation_rotation()),),
-    )
-
-
-@lru_cache(maxsize=None)
-def spin_dilation() -> DilationSpec:
-    return DilationSpec(
-        measurement=spin_measurement(),
-        memory=F,
-        pointer_map=((Z_MINUS, 1), (Z_PLUS, 2)),
-    )
-
-
-@lru_cache(maxsize=None)
-def coin_interaction() -> Operator:
-    return build_dilation(coin_dilation(), LAYOUT)
-
-
-@lru_cache(maxsize=None)
-def spin_interaction() -> Operator:
-    return build_dilation(spin_dilation(), LAYOUT)
+# Measure-and-prepare step of the coin friend as a single interaction.  The
+# outcome is written into the Fbar memory; a tails outcome additionally
+# rotates the outgoing spin from |down> to the x-polarized state.
+COIN_DILATION = DilationSpec(
+    measurement=COIN_MEASUREMENT,
+    memory=FBAR,
+    pointer_map=((HEADS, 1), (TAILS, 2)),
+    preparations=(
+        (TAILS, Operator(LAYOUT.sub((S,)), np.array([[1, -1], [1, 1]]) / np.sqrt(2.0), "unitary")),
+    ),
+)
+SPIN_DILATION = DilationSpec(
+    measurement=SPIN_MEASUREMENT,
+    memory=F,
+    pointer_map=((Z_MINUS, 1), (Z_PLUS, 2)),
+)
 
 
 def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec:
@@ -223,36 +187,35 @@ def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec
     )
 
 
-@lru_cache(maxsize=None)
-def wbar_measurement() -> MeasurementSpec:
-    """Lbar observer's basis: okbar/failbar listed, completed with ``other_k``."""
-    return _lab_basis((R, FBAR), OKBAR, FAILBAR)
+# Lbar observer's basis: okbar/failbar listed, completed with ``other_k``.
+WBAR_MEASUREMENT = _lab_basis((R, FBAR), OKBAR, FAILBAR)
+W_MEASUREMENT = _lab_basis((S, F), OK, FAIL)
 
 
-@lru_cache(maxsize=None)
-def w_measurement() -> MeasurementSpec:
-    return _lab_basis((S, F), OK, FAIL)
-
-
-@lru_cache(maxsize=None)
-def _coin_branches(time: str) -> tuple[np.ndarray, np.ndarray]:
-    """Global state at a checkpoint for a coin starting in heads, and in tails.
+def _checkpoint_branches() -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+    """Global state at each unitary checkpoint for a coin starting in heads, and in tails.
 
     The dynamics is linear, so the state for any coin phase is the coin
-    amplitudes times these two: the phase enters in closed form.
+    amplitudes times these two: the phase enters in closed form.  The
+    amplitude arrays are read-only.
     """
-    steps = {T00: (), T10: (coin_interaction(),), T20: (coin_interaction(), spin_interaction())}
-    if time not in steps:
-        raise ValueError(f"no unitary checkpoint state at {time!r}")
     heads, tails = basis_state(LAYOUT, (0, 0, 0, 0)), basis_state(LAYOUT, (1, 0, 0, 0))
-    for step in steps[time]:
+    branches = {T00: (heads.amplitudes, tails.amplitudes)}
+    for time, dilation in ((T10, COIN_DILATION), (T20, SPIN_DILATION)):
+        step = build_dilation(dilation, LAYOUT)
         heads, tails = apply(step, heads), apply(step, tails)
-    return heads.amplitudes, tails.amplitudes
+        branches[time] = (heads.amplitudes, tails.amplitudes)
+    return MappingProxyType(branches)
+
+
+_BRANCHES = _checkpoint_branches()
 
 
 def _global_amplitudes(theta: float, time: str) -> np.ndarray:
     """Amplitudes of ``global_state``, unvalidated."""
-    heads, tails = _coin_branches(time)
+    if time not in _BRANCHES:
+        raise ValueError(f"no unitary checkpoint state at {time!r}")
+    heads, tails = _BRANCHES[time]
     a_heads, a_tails = coin_amplitudes(theta)
     return a_heads * heads + a_tails * tails
 
@@ -281,6 +244,19 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 
 _PRUNE = 1e-15
 
+# The θ-free factors of both exact tables, read-only: Lbar's and L's
+# conjugated bases, the same two as squared moduli, the coin record ``r``
+# each Lbar outcome reads out and the spin record ``z`` each L outcome reads
+# out.  Then the merged ``wbar`` and ``w`` labels.
+_LBAR_DUAL, _L_DUAL = WBAR_MEASUREMENT.basis.conj(), W_MEASUREMENT.basis.conj()
+_LBAR_WEIGHTS, _L_WEIGHTS = np.abs(WBAR_MEASUREMENT.basis) ** 2, np.abs(W_MEASUREMENT.basis) ** 2
+_R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
+_Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
+for _arr in (_LBAR_DUAL, _L_DUAL, _LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
+    _arr.setflags(write=False)
+_WBAR_LABELS = tuple(map(_simplify, WBAR_MEASUREMENT.labels))
+_W_LABELS = tuple(map(_simplify, W_MEASUREMENT.labels))
+
 
 def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     """(6, 6) probabilities of the observers' completed (wbar, w) outcomes.
@@ -291,36 +267,16 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     which is the pointer-basis dephasing left by the friends' records.
     """
     psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
-    lbar_dual, l_dual, lbar_weights, l_weights = _observers()[:4]
     if config.semantics == UNITARY:
-        return np.abs(lbar_dual @ psi @ l_dual.T) ** 2
-    return lbar_weights @ np.abs(psi) ** 2 @ l_weights.T
-
-
-@lru_cache(maxsize=None)
-def _observers() -> tuple:
-    """The θ-free factors of both exact tables; the arrays are read-only.
-
-    Lbar's and L's conjugated bases, the same two as squared moduli, the
-    coin record ``r`` each Lbar outcome reads out and the spin record ``z``
-    each L outcome reads out, and the merged ``wbar`` and ``w`` labels.
-    """
-    lbar, l = wbar_measurement(), w_measurement()
-    lbar_weights, l_weights = np.abs(lbar.basis) ** 2, np.abs(l.basis) ** 2
-    r_read = lbar_weights.reshape(6, 2, 3).sum(axis=2)
-    z_read = l_weights.reshape(6, 2, 3).sum(axis=1)
-    arrays = (lbar.basis.conj(), l.basis.conj(), lbar_weights, l_weights, r_read, z_read)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays + tuple(tuple(map(_simplify, spec.labels)) for spec in (lbar, l))
+        return np.abs(_LBAR_DUAL @ psi @ _L_DUAL.T) ** 2
+    return _LBAR_WEIGHTS @ np.abs(psi) ** 2 @ _L_WEIGHTS.T
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
-    wbar_labels, w_labels = _observers()[6:]
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    for wb, row in zip(wbar_labels, _announcement_probs(config).tolist()):
-        for w, p in zip(w_labels, row):
+    for wb, row in zip(_WBAR_LABELS, _announcement_probs(config).tolist()):
+        for w, p in zip(_W_LABELS, row):
             cells[(wb, w)] += p
     return JointDistribution(cells)
 
@@ -334,18 +290,17 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     unitary semantics they are read out of the observers' post-measurement
     lab states, so the announcements come first.
     """
-    _, _, b_lbar, b_l, r_read, z_read, wbar_labels, w_labels = _observers()
     if config.semantics == UNITARY:
         probs = _announcement_probs(config)
-        table = probs[:, :, None, None] * r_read[:, None, :, None] * z_read[None, :, None, :]
+        table = probs[:, :, None, None] * _R_READ[:, None, :, None] * _Z_READ[None, :, None, :]
         axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
     else:
         pointer = np.abs(_global_amplitudes(config.theta, T20).reshape(2, 3, 2, 3)) ** 2
         table = np.einsum(
-            "kaf,afsz,jsz->azkj", b_lbar.reshape(6, 2, 3), pointer, b_l.reshape(6, 2, 3)
+            "kaf,afsz,jsz->azkj", _LBAR_WEIGHTS.reshape(6, 2, 3), pointer, _L_WEIGHTS.reshape(6, 2, 3)
         )
         axes = (0, 1, 2, 3)
-    labels = ((HEADS, TAILS), F_POINTER_LABELS, wbar_labels, w_labels)
+    labels = ((HEADS, TAILS), F_POINTER_LABELS, _WBAR_LABELS, _W_LABELS)
     out: dict[tuple[str, str, str, str], float] = {}
     for idx in zip(*np.nonzero(table >= _PRUNE)):
         key = tuple(labels[v][idx[axes[v]]] for v in range(4))

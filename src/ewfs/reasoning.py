@@ -294,7 +294,7 @@ def _perspective(
 
 
 # The premise reads the spin in the x basis; θ-free, built once.
-_PREMISE_SPEC = MeasurementSpec((protocol.S,), (("right", protocol.spin_right_state()),))
+_PREMISE_SPEC = MeasurementSpec((protocol.S,), (("right", protocol.SPIN_RIGHT_STATE),))
 _PREMISE_DESCRIPTION = "spin is pure x-polarized | r=tails"
 
 

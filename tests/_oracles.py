@@ -47,9 +47,9 @@ from ewfs.measurement import (
 from ewfs.perspectives import (
     _TIME_INDEX,
     COLLAPSE_AWARE,
+    RECORD_READOUTS,
     RECORDS,
     NotEvaluableError,
-    record_readout_spec,
 )
 from ewfs.qcore import (
     DEFAULT_ATOL,
@@ -283,10 +283,10 @@ def _projector(vec: np.ndarray, first_axis: int) -> np.ndarray:
 def collapse_steps():
     """(record, [(label, projector)], interaction that follows), in protocol order."""
     specs = (
-        ("r", protocol.coin_measurement(), 0, protocol.coin_interaction().matrix),
-        ("z", protocol.spin_measurement(), 2, protocol.spin_interaction().matrix),
-        ("wbar", protocol.wbar_measurement(), 0, np.eye(36)),
-        ("w", protocol.w_measurement(), 2, np.eye(36)),
+        ("r", protocol.COIN_MEASUREMENT, 0, build_dilation(protocol.COIN_DILATION, protocol.LAYOUT).matrix),
+        ("z", protocol.SPIN_MEASUREMENT, 2, build_dilation(protocol.SPIN_DILATION, protocol.LAYOUT).matrix),
+        ("wbar", protocol.WBAR_MEASUREMENT, 0, np.eye(36)),
+        ("w", protocol.W_MEASUREMENT, 2, np.eye(36)),
     )
     return [
         (record, [("other" if l.startswith("other_") else l, _projector(v.amplitudes, axis))
@@ -391,7 +391,7 @@ def _record_outcomes(var: str) -> tuple[tuple[str, tuple[str, ...], np.ndarray],
     protocol's reachable states the listed failbar vector is the only
     complement component with support, so slicing on it alone is exact there.
     """
-    spec = record_readout_spec(var)
+    spec = RECORD_READOUTS[var]
     return tuple((label, spec.target, vec.amplitudes) for label, vec in spec.outcomes)
 
 
@@ -451,9 +451,9 @@ def lab_lbar_spin_state(theta: float = 0.0) -> StateVector:
 def lab_l_state_from_right_spin() -> StateVector:
     """Pure state of lab L produced by feeding it an x-polarized spin."""
     sub = protocol.LAYOUT.sub((protocol.S, protocol.F))
-    u = build_dilation(protocol.spin_dilation(), sub)
+    u = build_dilation(protocol.SPIN_DILATION, sub)
     f0 = basis_state(protocol.LAYOUT.sub((protocol.F,)), (0,))
-    return apply(u, tensor_all(protocol.spin_right_state(), f0))
+    return apply(u, tensor_all(protocol.SPIN_RIGHT_STATE, f0))
 
 
 def pointer_labels(dilation: DilationSpec, memory_dim: int, ready: str = "init") -> tuple[str, ...]:

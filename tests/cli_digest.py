@@ -10,6 +10,8 @@ run's argv, exit code, stdout and stderr:
 * ``perspectives`` for every agent x checkpoint x rule x conditioning in
   {none, r=tails, z=+1/2, wbar=okbar};
 * ``mc`` for both semantics with ``--rounds 2000 --seed 7`` (``MC_ARGS``);
+* ``perspectives`` for every agent x checkpoint x rule with the default
+  registers named in reverse through ``--subsystems`` (``reversed_grid``);
 * each as a table and as ``--json``, at every angle in ``THETAS``.
 
 The digest also covers the ``repr`` of every assigned-state purity on the
@@ -19,6 +21,10 @@ unchanged output prints the same two lines on its parent and on the change.
 With ``--runs`` it first prints one line per run (argv, exit code, sha256 of
 stdout + stderr) and one line per sweep purity (angle, perspective, ``repr``
 of the value), so ``diff`` of two checkouts' output names what moved.
+
+Register order changes no output: a reversed-order run whose exit code or
+output differs from its default-order twin is named on a ``moved by
+register order`` line, and the script exits 1.
 
 pytest does not collect this file.
 """
@@ -66,6 +72,21 @@ def mc_grid(theta: str) -> list[list[str]]:
     return [["mc", "--semantics", sem, *MC_ARGS, "--theta", theta] for sem in ("collapse", "unitary")]
 
 
+def reversed_grid(theta: str) -> list[tuple[list[str], list[str]]]:
+    """(reversed-register argv, its default-order twin in ``grid``) at one angle.
+
+    Kept out of ``grid`` so its golden groups stay as pinned.
+    """
+    pairs = []
+    for agent in perspectives.AGENTS:
+        for time in perspectives.TIMES:
+            for rule in cli.RULE_FLAGS:
+                twin = ["perspectives", "--agent", agent, "--time", time, "--rule", rule, "--theta", theta]
+                registers = ",".join(reversed(default_registers(time)))
+                pairs.append((twin[:7] + ["--subsystems", registers] + twin[7:], twin))
+    return pairs
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -86,15 +107,27 @@ def main(args: list[str] | None = None) -> int:
     os.environ["COLUMNS"] = "10000"
     digest = hashlib.sha256()
     count = 0
+    moved = []
+
+    def record(argv: list[str]) -> tuple[int, str]:
+        nonlocal count
+        code, out, err = run(argv)
+        digest.update(repr((argv, code, out, err)).encode("utf-8"))
+        count += 1
+        output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
+        if show:
+            print(f"run {' '.join(argv)}  exit {code}  sha256 {output}")
+        return code, output
+
     for theta in THETAS:
+        seen = {}
         for argv in grid(theta) + mc_grid(theta):
             for fmt in ([], ["--json"]):
-                code, out, err = run(argv + fmt)
-                digest.update(repr((argv + fmt, code, out, err)).encode("utf-8"))
-                count += 1
-                if show:
-                    output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
-                    print(f"run {' '.join(argv + fmt)}  exit {code}  sha256 {output}")
+                seen[tuple(argv + fmt)] = record(argv + fmt)
+        for argv, twin in reversed_grid(theta):
+            for fmt in ([], ["--json"]):
+                if record(argv + fmt) != seen[tuple(twin + fmt)]:
+                    moved.append(" ".join(argv + fmt))
         for agent, time, cond, rule in SWEEP_GRID:
             p = perspectives.Perspective(agent, time, cond, perspectives.AssignmentRule(rule))
             rho = perspectives.assign(p, default_registers(time), float(theta))
@@ -104,7 +137,9 @@ def main(args: list[str] | None = None) -> int:
                 print(f"purity {theta} {agent} {time} {cond} {rule} {purity!r}")
     print(f"runs {count}")
     print(f"sha256 {digest.hexdigest()}")
-    return 0
+    for argv in moved:
+        print(f"moved by register order: {argv}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -83,10 +83,10 @@ def test_criterion_02_full_unitary_joint_vs_oracle():
 
 
 def test_criterion_03_orthogonality_identities():
-    ok = dict(protocol.w_measurement().outcomes)["ok"]
+    ok = dict(protocol.W_MEASUREMENT.outcomes)["ok"]
     a = abs(inner(ok, lab_l_state_from_right_spin()))
-    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
-    okbar_down = tensor(okbar, dict(protocol.spin_measurement().outcomes)["-1/2"])
+    okbar = dict(protocol.WBAR_MEASUREMENT.outcomes)["okbar"]
+    okbar_down = tensor(okbar, dict(protocol.SPIN_MEASUREMENT.outcomes)["-1/2"])
     b = abs(inner(okbar_down, lab_lbar_spin_state(0.0)))
     ok = a < 1e-12 and b < 1e-12
     report(3, ok, f"|<ok|lab-L pure>| = {a:.3e}, |<okbar,down|entangled>| = {b:.3e}")
@@ -97,12 +97,12 @@ def test_criterion_04_mixture_predictions():
         Perspective("W", "n:20", (("r", "tails"),), AssignmentRule(COLLAPSE_AWARE)),
         ("S", "F"),
     )
-    p_ok = outcome_distribution(rho_l, protocol.w_measurement())["ok"]
+    p_ok = outcome_distribution(rho_l, protocol.W_MEASUREMENT)["ok"]
     rho_lbar_s = assign(
         Perspective("Wbar", "n:10", (), AssignmentRule(COLLAPSE_AWARE)),
         ("R", "Fbar", "S"),
     )
-    joint_spec = product_spec(protocol.wbar_measurement(), protocol.spin_measurement())
+    joint_spec = product_spec(protocol.WBAR_MEASUREMENT, protocol.SPIN_MEASUREMENT)
     p_joint = outcome_distribution(rho_lbar_s, joint_spec)["okbar&-1/2"]
     ok = abs(p_ok - 0.5) < 1e-12 and abs(p_joint - 1.0 / 3.0) < 1e-12
     report(4, ok, f"<ok|rho_L|ok> = {p_ok!r} (want 1/2), tr(rho Pi_okbar Pi_down) = {p_joint!r} (want 1/3)")
@@ -139,15 +139,15 @@ def _deferred_gap(state, measurement, dilation, layout) -> float:
 def test_criterion_06_deferred_measurement_equivalence():
     gaps = []
     gaps.append(
-        _deferred_gap(initial_state(0.0), protocol.coin_measurement(),
-                      protocol.coin_dilation(), protocol.LAYOUT)
+        _deferred_gap(initial_state(0.0), protocol.COIN_MEASUREMENT,
+                      protocol.COIN_DILATION, protocol.LAYOUT)
     )
     gaps.append(
-        _deferred_gap(protocol.global_state(0.0, "n:10"), protocol.spin_measurement(),
-                      protocol.spin_dilation(), protocol.LAYOUT)
+        _deferred_gap(protocol.global_state(0.0, "n:10"), protocol.SPIN_MEASUREMENT,
+                      protocol.SPIN_DILATION, protocol.LAYOUT)
     )
-    for measurement, mem in ((protocol.wbar_measurement(), "Wbarmem"),
-                             (protocol.w_measurement(), "Wmem")):
+    for measurement, mem in ((protocol.WBAR_MEASUREMENT, "Wbarmem"),
+                             (protocol.W_MEASUREMENT, "Wmem")):
         layout = SpaceLayout(protocol.LAYOUT.subsystems + ((mem, 7),))
         completed = measurement
         dspec = DilationSpec(

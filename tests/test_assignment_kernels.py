@@ -7,9 +7,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewfs import perspectives, qcore
+from ewfs import cli, perspectives, protocol, qcore
 from ewfs.perspectives import (
     AGENTS,
+    RECORD_READOUTS,
     RECORDS,
     RULE_KINDS,
     TIMES,
@@ -18,7 +19,6 @@ from ewfs.perspectives import (
     Perspective,
     assign,
     record_distribution,
-    record_readout_spec,
 )
 from ewfs.protocol import merge_other
 from ewfs.reasoning import RULESET_NAMES, audit
@@ -90,7 +90,7 @@ def test_assign_matches_branch_walk(theta):
     def readout(p, var):
         key = (p.time, p.conditioning, p.rule.kind, var)
         if key not in read:
-            spec = record_readout_spec(var)
+            spec = RECORD_READOUTS[var]
             rho = walk(p, spec.target)
             read[key] = None if rho is None else merge_other(outcome_distribution(rho, spec))
         return read[key]
@@ -129,14 +129,46 @@ def test_kernel_arrays_are_read_only():
     assign(p, ("S", "F"), 0.4)
     record_distribution(p, "wbar", 0.4)
     _, branches = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
-    for arr in (branches, record_readout_spec("wbar").basis):
+    for arr in (branches, RECORD_READOUTS["wbar"].basis):
         assert arr.flags.writeable is False
-    for _, proj in perspectives._projectors("wbar"):
+    for _, proj in perspectives._PROJECTORS["wbar"]:
         assert proj.flags.writeable is False
 
 
-def test_record_readout_spec_is_built_once():
-    assert record_readout_spec("z") is record_readout_spec("z")
+def test_record_readouts_are_the_protocol_specs():
+    assert RECORD_READOUTS["r"] is protocol.COIN_MEASUREMENT
+    assert RECORD_READOUTS["wbar"] is protocol.WBAR_MEASUREMENT
+    assert RECORD_READOUTS["w"] is protocol.W_MEASUREMENT
+    specs = dict(cli._PREDICTION_SPECS)
+    assert specs["coin"] is protocol.COIN_MEASUREMENT
+    assert specs["spin"] is protocol.SPIN_MEASUREMENT
+    assert specs["wbar"] is protocol.WBAR_MEASUREMENT
+    assert specs["w"] is protocol.W_MEASUREMENT
+    assert protocol.COIN_DILATION.measurement is protocol.COIN_MEASUREMENT
+    assert protocol.SPIN_DILATION.measurement is protocol.SPIN_MEASUREMENT
+
+
+def test_kernel_cache_is_keyed_canonically():
+    # Every valid perspective, every order of its conditioning and every
+    # ordered tuple of one to four registers: the kernel depends on neither
+    # order, so the cache holds one entry per (checkpoint, conditioning set,
+    # collapse, register set).
+    perspectives._kernel.cache_clear()
+    orders = [o for k in range(1, 5) for o in itertools.permutations(ALL_REGISTERS, k)]
+    calls = 0
+    for p in PERSPECTIVES:
+        for cond in itertools.permutations(p.conditioning):
+            q = Perspective(p.agent, p.time, cond, p.rule)
+            for names in orders:
+                calls += 1
+                _outcome(assign, q, names, 0.3)
+    assert calls == 49_920
+    assert perspectives._kernel.cache_info().currsize == 1_200
+    p = Perspective("W", "n:30", (("z", "+1/2"), ("r", "tails")), AssignmentRule("collapse-aware"))
+    swapped = Perspective("W", "n:30", (("r", "tails"), ("z", "+1/2")), AssignmentRule("collapse-aware"))
+    want = assign(p, ("S", "F"), 0.3).matrix
+    for q, names in ((p, ("F", "S")), (swapped, ("S", "F")), (swapped, ("F", "S"))):
+        assert assign(q, names, 0.3).matrix.tobytes() == want.tobytes()
 
 
 def _sweep_op(theta):
@@ -163,8 +195,7 @@ def _count_calls(monkeypatch, fn, counts, key):
 
 
 def _kernel_cache_sizes():
-    caches = (perspectives._kernel, perspectives._projectors)
-    return [cache.cache_info().currsize for cache in caches]
+    return [perspectives._kernel.cache_info().currsize]
 
 
 def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monkeypatch):

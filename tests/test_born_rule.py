@@ -27,16 +27,16 @@ SUB_LAYOUTS = (("R", "Fbar", "S", "F"), ("R", "Fbar", "S"), ("Fbar", "S", "F"), 
                ("R", "Fbar"), ("Fbar",), ("F",))
 # A listed basis that spans its target, and one that the spec completes.
 LISTED_SPECS = {
-    ("S", "F"): protocol.w_measurement,
-    ("Fbar",): lambda: pointer_readout_spec(LAYOUT, "Fbar", SLOT_LABELS),
-    ("R", "Fbar"): protocol.wbar_measurement,
-    ("F",): lambda: pointer_readout_spec(LAYOUT, "F", SLOT_LABELS),
+    ("S", "F"): protocol.W_MEASUREMENT,
+    ("Fbar",): pointer_readout_spec(LAYOUT, "Fbar", SLOT_LABELS),
+    ("R", "Fbar"): protocol.WBAR_MEASUREMENT,
+    ("F",): pointer_readout_spec(LAYOUT, "F", SLOT_LABELS),
 }
 PROTOCOL_SPECS = (
-    protocol.coin_measurement,
-    protocol.spin_measurement,
-    protocol.wbar_measurement,
-    protocol.w_measurement,
+    protocol.COIN_MEASUREMENT,
+    protocol.SPIN_MEASUREMENT,
+    protocol.WBAR_MEASUREMENT,
+    protocol.W_MEASUREMENT,
 )
 
 
@@ -76,7 +76,7 @@ def test_ket_density_and_projection_agree(target, names, listed, weight, seed):
     layout = LAYOUT.sub(names)
     rng = np.random.default_rng(seed)
     d = LAYOUT.sub(target).total_dim
-    spec = LISTED_SPECS[target]() if listed == 0 else _random_spec(target, min(listed, d), rng)
+    spec = LISTED_SPECS[target] if listed == 0 else _random_spec(target, min(listed, d), rng)
     assert len(spec.outcomes) == d
     ket, other = _random_ket(layout, rng), _random_ket(layout, rng)
     want = _oracle(ket, spec)
@@ -116,8 +116,7 @@ def test_predict_distribution_is_the_born_rule_on_the_assigned_state():
     not_evaluable = 0
     for theta in PREDICT_ANGLES:
         for p in PREDICT_PERSPECTIVES:
-            for build in PROTOCOL_SPECS:
-                spec = build()
+            for spec in PROTOCOL_SPECS:
                 rho = _outcome(assign, p, spec.target, theta)
                 got = _outcome(predict_distribution, p, spec, theta)
                 assert (rho is None) == (got is None), (p, spec.target, theta)
@@ -134,15 +133,15 @@ def test_predict_distribution_checks_the_target_order():
     reordered = qcore.SpaceLayout((("F", 3), ("S", 2)))
     outcomes = tuple(
         (label, StateVector(reordered, vec.amplitudes.reshape(2, 3).T.reshape(-1)))
-        for label, vec in protocol.w_measurement().outcomes
+        for label, vec in protocol.W_MEASUREMENT.outcomes
     )
     with pytest.raises(ValueError, match="measurement targets"):
         predict_distribution(p, MeasurementSpec(("F", "S"), outcomes))
 
 
 def test_spec_basis_is_read_only_and_built_once():
-    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
-    specs = [build() for build in PROTOCOL_SPECS] + [
+    okbar = dict(protocol.WBAR_MEASUREMENT.outcomes)["okbar"]
+    specs = list(PROTOCOL_SPECS) + [
         pointer_readout_spec(LAYOUT, "F", SLOT_LABELS),
         MeasurementSpec(("R", "Fbar"), (("okbar", okbar),)),
     ]
@@ -159,8 +158,8 @@ def test_spec_basis_is_read_only_and_built_once():
 def _predict_grid(theta):
     for agent, time, cond, rule in SWEEP_GRID:
         p = Perspective(agent, time, cond, AssignmentRule(rule))
-        for build in PROTOCOL_SPECS:
-            predict_distribution(p, build(), theta)
+        for spec in PROTOCOL_SPECS:
+            predict_distribution(p, spec, theta)
         for var in RECORDS:
             _outcome(record_distribution, p, var, theta)
 

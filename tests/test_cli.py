@@ -259,12 +259,19 @@ def test_perspectives_predictions_come_from_predict_distribution(theta):
         cond = tuple((c["var"], c["value"]) for c in payload["conditioning"])
         p = perspectives.Perspective(payload["agent"], payload["time"], cond, payload["rule"])
         for pred in payload["predictions"]:
-            spec = dict(cli._PREDICTION_SPECS)[pred["measurement"]]()
+            spec = dict(cli._PREDICTION_SPECS)[pred["measurement"]]
             want = merge_other(perspectives.predict_distribution(p, spec, float(theta)))
             got = {o["label"]: o["probability"]["value"] for o in pred["outcomes"]}
             assert got == want, (argv, pred["measurement"])
             checked += 1
     assert checked > 0
+
+
+def test_register_order_moves_no_byte():
+    # --subsystems in reverse prints what the default order prints, table and JSON.
+    for argv, twin in cli_digest.reversed_grid("0.7"):
+        for fmt in ([], ["--json"]):
+            assert cli_digest.run(argv + fmt) == cli_digest.run(twin + fmt), argv
 
 
 def test_perspectives_not_evaluable_exit_code():

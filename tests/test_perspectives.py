@@ -97,30 +97,30 @@ def test_spin_premise_pure_under_every_rule():
         agent = "Fbar" if rule == OWN_RECORD_PURE else "W"
         rho = assign(persp(agent if rule != OWN_RECORD_PURE else "Fbar", "n:10",
                            [("r", "tails")], rule), ("S",), theta=1.3)
-        want = pure_density(protocol.spin_right_state()).matrix
+        want = pure_density(protocol.SPIN_RIGHT_STATE).matrix
         assert np.allclose(rho.matrix, want, atol=1e-12)
 
 
 def test_predict_fail_certain_for_own_record():
     p = persp("Fbar", "n:20", [("r", "tails")], OWN_RECORD_PURE)
-    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.0, abs=1e-12)
-    assert predict_distribution(p, protocol.w_measurement())["fail"] == pytest.approx(1.0, abs=1e-12)
+    assert predict_distribution(p, protocol.W_MEASUREMENT)["ok"] == pytest.approx(0.0, abs=1e-12)
+    assert predict_distribution(p, protocol.W_MEASUREMENT)["fail"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_half_under_collapse_mixture():
     p = persp("W", "n:20", [("r", "tails")], COLLAPSE_AWARE)
-    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.5, abs=1e-12)
+    assert predict_distribution(p, protocol.W_MEASUREMENT)["ok"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_predict_conditional_on_announcement():
     p = persp("Wbar", "n:30", [("wbar", "okbar")])
-    assert predict_distribution(p, protocol.w_measurement())["ok"] == pytest.approx(0.5, abs=1e-12)
+    assert predict_distribution(p, protocol.W_MEASUREMENT)["ok"] == pytest.approx(0.5, abs=1e-12)
     z = record_distribution(p, "z")
     assert z["+1/2"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_joint_event_pure_vs_mixture():
-    joint = product_spec(protocol.wbar_measurement(), protocol.spin_measurement())
+    joint = product_spec(protocol.WBAR_MEASUREMENT, protocol.SPIN_MEASUREMENT)
     pure = predict_distribution(persp("Wbar", "n:10"), joint)["okbar&-1/2"]
     mixed = predict_distribution(persp("Wbar", "n:10", rule=COLLAPSE_AWARE), joint)["okbar&-1/2"]
     assert pure == pytest.approx(0.0, abs=1e-12)
@@ -130,7 +130,7 @@ def test_predict_joint_event_pure_vs_mixture():
 def test_predict_distribution_sums_to_one():
     for rule in (UNITARY_GLOBAL, COLLAPSE_AWARE):
         p = persp("Wbar", "n:10", rule=rule)
-        dist = predict_distribution(p, protocol.wbar_measurement())
+        dist = predict_distribution(p, protocol.WBAR_MEASUREMENT)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -192,7 +192,7 @@ def test_collapse_aware_equals_dephased_unitary(theta):
 def test_no_signaling_at_first_checkpoint():
     # at n:10 only the coin lab has measured; any statistics outside it agree
     # between the full collapse-aware and unitary-global rules
-    spin = protocol.spin_measurement()
+    spin = protocol.SPIN_MEASUREMENT
     d_unitary = predict_distribution(persp("Wbar", "n:10"), spin)
     d_collapse = predict_distribution(persp("Wbar", "n:10", rule=COLLAPSE_AWARE), spin)
     for label in d_unitary:
@@ -204,9 +204,9 @@ def test_no_signaling_per_lab(theta):
     # whether ONE lab's internal measurement collapsed or stayed unitary is
     # invisible to every measurement on that lab's complement
     cases = (
-        ("n:10", ("R", "Fbar"), protocol.spin_measurement()),
-        ("n:20", ("R", "Fbar"), protocol.w_measurement()),
-        ("n:20", ("S", "F"), protocol.wbar_measurement()),
+        ("n:10", ("R", "Fbar"), protocol.SPIN_MEASUREMENT),
+        ("n:20", ("R", "Fbar"), protocol.W_MEASUREMENT),
+        ("n:20", ("S", "F"), protocol.WBAR_MEASUREMENT),
     )
     for time, lab, spec in cases:
         rho = assign(persp("W", time), protocol.LAYOUT.names, theta)
@@ -240,7 +240,7 @@ def test_phase_survives_slicing_but_not_collapse():
     for theta in (0.0, 1.0, np.pi):
         rho_unit = assign(persp("W", "n:10", [("r", "tails")]), ("S",), theta)
         rho_coll = assign(persp("W", "n:10", [("r", "tails")], COLLAPSE_AWARE), ("S",), theta)
-        want = pure_density(protocol.spin_right_state()).matrix
+        want = pure_density(protocol.SPIN_RIGHT_STATE).matrix
         assert np.allclose(rho_unit.matrix, want, atol=1e-12)
         assert np.allclose(rho_coll.matrix, want, atol=1e-12)
 

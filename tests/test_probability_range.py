@@ -9,13 +9,20 @@ instead let merged predictions reach 1 + 4.4e-16.  Two scans check it:
   included);
 * every merged Born prediction of the four protocol measurements, for every
   agent x checkpoint x rule x single-record conditioning, at 20 angles.
+
+The output schema bounds the audit's statement and conclusion values to
+[0, 1] as well, so a payload outside it fails validation.
 """
 
+import copy
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import numpy as np
+import pytest
 
 from ewfs import perspectives, protocol
 from ewfs.perspectives import AGENTS, RECORDS, RULE_KINDS, TIMES, NotEvaluableError, Perspective
@@ -23,10 +30,10 @@ from ewfs.perspectives import AGENTS, RECORDS, RULE_KINDS, TIMES, NotEvaluableEr
 from cli_digest import THETAS, grid, mc_grid, run
 
 SPECS = (
-    protocol.coin_measurement,
-    protocol.spin_measurement,
-    protocol.wbar_measurement,
-    protocol.w_measurement,
+    protocol.COIN_MEASUREMENT,
+    protocol.SPIN_MEASUREMENT,
+    protocol.WBAR_MEASUREMENT,
+    protocol.W_MEASUREMENT,
 )
 CONDITIONS = ((),) + tuple(((var, value),) for var, (_, _, values) in RECORDS.items() for value in values)
 ANGLES = np.linspace(0.0, 2 * np.pi, 20)
@@ -69,10 +76,10 @@ def test_merged_predictions_lie_in_the_unit_interval():
                         p = Perspective(agent, time, cond, rule)
                     except ValueError:
                         continue  # a record that does not exist yet, or another agent's own record
-                    for build in SPECS:
+                    for spec in SPECS:
                         for theta in ANGLES:
                             try:
-                                dist = perspectives.predict_distribution(p, build(), theta)
+                                dist = perspectives.predict_distribution(p, spec, theta)
                             except NotEvaluableError:
                                 continue
                             merged = protocol.merge_other(dist)
@@ -82,3 +89,25 @@ def test_merged_predictions_lie_in_the_unit_interval():
                             ]
     assert checked > 10_000
     assert outside == []
+
+
+
+def test_schema_bounds_audit_values_to_the_unit_interval():
+    schema = json.loads(
+        (Path(perspectives.__file__).parent / "data" / "output.schema.json").read_text(encoding="utf-8")
+    )
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
+        payloads = [
+            json.loads(run(argv + ["--json"])[1])
+            for theta in THETAS
+            for argv in grid(theta)
+            if argv[0] == "audit"
+        ]
+    for payload in payloads:
+        jsonschema.validate(payload, schema)
+    statement, conclusion = copy.deepcopy(payloads[0]), copy.deepcopy(payloads[0])
+    statement["statements"][0]["value"] = 1.0000000000000004
+    conclusion["conclusion_value"] = -1e-300
+    for broken in (statement, conclusion):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, schema)

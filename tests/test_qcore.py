@@ -94,7 +94,7 @@ def test_tensor_builds_lab_pointer_state():
     # coin |heads> with memory slot 1 is the heads-lab pointer state, (okbar + failbar)/sqrt(2)
     r = basis_state(protocol.LAYOUT.sub(("R",)), (0,))
     m = basis_state(protocol.LAYOUT.sub(("Fbar",)), (1,))
-    observer = dict(protocol.wbar_measurement().outcomes)
+    observer = dict(protocol.WBAR_MEASUREMENT.outcomes)
     heads_lab = np.sqrt(0.5) * (observer["okbar"].amplitudes + observer["failbar"].amplitudes)
     assert np.allclose(tensor(r, m).amplitudes, heads_lab)
 
@@ -116,10 +116,10 @@ def test_tensor_is_associative_up_to_flattening():
 
 
 def test_inner_examples():
-    ok = dict(protocol.w_measurement().outcomes)["ok"]
+    ok = dict(protocol.W_MEASUREMENT.outcomes)["ok"]
     assert inner(ok, ok) == pytest.approx(1.0, abs=1e-12)
-    okbar = dict(protocol.wbar_measurement().outcomes)["okbar"]
-    okbar_down = tensor(okbar, dict(protocol.spin_measurement().outcomes)["-1/2"])
+    okbar = dict(protocol.WBAR_MEASUREMENT.outcomes)["okbar"]
+    okbar_down = tensor(okbar, dict(protocol.SPIN_MEASUREMENT.outcomes)["-1/2"])
     eq5 = lab_lbar_spin_state(0.0)
     assert abs(inner(okbar_down, eq5)) < 1e-12
     eq4 = lab_l_state_from_right_spin()
@@ -190,7 +190,7 @@ def test_dephase_fixed_point_on_diagonal_input():
 
 
 def test_dephase_right_spin():
-    rho = pure_density(protocol.spin_right_state())
+    rho = pure_density(protocol.SPIN_RIGHT_STATE)
     got = dephase(rho, "S")
     assert np.allclose(got.matrix, np.eye(2) / 2.0, atol=1e-12)
 
@@ -225,7 +225,7 @@ def test_embed_acts_as_identity_elsewhere():
 
 
 def test_superpose_and_mix_validation():
-    spin = dict(protocol.spin_measurement().outcomes)
+    spin = dict(protocol.SPIN_MEASUREMENT.outcomes)
     with pytest.raises(ValueError):
         superpose([(0.5, spin["-1/2"]), (0.5, spin["+1/2"])])
 

@@ -133,7 +133,7 @@ PREMISE_ANGLES = [0.0, np.pi, 2 * np.pi] + list(np.random.default_rng(15).unifor
 def test_premise_value_is_the_fidelity_with_the_x_polarized_spin():
     # The oracle builds the assigned spin state and its Uhlmann fidelity with
     # the pure x-polarized reference; the audit reads it as a Born certainty.
-    reference = pure_density(protocol.spin_right_state())
+    reference = pure_density(protocol.SPIN_RIGHT_STATE)
     for name in RULESET_NAMES:
         rs = builtin_ruleset(name)
         persp = Perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rs.rule_for(PREMISE_ID))
