@@ -42,7 +42,8 @@ class MeasurementSpec:
     The listed outcomes need not span the target space: construction
     appends deterministic ``other_k`` outcomes for the orthogonal complement.
     ``basis`` holds the completed outcome vectors as read-only rows, row k
-    for outcome k.
+    for outcome k, and ``bras`` their read-only conjugates, so that
+    ``bras @ ψ`` reads the amplitudes ``⟨o_k|ψ⟩``.
     """
 
     target: tuple[str, ...]
@@ -72,8 +73,11 @@ class MeasurementSpec:
         if len(self.outcomes) < first.total_dim:
             object.__setattr__(self, "outcomes", self.outcomes + _complement(first, list(rows)))
             rows = np.array([v.amplitudes for _, v in self.outcomes])
+        bras = rows.conj()
         rows.setflags(write=False)
+        bras.setflags(write=False)
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "bras", bras)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -120,8 +124,8 @@ def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float) -> d
     to.  Dividing by the masses' own sum instead keeps every probability in
     [0, 1]: in floating point no summand exceeds the sum.
     """
-    masses = (np.abs(spec.basis.conj() @ psi) ** 2).sum(axis=(0, 2))
-    mass = masses.sum()
+    masses = np.add.reduce(np.abs(spec.bras @ psi) ** 2, axis=(0, 2))
+    mass = np.add.reduce(masses)
     if not abs(mass / total - 1.0) <= DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {mass / total!r}, expected 1")
     return dict(zip(spec.labels, (masses / mass).tolist()))

@@ -29,14 +29,21 @@ enters only through the coin amplitudes in the contraction: branch ``b`` is
 ``IMPOSSIBLE_MASS``, and the state is ``Σ_b ψ_b ψ_b† / Σ_b ‖ψ_b‖²``.
 Combining the amplitudes before squaring keeps full precision near an
 interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` would cancel.
+
+Where the description holds a record of the coin, heads and tails do not
+interfere and θ drops out (see ``_kernel``).  Such a θ-free kernel is
+contracted, and its state built and checked, once, so every angle returns
+the same values.  Every other kernel is contracted at each angle, by the
+same function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -142,17 +149,61 @@ _PROJECTORS: Mapping[str, tuple[tuple[str, np.ndarray], ...]] = MappingProxyType
 })
 
 
+class _Kernel(NamedTuple):
+    """An assignment's kept layout and θ-free branches, plus what never depends on θ.
+
+    ``branches`` is the read-only array of shape (2, branches, kept dim, rest
+    dim): entry ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0)
+    or tails (i = 1), kept registers on the rows.  A θ-free kernel keeps its
+    read-only live branches with their total weight in ``live``, and their
+    state in ``state`` (``None`` if no branch is live); a θ-dependent one
+    keeps ``None`` in both.
+    """
+
+    layout: SpaceLayout
+    branches: np.ndarray
+    live: tuple[np.ndarray, float] | None
+    state: DensityMatrix | None
+
+
+def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
+    """The branches ``ψ_b = a_h M_h + a_t M_t`` that carry weight, and their total weight.
+
+    One pass over the weights decides liveness; the mask is built only when
+    a branch dies.  ``initial=inf`` lets a kernel with no branches left come
+    back empty.
+    """
+    psi = (amplitudes @ m.reshape(2, -1)).reshape(m.shape[1:])
+    weights = np.add.reduce(np.abs(psi) ** 2, axis=(1, 2))
+    if not np.minimum.reduce(weights, initial=np.inf) >= IMPOSSIBLE_MASS:
+        live = weights >= IMPOSSIBLE_MASS
+        psi, weights = psi[live], weights[live]
+    return psi, np.add.reduce(weights)
+
+
+def _rows(psi: np.ndarray) -> np.ndarray:
+    """Branches side by side: one row per kept basis state, for the Gram state."""
+    return psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
+
+
 @lru_cache(maxsize=None)
 def _kernel(
     time: str, conditioning: tuple[tuple[str, str], ...], collapse: bool, names: tuple[str, ...]
-) -> tuple[SpaceLayout, np.ndarray]:
+) -> _Kernel:
     """Kept layout and θ-free branches of an assignment to the named registers.
 
-    The read-only array has shape (2, branches, kept dim, rest dim): entry
-    ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0) or tails
-    (i = 1), kept registers on the rows.  A branch whose Gram trace is below
-    ``IMPOSSIBLE_MASS`` is dropped: its weight ``a†G a`` is below that at
-    every angle, and every later projection only shrinks it.
+    A branch whose Gram trace is below ``IMPOSSIBLE_MASS`` is dropped: its
+    weight ``a†G a`` is below that at every angle, and every later projection
+    only shrinks it.
+
+    The kernel is θ-free when no traced-out column ``j`` of a branch holds
+    both a heads and a tails amplitude (an exact ``!= 0`` test).  Then
+    ``M_h M_t† = 0``, so ``ψ_b ψ_b† = |a_h|² M_h M_h† + |a_t|² M_t M_t†``, its
+    weight and every Born probability read off it carry no phase: the
+    contraction runs once, at θ = 0, and its Gram state is built and checked
+    once.  That is so wherever the traced-out registers hold a record of
+    the coin, or the conditioning leaves one coin value: heads and tails no
+    longer interfere.
     """
     layout = protocol.LAYOUT.sub(names)
     cond = dict(conditioning)
@@ -172,27 +223,33 @@ def _kernel(
     m = m.transpose((1, 0) + tuple(2 + a for a in axes))
     m = m.reshape(2, len(branches), layout.total_dim, protocol.LAYOUT.total_dim // layout.total_dim)
     m.setflags(write=False)
-    return layout, m
+    columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
+    if (columns[0] & columns[1]).any():
+        return _Kernel(layout, m, None, None)
+    psi, total = _contract(m, protocol.coin_amplitudes(0.0))
+    psi.setflags(write=False)
+    state = DensityMatrix._gram(layout, _rows(psi), total) if len(psi) else None
+    return _Kernel(layout, m, (psi, total), state)
 
 
 def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
-    """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight.
+    """The kernel, the branches ``ψ_b`` that carry weight at θ, and their total weight.
 
-    One pass over the weights decides liveness; the mask is built only when
-    a branch dies.  ``initial=inf`` lets a kernel with no branches left reach
-    the ``NotEvaluableError`` below.
+    A non-finite θ is refused before a kernel is read: a θ-free kernel would
+    otherwise answer for it with its θ = 0 state.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     # Neither order changes the kernel, so sorting both keys it by sets.
     names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
-    layout, m = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
-    psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
-    weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
-    if not weights.min(initial=np.inf) >= IMPOSSIBLE_MASS:
-        live = weights >= IMPOSSIBLE_MASS
-        psi, weights = psi[live], weights[live]
+    kernel = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
+    if kernel.live is None:
+        psi, total = _contract(kernel.branches, protocol.coin_amplitudes(theta))
+    else:
+        psi, total = kernel.live
     if not len(psi):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
-    return layout, psi, weights.sum()
+    return kernel, psi, total
 
 
 def assign(
@@ -202,17 +259,18 @@ def assign(
 ) -> DensityMatrix:
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
-    layout, psi, total = _live_branches(p, names, theta)
-    rows = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
-    return DensityMatrix._gram(layout, rows, total)
+    kernel, psi, total = _live_branches(p, names, theta)
+    if kernel.state is not None:
+        return kernel.state
+    return DensityMatrix._gram(kernel.layout, _rows(psi), total)
 
 
 def predict_distribution(
     p: Perspective, spec: MeasurementSpec, theta: float = 0.0
 ) -> dict[str, float]:
     """Born probabilities under the assigned state, read off its live branches without building it."""
-    layout, psi, total = _live_branches(p, spec.target, theta)
-    _check_target(layout, spec)
+    kernel, psi, total = _live_branches(p, spec.target, theta)
+    _check_target(kernel.layout, spec)
     return born_distribution(spec, psi, total)
 
 

@@ -245,14 +245,14 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 _PRUNE = 1e-15
 
 # The θ-free factors of both exact tables, read-only: Lbar's and L's
-# conjugated bases, the same two as squared moduli, the coin record ``r``
+# conjugated bases (the specs' own `bras`), the same two as squared moduli, the coin record ``r``
 # each Lbar outcome reads out and the spin record ``z`` each L outcome reads
 # out.  Then the merged ``wbar`` and ``w`` labels.
-_LBAR_DUAL, _L_DUAL = WBAR_MEASUREMENT.basis.conj(), W_MEASUREMENT.basis.conj()
+_LBAR_DUAL, _L_DUAL = WBAR_MEASUREMENT.bras, W_MEASUREMENT.bras
 _LBAR_WEIGHTS, _L_WEIGHTS = np.abs(WBAR_MEASUREMENT.basis) ** 2, np.abs(W_MEASUREMENT.basis) ** 2
 _R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
 _Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
-for _arr in (_LBAR_DUAL, _L_DUAL, _LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
+for _arr in (_LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
     _arr.setflags(write=False)
 _WBAR_LABELS = tuple(map(_simplify, WBAR_MEASUREMENT.labels))
 _W_LABELS = tuple(map(_simplify, W_MEASUREMENT.labels))

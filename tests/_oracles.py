@@ -9,7 +9,9 @@ hold:
 
 * the branch walk that state assignment ran at every angle before its
   θ-free kernels (the reference they are checked against) with its
-  per-outcome projection (the Born rule's reference too);
+  per-outcome projection (the Born rule's reference too), and the per-angle
+  contraction of a kernel that every kernel ran before a θ-free one was
+  contracted once (``per_angle_live_branches``, ``per_angle_assign``);
 * test-only helpers that combine library values: the protocol fixtures the
   suite builds states from (coin state, initial state, the two lab states
   of the orthogonality identities, memory pointer labels), joint specs and
@@ -50,6 +52,7 @@ from ewfs.perspectives import (
     RECORD_READOUTS,
     RECORDS,
     NotEvaluableError,
+    _kernel,
 )
 from ewfs.qcore import (
     DEFAULT_ATOL,
@@ -424,6 +427,39 @@ def branch_walk_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
     total = sum(weight for weight, _ in branches)
     rho = sum((weight / total) * np.outer(b.amplitudes, b.amplitudes.conj()) for weight, b in branches)
     return partial_trace(DensityMatrix(state.layout, rho), names)
+
+
+# ``perspectives._live_branches`` and ``assign`` as they ran before θ-free
+# kernels were contracted once: every kernel contracted at every angle.
+# Verbatim, but for reading the layout and branches off the kernel by index.
+
+
+def per_angle_live_branches(p, names: tuple[str, ...], theta: float):
+    """Kept layout, the branches ``ψ_b`` that carry weight at θ, and their total weight.
+
+    One pass over the weights decides liveness; the mask is built only when
+    a branch dies.  ``initial=inf`` lets a kernel with no branches left reach
+    the ``NotEvaluableError`` below.
+    """
+    # Neither order changes the kernel, so sorting both keys it by sets.
+    names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
+    layout, m = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)[:2]
+    psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
+    weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
+    if not weights.min(initial=np.inf) >= IMPOSSIBLE_MASS:
+        live = weights >= IMPOSSIBLE_MASS
+        psi, weights = psi[live], weights[live]
+    if not len(psi):
+        raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
+    return layout, psi, weights.sum()
+
+
+def per_angle_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
+    """Density matrix the perspective assigns to the named registers."""
+    names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
+    layout, psi, total = per_angle_live_branches(p, names, theta)
+    rows = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
+    return DensityMatrix._gram(layout, rows, total)
 
 
 # Test-only helpers over library values.

@@ -128,8 +128,11 @@ def test_kernel_arrays_are_read_only():
     p = Perspective("W", "n:30", (("z", "+1/2"),), AssignmentRule("collapse-aware"))
     assign(p, ("S", "F"), 0.4)
     record_distribution(p, "wbar", 0.4)
-    _, branches = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
-    for arr in (branches, RECORD_READOUTS["wbar"].basis):
+    kernel = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
+    assert kernel.live is not None  # the wbar record is traced out: θ-free
+    psi, _ = kernel.live
+    spec = RECORD_READOUTS["wbar"]
+    for arr in (kernel.branches, psi, kernel.state.matrix, spec.basis, spec.bras):
         assert arr.flags.writeable is False
     for _, proj in perspectives._PROJECTORS["wbar"]:
         assert proj.flags.writeable is False
@@ -218,10 +221,12 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     for theta in angles:
         _sweep_op(theta)
     # The grid alone: the audits' premise and record distributions read Born
-    # probabilities off the branches and build no density matrix.
+    # probabilities off the branches and build no density matrix.  The 30
+    # θ-free grid states were built with their kernels; only the 14
+    # θ-dependent ones are built per angle.
     assert counts["assign"] == len(angles) * len(SWEEP_GRID)
     assert counts["record"] > 0
-    assert counts["density"] == counts["assign"]
+    assert counts["density"] == len(angles) * 14
     assert _kernel_cache_sizes() == warm
 
 

@@ -105,3 +105,18 @@ def test_chain_rejects_an_override_that_names_no_statement():
 def test_chain_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="empty chain"):
         chain((), builtin_ruleset("fr-mixed"))
+
+
+def test_a_rule_set_with_a_builtin_name_is_still_checked():
+    # Every call checks its chain against its rule set, whatever the rule
+    # set is named: a built-in name vouches for nothing.
+    for name in RULESET_NAMES:
+        rs, statements = BUILTIN_AUDITS[name]
+        misspelt = RuleSet(name, rs.default, rs.overrides + (("Fbar02", rs.default),))
+        with pytest.raises(ValueError, match="'Fbar02'"):
+            chain(statements, misspelt)
+        with pytest.raises(ValueError, match="duplicate statement ids"):
+            chain(statements + statements[:1], rs)
+        with pytest.raises(ValueError, match="empty chain"):
+            chain((), rs)
+        assert chain(list(statements), rs) == chain(statements, rs)

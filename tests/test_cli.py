@@ -234,9 +234,9 @@ def test_perspectives_collapse_prediction_half():
 
 
 def test_perspectives_table_prints_no_negative_zero():
-    # At θ = 1 one entry of this matrix is ulp-level noise below zero.
-    argv = ("perspectives", "--agent", "Fbar", "--time", "n:20", "--rule", "collapse",
-            "--theta", "1")
+    # At θ = 0.7 one entry of this matrix is ulp-level noise below zero.
+    argv = ("perspectives", "--agent", "Fbar", "--time", "n:30", "--rule", "unitary",
+            "--cond", "wbar=okbar", "--theta", "0.7")
     payload = json.loads(_main_in_process(*argv, "--json"))
     entries = [x for part in payload["matrix"].values() for row in part for x in row]
     assert any(x < 0 and f"{x:+.4f}" == "-0.0000" for x in entries)

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from ewfs import perspectives
 from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.qcore import DensityMatrix, SpaceLayout
 
@@ -41,13 +42,15 @@ def test_sweep_grid_states_pass_the_full_check():
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_cli_perspectives_states_pass_the_full_check(theta, monkeypatch):
-    gram, built = DensityMatrix._gram, []
+    # A θ-free state is built once, with its kernel, so the check is on what
+    # ``assign`` returns to the CLI, built now or earlier.
+    assign_, built = perspectives.assign, []
 
-    def recording(layout, rows, total):
-        built.append(gram(layout, rows, total))
+    def recording(p, subsystems, theta=0.0):
+        built.append(assign_(p, subsystems, theta))
         return built[-1]
 
-    monkeypatch.setattr(DensityMatrix, "_gram", recording)
+    monkeypatch.setattr(perspectives, "assign", recording)
     ok = sum(run(argv)[0] == 0 for argv in grid(theta) if argv[0] == "perspectives")
     assert ok > 0
     assert len(built) == ok  # one assigned state per command that succeeds

@@ -45,57 +45,57 @@ GOLDEN_SHA256 = {
         "exact": "cfd86073c09ba9ebc8c55d92bb7b610a239e4de1a0367fe3b6f8314d1d3e0ac0",
         "audit": "3862a01ed754feb554a72571f33ad9d10afb4b4cf74ac4a213ef37dc5ae45fe0",
         "perspectives": "d6dcc2c07235d5b3da0d69aa1c1c4bc913a9eafe323e3da46a4b71d31fba43bd",
-        "perspectives --json": "494bfacd55d4ede5b0e4609995cbc5a18de6bd0d69647e26c77934dad1071689",
-        "purity": "12d6f228fea37068db89619cc0a7903f2686038b91e86a92cc43812df3737e09",
-        "matrix": "7cb5fc427c44dbf420936f8cb6aa62e8e3e902ded475806d7180f5aacf22ce40",
+        "perspectives --json": "ca8b3a9f63ea8ef584744626036ca05ad2882fa3bb888a7f97254f1c82f94447",
+        "purity": "0d8e64be94af89057d57e680c5497f8cd46693d8b070f5ca8345af6233c16f35",
+        "matrix": "90cff390cb56fe4916ad177238667639856c7b475795df05d58140a6d6ca2d7f",
     },
     "1.57": {
         "exact": "dba46447614356b9bb4475fdd6367b24c4b4fad694bb43978de48e3878b938e5",
         "audit": "455bf63efa434a295baeef6e6b1b1f7ef823824cbcb387676ff4a8ae1c38038e",
         "perspectives": "910403d953ae0491487dc78f1aee12263172ff8a3d4edd6424f53c62ebe01900",
-        "perspectives --json": "361e9a1bd6476ec3efbd2bf24060b5bfa822423806db06dbeb824ebd6c04915f",
-        "purity": "db0725c40915c1f505f22a3fe5141841126a8255e3269ce7a77a55256db4f184",
-        "matrix": "ba9b9c79c8d3b3222dad4f3d6053d29c4ab11eacd284debbae1dd582a9bb449a",
+        "perspectives --json": "30dc0cfa68e34a206f39a7b3567c7f506d38f4de6328bde5c2bb04cf3d93390e",
+        "purity": "e49adc9f35d842975d985555f86bd98c8f25924f91cfe8c308536aedbbdaf794",
+        "matrix": "353d9630671e89e1b8cc309f12c670f14392673e88a4ffe5e3b011790c075dbb",
     },
     "3.141592653589793": {
         "exact": "5c9562744facf3dc1e96b02f8e2d129c9e4240a12fd1b00c650820eef7850d6c",
         "audit": "3dcfc4dbaa7159e18190741fe6252ac9b0b9383e76e7e7ac1fa50aa7dd989028",
         "perspectives": "95f23f79d167e25219292591a7abe08d2eda41b5a4340e10cd43ebf40c6ca3d0",
-        "perspectives --json": "584b298ad08a8baf35382e7f5eb62aa7459bf2ac5199e7558eae188a0358f10f",
+        "perspectives --json": "8a8010e18b7ef8e5a5b6b6b454273df9b10a43834ce4f6edaf9401c3eece8a35",
         "purity": "1888daf51144099daf8341a7319c3d939c1e2254e960bbf62aa432a127452ec8",
-        "matrix": "c1f1fb9c120b8d89fd9d54f90ae55822abf9a54abdbd6bfdcf0e20dfceed9c14",
+        "matrix": "d38e76dc9918ab8de439ffdb95b00b0e83657b8223c97a1ec2f6e824dd20b702",
     },
     "2.2": {
         "exact": "69bd7d42356d4529d9d26dc0b6c505e6c9b609e0801dcb254f57e6c68f695e78",
         "audit": "744ce0bc88a9674241a04d628b51f674df9e872f8d31de38670dac3592afdbc3",
         "perspectives": "537b43a6fdae8779501b505fba2be23a59ad0778d650bfe1b0ad4562c6f48f1f",
-        "perspectives --json": "32883345038879b1103ca3b3f186c1851685069490860eaaa4df859064c1cbd4",
-        "purity": "c082bc488aa4e102e35abbbfc5309e1c5132633c719014f664147bddd7b7155a",
-        "matrix": "28f89ac5b1cb9d08cd9963e1e90c6cb8160b5d64ece7cd3787b85a6e87608a8c",
+        "perspectives --json": "4135d12be99ceb66b3bcb785a6bdb0770194eebbab91be8098eb7a2e3800b36b",
+        "purity": "a6bf8670c6d38dc80007e57338c77367a3c0030c3b6c672148bcfa93cc1c052a",
+        "matrix": "2b3592dd9b4c206b3ccc6f9c892628c3eecedba06a243c6081a6b7baa12ac1c1",
     },
     "-1": {
         "exact": "6c06ab7089161d97edafd470bfeb8001755c456a6ffdd78e489de46319b06275",
         "audit": "8647dc2d44f08d2357d0a943f028fbf1161d37f2a62408519f924f1f3b0e7f38",
         "perspectives": "9b16d19e0db51530aff3176d3c411c6187927a1d5563341e5be67d4d65753ec9",
-        "perspectives --json": "d20bc000573ead46518e969e3ce31d800e2369c8ad0a5beaaaef97a2f89cbbe9",
-        "purity": "4d70c05f0774e6d9c2f425eb8f63337d66318c515cf5d9749675a99f495d17a0",
-        "matrix": "32e0743be08577fa7766862198c404210edb52808ef505ad1665d09245987f44",
+        "perspectives --json": "96d15031c77b13b4992d1dc05507a2dcb55b79eb40c27e535963ef95fd78cfbb",
+        "purity": "97c3b8e81740e4e55bd4494f2bdce656937fab747d6c58c7f9aa9c35affcb15a",
+        "matrix": "3d9d540f8f472df16c6ed7f15828b7f2e05275c76f80f424b108a35643a8c0d0",
     },
     "6.283185307179586": {
         "exact": "91e1ed39f66f35fe25afd475fa0d33f8152bca0eabe538b6023e107df8adc230",
         "audit": "a53dbc068756f81ccccb43100f485fca1d74c59bbfe2790d222dd1d85a569eb7",
         "perspectives": "b88aaec90341d87c1fa47172c41967793ddf00e1183aa2ef4237b1f213398318",
-        "perspectives --json": "0f022772e877035e8ef1254c87cd7947787a2139cd45bdc71b590b5321704dfb",
+        "perspectives --json": "587ed97e5bb60f1b73eb3dfff99a489a636dec6676d8ef65f11adf9a6359ad6c",
         "purity": "f7acbdf361ef76c36c9f5541d0f70b90dfbc5cd531de09de3f20add179d7c09a",
-        "matrix": "ce6bfaed56d8035874dd12b78ada9e13e69e096657179a42014ac6f592170d8a",
+        "matrix": "319ce8bc361cd79a2c0bad200ac0e4d9d9f33c249147000189f630c9adcbc743",
     },
     "1e-05": {
         "exact": "3818c9c2029eb26850d3c7cd2b1726efb30365ab3ce0fa005e32973a05483c58",
-        "audit": "d17facf0cd3f63e689b5e5f88ed27a25c22dcf8fab3998fceca7c90f43f6a361",
+        "audit": "7a3d7cee005431521713641064e6da3778fff28ac45555a17f1900dc88b90c56",
         "perspectives": "73810699ab3712d6ea488c66cca1c91ec68517fbd2e9dfc178926b61a74d21c9",
-        "perspectives --json": "16d5dda57065169471c37e3700885ccfef2bbeea0c09b27950e0ad5ffb52f432",
-        "purity": "1b59ed1eb620a6b427921375ea41ab035dce69c7a4a518646439746af52c2481",
-        "matrix": "8ff3279c20334de8c1df063fe53635a23fdfeb8766bc4ea13cfbc28ac4669082",
+        "perspectives --json": "11474f39814c04df66fc7bc91a29af5f834e4b4af4a5838507a75a614c37e7b4",
+        "purity": "ba463a7dc1a719f78735e9be67547b09dc43c2ca406212b3e45125ce652126ac",
+        "matrix": "161b308fd2a731e596080d175d62d8b2655a61c5b37906cde4486e10f9f6a42c",
     },
 }
 

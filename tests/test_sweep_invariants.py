@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ewfs import qcore
+from ewfs import perspectives, qcore
 from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import ProtocolConfig, exact_joint
 from ewfs.reasoning import RULESET_NAMES, audit
@@ -107,8 +107,18 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
     monkeypatch.setattr(qcore, "_check_hermitian_unit_trace", counting("checks", checks))
     for theta in angles:
         _sweep_op(theta)
-    # Every assignment is Gram-built: shape, Hermitian and trace checked, no eigendecomposition.
-    assert counts["gram"] == 44 * len(angles)
+    # Every assignment is Gram-built: shape, Hermitian and trace checked, no
+    # eigendecomposition.  A θ-free state was built and checked with its
+    # kernel, during the warm-up; the 14 θ-dependent ones are built per angle.
+    theta_dependent = [
+        (agent, time, cond, rule)
+        for agent, time, cond, rule in SWEEP_GRID
+        if perspectives._kernel(
+            time, tuple(sorted(cond)), rule == "collapse-aware", tuple(sorted(default_registers(time)))
+        ).live is None
+    ]
+    assert len(theta_dependent) == 14
+    assert counts["gram"] == len(theta_dependent) * len(angles)
     assert counts["checks"] == counts["gram"]
     assert counts["eigvalsh in gram"] == 0
     assert counts["public"] == 0
