@@ -32,18 +32,21 @@ interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` wo
 
 Where the description holds a record of the coin, heads and tails do not
 interfere and θ drops out (see ``_kernel``).  Such a θ-free kernel is
-contracted, and its state built and checked, once, so every angle returns
-the same values.  Every other kernel is contracted at each angle, by the
-same function.
+contracted once.  Its state is built and checked by the first ``assign``
+that asks for it, and each spec's Born read, target check included, by the
+first prediction of it; every later angle reuses them, and a prediction
+hands out a fresh dict.  Every other kernel is contracted, and its states
+and reads computed, at each angle, by the same functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -85,25 +88,29 @@ class AssignmentRule:
             raise ValueError(f"unknown assignment rule {self.kind!r}; choose from {RULE_KINDS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Perspective:
-    """An agent's standpoint: who, when, what they condition on, which rule."""
+    """An agent's standpoint: who, when, what they condition on, which rule.
+
+    Checked and normalized in one pass before any field is set: the
+    conditioning becomes a tuple of ``(str, str)`` pairs, and a rule given
+    by name becomes an ``AssignmentRule``.
+    """
 
     agent: str
     time: str
     conditioning: tuple[tuple[str, str], ...] = ()
     rule: AssignmentRule = AssignmentRule(UNITARY_GLOBAL)
 
-    def __post_init__(self) -> None:
-        if self.agent not in AGENTS:
-            raise ValueError(f"unknown agent {self.agent!r}")
-        if self.time not in TIMES:
-            raise ValueError(f"unknown checkpoint {self.time!r}")
-        cond = tuple((str(k), str(v)) for k, v in self.conditioning)
-        object.__setattr__(self, "conditioning", cond)
-        if isinstance(self.rule, str):
-            object.__setattr__(self, "rule", AssignmentRule(self.rule))
-        seen = set()
+    def __init__(self, agent: str, time: str, conditioning=(), rule=rule) -> None:
+        if agent not in AGENTS:
+            raise ValueError(f"unknown agent {agent!r}")
+        if time not in TIMES:
+            raise ValueError(f"unknown checkpoint {time!r}")
+        cond = tuple([(str(k), str(v)) for k, v in conditioning])
+        if isinstance(rule, str):
+            rule = AssignmentRule(rule)
+        now, seen = _TIME_INDEX[time], set()
         for var, value in cond:
             if var not in RECORDS:
                 raise ValueError(f"unknown record variable {var!r}")
@@ -113,18 +120,20 @@ class Perspective:
             owner, available, values = RECORDS[var]
             if value not in values:
                 raise ValueError(f"unknown value {value!r} for record {var!r}")
-            if _TIME_INDEX[available] > _TIME_INDEX[self.time]:
+            if _TIME_INDEX[available] > now:
                 raise ValueError(
-                    f"record {var!r} does not exist yet at {self.time} (available {available})"
+                    f"record {var!r} does not exist yet at {time} (available {available})"
                 )
-        if self.rule.kind == OWN_RECORD_PURE:
+        if rule.kind == OWN_RECORD_PURE:
             if len(cond) != 1:
                 raise ValueError("own-record-pure conditions on exactly one record")
             owner = RECORDS[cond[0][0]][0]
-            if owner != self.agent:
+            if owner != agent:
                 raise ValueError(
-                    f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {self.agent}"
+                    f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {agent}"
                 )
+        # Frozen: each field is written once, straight into the instance.
+        self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule)
 
 
 # record variable -> measurement whose outcome reproduces it
@@ -149,21 +158,32 @@ _PROJECTORS: Mapping[str, tuple[tuple[str, np.ndarray], ...]] = MappingProxyType
 })
 
 
-class _Kernel(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Kernel:
     """An assignment's kept layout and θ-free branches, plus what never depends on θ.
 
     ``branches`` is the read-only array of shape (2, branches, kept dim, rest
     dim): entry ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0)
     or tails (i = 1), kept registers on the rows.  A θ-free kernel keeps its
-    read-only live branches with their total weight in ``live``, and their
-    state in ``state`` (``None`` if no branch is live); a θ-dependent one
-    keeps ``None`` in both.
+    read-only live branches with their total weight in ``live``; a
+    θ-dependent one keeps ``None``.  A θ-free kernel also computes, once and
+    only when first asked, its state and each spec's Born read (``reads``,
+    weakly keyed by spec, so a spec a caller drops leaves with its entry).
+    The kernel cache owns them: ``_kernel.cache_clear()`` drops them too.
     """
 
     layout: SpaceLayout
     branches: np.ndarray
     live: tuple[np.ndarray, float] | None
-    state: DensityMatrix | None
+    reads: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, repr=False)
+
+    @cached_property
+    def state(self) -> DensityMatrix | None:
+        """The θ-free state, built and checked on first use; ``None`` if θ-dependent or empty."""
+        if self.live is None or not len(self.live[0]):
+            return None
+        psi, total = self.live
+        return DensityMatrix._gram(self.layout, _rows(psi), total)
 
 
 def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -201,9 +221,9 @@ def _kernel(
     ``M_h M_t† = 0``, so ``ψ_b ψ_b† = |a_h|² M_h M_h† + |a_t|² M_t M_t†``, its
     weight and every Born probability read off it carry no phase: the
     contraction runs once, at θ = 0, and its Gram state is built and checked
-    once.  That is so wherever the traced-out registers hold a record of
-    the coin, or the conditioning leaves one coin value: heads and tails no
-    longer interfere.
+    once, by the first ``assign`` that asks for it.  That is so wherever the
+    traced-out registers hold a record of the coin, or the conditioning
+    leaves one coin value: heads and tails no longer interfere.
     """
     layout = protocol.LAYOUT.sub(names)
     cond = dict(conditioning)
@@ -225,11 +245,10 @@ def _kernel(
     m.setflags(write=False)
     columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
     if (columns[0] & columns[1]).any():
-        return _Kernel(layout, m, None, None)
+        return _Kernel(layout, m, None)
     psi, total = _contract(m, protocol.coin_amplitudes(0.0))
     psi.setflags(write=False)
-    state = DensityMatrix._gram(layout, _rows(psi), total) if len(psi) else None
-    return _Kernel(layout, m, (psi, total), state)
+    return _Kernel(layout, m, (psi, total))
 
 
 def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
@@ -260,9 +279,9 @@ def assign(
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
     kernel, psi, total = _live_branches(p, names, theta)
-    if kernel.state is not None:
-        return kernel.state
-    return DensityMatrix._gram(kernel.layout, _rows(psi), total)
+    if kernel.live is None:
+        return DensityMatrix._gram(kernel.layout, _rows(psi), total)
+    return kernel.state
 
 
 def predict_distribution(
@@ -270,8 +289,15 @@ def predict_distribution(
 ) -> dict[str, float]:
     """Born probabilities under the assigned state, read off its live branches without building it."""
     kernel, psi, total = _live_branches(p, spec.target, theta)
-    _check_target(kernel.layout, spec)
-    return born_distribution(spec, psi, total)
+    if kernel.live is None:
+        _check_target(kernel.layout, spec)
+        return born_distribution(spec, psi, total)
+    # θ-free: read and checked once per spec; each caller gets its own copy.
+    dist = kernel.reads.get(spec)
+    if dist is None:
+        _check_target(kernel.layout, spec)
+        dist = kernel.reads[spec] = born_distribution(spec, psi, total)
+    return dict(dist)
 
 
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:

@@ -201,8 +201,14 @@ class DensityMatrix:
     def purity(self) -> float:
         """tr ρ² in one O(d²) pass: Σ|ρᵢⱼ|², which equals tr ρ² for Hermitian ρ.
 
-        Every instance is Hermitian to ``DEFAULT_ATOL``, so no d×d product is needed.
+        Every instance is Hermitian to ``DEFAULT_ATOL``, so no d×d product is
+        needed.  An instance never changes, so the sum is computed on the
+        first call and kept: a state shared across angles pays for it once.
         """
+        return self._purity
+
+    @cached_property
+    def _purity(self) -> float:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 

@@ -36,8 +36,8 @@ treated as probability-one conditioning; the distinction is not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -105,6 +105,11 @@ class Statement:
         return Statement(self.id, self.speaker, self.time, self.kind, cond, self.event, self.inner)
 
     def describe(self) -> str:
+        return self._description
+
+    # θ-free and the statement never changes: written on first use and kept.
+    @cached_property
+    def _description(self) -> str:
         cond = ", ".join(f"{k}={v}" for k, v in self.condition) or "-"
         if self.inner is not None:
             return f"{self.kind}([{self.inner.id}] | {cond})"
@@ -373,5 +378,5 @@ def audit(ruleset_name: str, theta: float = 0.0) -> AuditReport:
     """Evaluate a built-in rule set's standard chain, premise row included."""
     rs, statements = _builtin(ruleset_name)
     report = chain(statements, rs, theta)
-    premise = premise_result(rs, theta)
-    return replace(report, results=(premise,) + report.results)
+    results = (premise_result(rs, theta),) + report.results
+    return AuditReport(rs.name, results, report.chain_conclusion, report.conclusion_value, report.witness)

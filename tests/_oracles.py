@@ -431,7 +431,7 @@ def branch_walk_assign(p, subsystems, theta: float = 0.0) -> DensityMatrix:
 
 # ``perspectives._live_branches`` and ``assign`` as they ran before θ-free
 # kernels were contracted once: every kernel contracted at every angle.
-# Verbatim, but for reading the layout and branches off the kernel by index.
+# Verbatim, but for reading the layout and branches off the kernel by name.
 
 
 def per_angle_live_branches(p, names: tuple[str, ...], theta: float):
@@ -443,7 +443,8 @@ def per_angle_live_branches(p, names: tuple[str, ...], theta: float):
     """
     # Neither order changes the kernel, so sorting both keys it by sets.
     names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
-    layout, m = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)[:2]
+    kernel = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
+    layout, m = kernel.layout, kernel.branches
     psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
     weights = (np.abs(psi) ** 2).sum(axis=(1, 2))
     if not weights.min(initial=np.inf) >= IMPOSSIBLE_MASS:

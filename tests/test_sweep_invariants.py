@@ -122,3 +122,34 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
     assert counts["checks"] == counts["gram"]
     assert counts["eigvalsh in gram"] == 0
     assert counts["public"] == 0
+
+
+def test_a_warm_sweep_op_reads_and_builds_only_what_depends_on_theta(monkeypatch):
+    # After warm-up a θ-free Born read, state and purity are all kept: one
+    # op makes the 3 θ-dependent Born reads of its 12, builds the 14
+    # θ-dependent grid states and computes the purity of those 14 only.
+    angles = MULTIPLES_OF_2PI + GENERIC
+    for theta in angles:
+        _sweep_op(theta)
+    counts = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(perspectives, "born_distribution", counting("born", perspectives.born_distribution))
+    monkeypatch.setattr(qcore.DensityMatrix, "_gram", counting("gram", qcore.DensityMatrix._gram))
+    monkeypatch.setattr(np, "vdot", counting("purity", np.vdot))
+    for theta in angles:
+        counts.clear()
+        for semantics in ("collapse", "unitary"):
+            exact_joint(ProtocolConfig(semantics=semantics, theta=theta))
+        for name in RULESET_NAMES:
+            audit(name, theta)
+        for agent, time, cond, rule in SWEEP_GRID:
+            rho = assign(Perspective(agent, time, cond, AssignmentRule(rule)), default_registers(time), theta)
+            assert rho.purity() == rho.purity()
+        assert counts == {"born": 3, "gram": 14, "purity": 14}, theta
