@@ -8,11 +8,13 @@ mc            sampled rounds with frequencies, standard errors and the
 perspectives  the density matrix an agent assigns, with Born predictions
 audit         statement-chain evaluation under a rule set
 
-Human tables go to stdout; ``--json`` swaps in the machine-readable payload,
-and ``--out DIR`` writes the payload (plus any CSV) together with a manifest
-that echoes the flags for bit-exact replay.  JSON payloads validate against
-the schema shipped at ``ewfs/data/output.schema.json``.  Exit codes: 0 on
-success, 2 on flag errors, 1 when a request is not evaluable.
+Each command computes one payload.  Human tables go to stdout, each rendered
+from the payload alone, so the table, ``--json`` and ``--out`` cannot disagree;
+``--json`` swaps in the payload itself, and ``--out DIR`` writes the payload
+(plus any CSV) together with a manifest that echoes the flags for bit-exact
+replay.  JSON payloads validate against the schema shipped at
+``ewfs/data/output.schema.json``.  Exit codes: 0 on success, 2 on flag
+errors, 1 when a request is not evaluable.
 """
 
 from __future__ import annotations
@@ -65,40 +67,33 @@ def prob_json(p: float) -> dict:
     return {"value": float(p), "fraction": fraction_of(float(p))}
 
 
-def _prob_cell(p: float) -> str:
-    frac = fraction_of(p)
-    return f"{p:.10f}" + (f"  ({frac})" if frac is not None else "")
+def _prob_cell(prob: dict) -> str:
+    """A ``prob_json`` object as a table cell: the value, then its fraction when it has one."""
+    frac = prob["fraction"]
+    return f"{prob['value']:.10f}" + (f"  ({frac})" if frac is not None else "")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: ``_cmd_*`` computes a payload, ``_render_*`` its table from the payload alone.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_exact(args) -> tuple[dict, str, list]:
-    config = ProtocolConfig(semantics=args.semantics, theta=args.theta)
-    joint = protocol.exact_joint(config)
-    cells = []
-    lines = [
-        f"exact (wbar, w) joint  semantics={args.semantics}  theta={args.theta}",
-        f"{'wbar':<9}{'w':<7}probability",
-    ]
-    for wbar in protocol.WBAR_VALUES:
-        for w in protocol.W_VALUES:
-            p = joint.prob(wbar, w)
-            cells.append({"wbar": wbar, "w": w, "probability": prob_json(p)})
-            lines.append(f"{wbar:<9}{w:<7}{_prob_cell(p)}")
-    payload = {
+def _cmd_exact(args) -> tuple[dict, list]:
+    joint = protocol.exact_joint(ProtocolConfig(semantics=args.semantics, theta=args.theta))
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "exact",
         "semantics": args.semantics,
         "theta": args.theta,
-        "cells": cells,
-    }
-    return payload, "\n".join(lines), []
+        "cells": [
+            {"wbar": wbar, "w": w, "probability": prob_json(joint.prob(wbar, w))}
+            for wbar in protocol.WBAR_VALUES
+            for w in protocol.W_VALUES
+        ],
+    }, []
 
 
-def _cmd_mc(args) -> tuple[dict, str, list]:
+def _cmd_mc(args) -> tuple[dict, list]:
     config = ProtocolConfig(semantics=args.semantics, theta=args.theta, seed=args.seed)
     tally = protocol.sample_records(config, args.rounds)
     joint = protocol.exact_joint(config)
@@ -106,54 +101,32 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
     n = args.rounds
 
     freqs = []
-    lines = [
-        f"monte carlo  semantics={args.semantics}  theta={args.theta}"
-        f"  rounds={n}  seed={args.seed}",
-        f"{'wbar':<9}{'w':<7}{'count':>8}  {'frequency':>12}  {'std_error':>11}  exact",
-    ]
     for wbar in protocol.WBAR_VALUES:
         for w in protocol.W_VALUES:
             c = counts.get((wbar, w), 0)
             f_hat = c / n
-            se = float(np.sqrt(f_hat * (1.0 - f_hat) / n))
             freqs.append(
                 {
                     "wbar": wbar,
                     "w": w,
                     "count": c,
                     "frequency": f_hat,
-                    "std_error": se,
+                    "std_error": float(np.sqrt(f_hat * (1.0 - f_hat) / n)),
                     "exact": prob_json(joint.prob(wbar, w)),
                 }
             )
-            lines.append(
-                f"{wbar:<9}{w:<7}{c:>8}  {f_hat:>12.6f}  {se:>11.6f}  {_prob_cell(joint.prob(wbar, w))}"
-            )
 
-    halt_p = joint.prob(protocol.OKBAR, protocol.OK)
     hist = [(k, int(tally.lengths[k])) for k in np.flatnonzero(tally.lengths).tolist()]
     episodes, leftover = int(tally.lengths.sum()), tally.leftover
     # Exact integer total (n - leftover) over the count: the same float as the mean length.
     mean_round = (n - leftover) / episodes if episodes else None
-    halting = {
-        "episodes": episodes,
-        "mean_round": mean_round,
-        "expected_mean": 1.0 / halt_p,
-        "histogram": [{"length": k, "count": c} for k, c in hist],
-        "leftover_rounds": leftover,
-    }
-    lines.append("")
-    lines.append(
-        f"halting: episodes={episodes}  mean round={mean_round if mean_round is None else round(mean_round, 4)}"
-        f"  expected={1.0 / halt_p:.4f}  leftover rounds={leftover}"
-    )
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["length", "count"])
     writer.writerows(hist)
 
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "mc",
         "semantics": args.semantics,
@@ -161,9 +134,14 @@ def _cmd_mc(args) -> tuple[dict, str, list]:
         "rounds": n,
         "seed": args.seed,
         "frequencies": freqs,
-        "halting": halting,
-    }
-    return payload, "\n".join(lines), [("halting_histogram.csv", buf.getvalue())]
+        "halting": {
+            "episodes": episodes,
+            "mean_round": mean_round,
+            "expected_mean": 1.0 / joint.prob(protocol.OKBAR, protocol.OK),
+            "histogram": [{"length": k, "count": c} for k, c in hist],
+            "leftover_rounds": leftover,
+        },
+    }, [("halting_histogram.csv", buf.getvalue())]
 
 
 def _default_subsystems(time: str) -> tuple[str, ...]:
@@ -172,7 +150,7 @@ def _default_subsystems(time: str) -> tuple[str, ...]:
     return (protocol.S, protocol.F)
 
 
-def _cmd_perspectives(args) -> tuple[dict, str, list]:
+def _cmd_perspectives(args) -> tuple[dict, list]:
     rule = AssignmentRule(RULE_FLAGS[args.rule])
     conditioning = tuple(args.cond or ())
     subsystems = args.subsystems or _default_subsystems(args.time)
@@ -180,7 +158,6 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
     rho = perspectives.assign(persp, subsystems, args.theta)
 
     predictions = []
-    pred_lines = []
     for name, spec in _PREDICTION_SPECS:
         if not set(spec.target) <= set(subsystems):
             continue
@@ -191,25 +168,8 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
                 "outcomes": [{"label": l, "probability": prob_json(p)} for l, p in merged.items()],
             }
         )
-        pred_lines.append(
-            f"  {name:<5} " + "  ".join(f"P({l})={_prob_cell(p)}" for l, p in merged.items())
-        )
 
-    mat, purity = rho.matrix, rho.purity()
-    lines = [
-        f"assigned state  agent={args.agent}  time={args.time}  rule={rule.kind}"
-        f"  conditioning={dict(conditioning) or '-'}  theta={args.theta}",
-        f"subsystems: {', '.join(rho.layout.names)}   purity: {purity:.10f}",
-    ]
-    for part, rows in (("real", mat.real), ("imag", mat.imag)):
-        lines.append(f"{part} part:")
-        # A cell that rounds to zero prints as +0.0000 whatever the sign of its noise.
-        cells = ([f"{x:+.4f}".replace("-0.0000", "+0.0000") for x in row] for row in rows)
-        lines += ["  " + " ".join(row) for row in cells]
-    lines.append("predictions:")
-    lines.extend(pred_lines or ["  (none: no protocol measurement fits the subsystems)"])
-
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "perspectives",
         "agent": args.agent,
@@ -218,40 +178,19 @@ def _cmd_perspectives(args) -> tuple[dict, str, list]:
         "conditioning": [{"var": k, "value": v} for k, v in conditioning],
         "theta": args.theta,
         "subsystems": list(rho.layout.names),
-        "matrix": {"real": mat.real.tolist(), "imag": mat.imag.tolist()},
-        "purity": purity,
+        "matrix": {"real": rho.matrix.real.tolist(), "imag": rho.matrix.imag.tolist()},
+        "purity": rho.purity(),
         "predictions": predictions,
-    }
-    return payload, "\n".join(lines), []
+    }, []
 
 
-def _cmd_audit(args) -> tuple[dict, str, list]:
+def _cmd_audit(args) -> tuple[dict, list]:
     report = reasoning.audit(args.ruleset, args.theta)
-    lines = [
-        f"reasoning audit  ruleset={args.ruleset}  theta={args.theta}",
-        f"{'statement':<14}{'status':<15}{'value':<14}claim",
+    statements = [
+        {"id": res.statement_id, "description": res.description, "status": res.status, "value": res.value}
+        for res in report.results
     ]
-    statements = []
-    for res in report.results:
-        value = "-" if res.value is None else f"{res.value:.10f}"
-        lines.append(f"{res.statement_id:<14}{res.status:<15}{value:<14}{res.description}")
-        statements.append(
-            {
-                "id": res.statement_id,
-                "description": res.description,
-                "status": res.status,
-                "value": res.value,
-            }
-        )
-    lines.append("")
-    lines.append(f"chain conclusion: {report.chain_conclusion or '(chain broken)'}")
-    if report.conclusion_value is not None:
-        lines.append(f"conclusion value: {_prob_cell(report.conclusion_value)}")
-    if report.witness is not None:
-        lines.append(f"exact P(halt): {_prob_cell(report.witness)}")
-    lines.append(f"contradiction: {report.contradiction}")
-
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "audit",
         "ruleset": args.ruleset,
@@ -261,8 +200,86 @@ def _cmd_audit(args) -> tuple[dict, str, list]:
         "conclusion_value": report.conclusion_value,
         "contradiction": report.contradiction,
         "witness": None if report.witness is None else prob_json(report.witness),
-    }
-    return payload, "\n".join(lines), []
+    }, []
+
+
+def _render_exact(payload: dict) -> str:
+    lines = [
+        f"exact (wbar, w) joint  semantics={payload['semantics']}  theta={payload['theta']}",
+        f"{'wbar':<9}{'w':<7}probability",
+    ]
+    lines += [f"{c['wbar']:<9}{c['w']:<7}{_prob_cell(c['probability'])}" for c in payload["cells"]]
+    return "\n".join(lines)
+
+
+def _render_mc(payload: dict) -> str:
+    lines = [
+        f"monte carlo  semantics={payload['semantics']}  theta={payload['theta']}"
+        f"  rounds={payload['rounds']}  seed={payload['seed']}",
+        f"{'wbar':<9}{'w':<7}{'count':>8}  {'frequency':>12}  {'std_error':>11}  exact",
+    ]
+    lines += [
+        f"{f['wbar']:<9}{f['w']:<7}{f['count']:>8}  {f['frequency']:>12.6f}"
+        f"  {f['std_error']:>11.6f}  {_prob_cell(f['exact'])}"
+        for f in payload["frequencies"]
+    ]
+    halting = payload["halting"]
+    mean_round = halting["mean_round"]
+    lines += [
+        "",
+        f"halting: episodes={halting['episodes']}"
+        f"  mean round={mean_round if mean_round is None else round(mean_round, 4)}"
+        f"  expected={halting['expected_mean']:.4f}  leftover rounds={halting['leftover_rounds']}",
+    ]
+    return "\n".join(lines)
+
+
+def _render_perspectives(payload: dict) -> str:
+    conditioning = {c["var"]: c["value"] for c in payload["conditioning"]}
+    lines = [
+        f"assigned state  agent={payload['agent']}  time={payload['time']}  rule={payload['rule']}"
+        f"  conditioning={conditioning or '-'}  theta={payload['theta']}",
+        f"subsystems: {', '.join(payload['subsystems'])}   purity: {payload['purity']:.10f}",
+    ]
+    for part in ("real", "imag"):
+        lines.append(f"{part} part:")
+        # A cell that rounds to zero prints as +0.0000 whatever the sign of its noise.
+        cells = ([f"{x:+.4f}".replace("-0.0000", "+0.0000") for x in row]
+                 for row in payload["matrix"][part])
+        lines += ["  " + " ".join(row) for row in cells]
+    lines.append("predictions:")
+    lines += [
+        f"  {pred['measurement']:<5} "
+        + "  ".join(f"P({o['label']})={_prob_cell(o['probability'])}" for o in pred["outcomes"])
+        for pred in payload["predictions"]
+    ] or ["  (none: no protocol measurement fits the subsystems)"]
+    return "\n".join(lines)
+
+
+def _render_audit(payload: dict) -> str:
+    lines = [
+        f"reasoning audit  ruleset={payload['ruleset']}  theta={payload['theta']}",
+        f"{'statement':<14}{'status':<15}{'value':<14}claim",
+    ]
+    for stmt in payload["statements"]:
+        value = "-" if stmt["value"] is None else f"{stmt['value']:.10f}"
+        lines.append(f"{stmt['id']:<14}{stmt['status']:<15}{value:<14}{stmt['description']}")
+    lines += ["", f"chain conclusion: {payload['chain_conclusion'] or '(chain broken)'}"]
+    if payload["conclusion_value"] is not None:
+        # The payload keeps this value bare, so its fraction is found here.
+        lines.append(f"conclusion value: {_prob_cell(prob_json(payload['conclusion_value']))}")
+    if payload["witness"] is not None:
+        lines.append(f"exact P(halt): {_prob_cell(payload['witness'])}")
+    lines.append(f"contradiction: {payload['contradiction']}")
+    return "\n".join(lines)
+
+
+_RENDERERS = {
+    "exact": _render_exact,
+    "mc": _render_mc,
+    "perspectives": _render_perspectives,
+    "audit": _render_audit,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +432,7 @@ def _write_outputs(args, payload: dict, extra_files: list) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, human, extra_files = args.func(args)
+        payload, extra_files = args.func(args)
     except NotEvaluableError as exc:
         print(f"not-evaluable: {exc}", file=sys.stderr)
         return 1
@@ -427,7 +444,7 @@ def main(argv=None) -> int:
             _write_outputs(args, payload, extra_files)
         except OSError as exc:
             args.parser.error(f"argument --out: {exc}")
-    print(json.dumps(payload, indent=2) if args.json else human)
+    print(json.dumps(payload, indent=2) if args.json else _RENDERERS[payload["command"]](payload))
     return 0
 
 

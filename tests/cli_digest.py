@@ -26,6 +26,12 @@ Register order changes no output: a reversed-order run whose exit code or
 output differs from its default-order twin is named on a ``moved by
 register order`` line, and the script exits 1.
 
+Every table is its payload rendered: when an argv exits 0 both as a table
+and with ``--json``, the table must equal the command's renderer applied to
+``json.loads`` of the ``--json`` output, the round trip a stored payload
+takes.  An argv whose table differs is named on a ``table differs from its
+payload`` line, and the script exits 1.
+
 pytest does not collect this file.
 """
 
@@ -35,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -97,6 +104,15 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def table_differs(table: tuple[int, str, str], as_json: tuple[int, str, str]) -> bool:
+    """True when both runs of one argv exit 0 and the table is not its payload rendered."""
+    (code, out, _), (json_code, json_out, _) = table, as_json
+    if code != 0 or json_code != 0:
+        return False
+    payload = json.loads(json_out)
+    return out != cli._RENDERERS[payload["command"]](payload) + "\n"
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Byte digest of the CLI over a fixed grid.")
     parser.add_argument(
@@ -107,26 +123,32 @@ def main(args: list[str] | None = None) -> int:
     os.environ["COLUMNS"] = "10000"
     digest = hashlib.sha256()
     count = 0
-    moved = []
+    moved, unrendered = [], []
 
-    def record(argv: list[str]) -> tuple[int, str]:
+    def record(argv: list[str]) -> tuple[int, str, str]:
         nonlocal count
         code, out, err = run(argv)
         digest.update(repr((argv, code, out, err)).encode("utf-8"))
         count += 1
-        output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
         if show:
+            output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
             print(f"run {' '.join(argv)}  exit {code}  sha256 {output}")
-        return code, output
+        return code, out, err
+
+    def record_twins(argv: list[str]) -> list[tuple[int, str, str]]:
+        """Run argv as a table, then with ``--json``, and check the table against the payload."""
+        runs = [record(argv + fmt) for fmt in ([], ["--json"])]
+        if table_differs(*runs):
+            unrendered.append(" ".join(argv))
+        return runs
 
     for theta in THETAS:
         seen = {}
         for argv in grid(theta) + mc_grid(theta):
-            for fmt in ([], ["--json"]):
-                seen[tuple(argv + fmt)] = record(argv + fmt)
+            seen[tuple(argv)] = record_twins(argv)
         for argv, twin in reversed_grid(theta):
-            for fmt in ([], ["--json"]):
-                if record(argv + fmt) != seen[tuple(twin + fmt)]:
+            for fmt, got, want in zip(([], ["--json"]), record_twins(argv), seen[tuple(twin)]):
+                if got != want:
                     moved.append(" ".join(argv + fmt))
         for agent, time, cond, rule in SWEEP_GRID:
             p = perspectives.Perspective(agent, time, cond, perspectives.AssignmentRule(rule))
@@ -139,7 +161,9 @@ def main(args: list[str] | None = None) -> int:
     print(f"sha256 {digest.hexdigest()}")
     for argv in moved:
         print(f"moved by register order: {argv}")
-    return 1 if moved else 0
+    for argv in unrendered:
+        print(f"table differs from its payload: {argv}")
+    return 1 if moved or unrendered else 0
 
 
 if __name__ == "__main__":

@@ -274,6 +274,64 @@ def test_register_order_moves_no_byte():
             assert cli_digest.run(argv + fmt) == cli_digest.run(twin + fmt), argv
 
 
+def _digest_grid(theta):
+    """Every digest-grid argv at one angle, the reversed-register group included."""
+    return (
+        cli_digest.grid(theta)
+        + cli_digest.mc_grid(theta)
+        + [argv for argv, _ in cli_digest.reversed_grid(theta)]
+    )
+
+
+@pytest.mark.parametrize("theta", ["0", "0.7"])
+def test_every_table_is_its_payload_rendered(theta):
+    # The table a command prints is its renderer applied to the --json payload after a JSON
+    # round trip, so a stored payload reproduces its table.
+    rendered = 0
+    for argv in _digest_grid(theta):
+        table, as_json = cli_digest.run(argv), cli_digest.run(argv + ["--json"])
+        assert not cli_digest.table_differs(table, as_json), argv
+        rendered += table[0] == as_json[0] == 0
+    assert rendered == 125  # of 247 argvs; the rest are not evaluable or refused
+
+
+def test_a_json_run_renders_no_table(tmp_path):
+    def refuse(payload):
+        raise AssertionError(f"a --json run rendered the {payload['command']} table")
+
+    def run_all(out):
+        runs = [cli_digest.run(argv + ["--json"]) for argv in _digest_grid("0.7")]
+        runs.append(cli_digest.run(["mc", "--rounds", "10", "--json", "--out", str(out)]))
+        return runs, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    want = run_all(tmp_path / "plain")
+    with mock.patch.dict(cli._RENDERERS, {name: refuse for name in cli._RENDERERS}):
+        got = run_all(tmp_path / "refusing")
+    assert got == want
+    assert want[0][-1][0] == 0 and sorted(want[1]) == ["halting_histogram.csv", "manifest.json", "mc.json"]
+
+
+def test_schema_requires_every_field_a_renderer_reads():
+    for argv, section, field in (
+        (["mc", "--rounds", "10"], "halting", "expected_mean"),
+        (["audit", "--ruleset", "all-collapse"], None, "conclusion_value"),
+    ):
+        payload = json.loads(_main_in_process(*argv, "--json"))
+        jsonschema.validate(payload, SCHEMA)
+        del (payload[section] if section else payload)[field]
+        with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
+            jsonschema.validate(payload, SCHEMA)
+    # Any payload that validates can be rendered, so every payload the digest grid prints validates.
+    validator, validated = jsonschema.Draft7Validator(SCHEMA), 0
+    for theta in cli_digest.THETAS:
+        for argv in _digest_grid(theta):
+            code, out, _ = cli_digest.run(argv + ["--json"])
+            if code == 0:
+                validator.validate(json.loads(out))
+                validated += 1
+    assert validated == 1000
+
+
 def test_perspectives_not_evaluable_exit_code():
     proc = run_cli(
         "perspectives", "--agent", "F", "--time", "n:20", "--rule", "collapse",

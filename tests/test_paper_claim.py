@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewfs import protocol
+from ewfs import protocol, reasoning
 from ewfs.protocol import ProtocolConfig, exact_record_distribution
 
 SEMANTICS = (protocol.COLLAPSE, protocol.UNITARY)
@@ -55,3 +55,21 @@ def test_some_link_is_at_most_one_half(theta):
     for semantics in SEMANTICS:
         links = chain_links(semantics, theta)
         assert min(links) <= 0.5 + 1e-12, (semantics, theta, links)
+
+
+@pytest.mark.parametrize(
+    "theta, contradiction",
+    [
+        (5e-6, True),
+        (-5e-6, True),
+        (2 * np.pi + 5e-6, True),
+        (2e-5, False),
+        (-2e-5, False),
+        (2 * np.pi + 2e-5, False),
+    ],
+)
+def test_fr_mixed_contradiction_window_near_theta_zero(theta, contradiction):
+    # 1 - Wbar_22 is about theta^2, and a certainty allows DEFAULT_ATOL = 1e-10, so the float
+    # audit still reads a contradiction within about sqrt(1e-10) = 1e-5 of 2*pi*k.  Both sides
+    # are pinned well away from that edge: 1 - Wbar_22 is 2.5e-11 inside and 4e-10 outside.
+    assert reasoning.audit("fr-mixed", theta).contradiction is contradiction
