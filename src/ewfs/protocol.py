@@ -322,8 +322,18 @@ def _record_cdf(config: ProtocolConfig) -> tuple[tuple[tuple[str, str, str, str]
 
 
 def _draw(cum: np.ndarray, uniforms):
-    """Index of the record each uniform falls on; one past the last edge is the last record."""
-    return np.searchsorted(cum[:-1], uniforms, side="right")
+    """Index of the record whose CDF interval holds each uniform.
+
+    The index is the number of edges of ``cum[:-1]`` at or below the uniform,
+    counted with one vectorised compare per edge into the smallest unsigned
+    dtype that holds it.  The edges are sorted, so this is the record a binary
+    search (``searchsorted(..., side="right")``) finds, and a uniform past the
+    last edge takes the last record.
+    """
+    index = np.zeros(np.shape(uniforms), dtype=np.min_scalar_type(len(cum) - 1))
+    for edge in cum[:-1]:
+        index += uniforms >= edge
+    return index
 
 
 def run_round(config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0) -> RoundRecord:
@@ -378,7 +388,7 @@ def _tally_chunks(keys: tuple, chunks: Iterable[np.ndarray]) -> RoundTally:
     open_length = 0
     for index in chunks:
         counts += np.bincount(index, minlength=len(keys))
-        ends = np.flatnonzero(halts[index])
+        ends = np.flatnonzero(np.take(halts, index))
         last = -1 - open_length  # the previous halt, counted from this chunk's start
         gaps = np.diff(ends, prepend=last)
         open_length = len(index) - 1 - (int(ends[-1]) if len(ends) else last)
@@ -391,8 +401,10 @@ def _tally_chunks(keys: tuple, chunks: Iterable[np.ndarray]) -> RoundTally:
 def sample_records(config: ProtocolConfig, n_rounds: int) -> RoundTally:
     """Tally of i.i.d. rounds drawn from the exact record distribution.
 
-    One ``default_rng(config.seed)`` stream: round *i* takes the *i*-th
-    uniform.  Draws come in chunks of ``SAMPLE_CHUNK`` and are tallied in one
+    One ``default_rng(config.seed)`` stream: round *i* takes the record whose
+    CDF interval holds the *i*-th uniform.  ``_draw`` finds it by counting the
+    edges at or below that uniform, which is the record a binary search would
+    find.  Draws come in chunks of ``SAMPLE_CHUNK`` and are tallied in one
     pass, so memory stays flat as ``n_rounds`` grows, and the result is
     byte-reproducible given (config, n_rounds).
     """

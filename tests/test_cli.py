@@ -22,10 +22,7 @@ from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distributio
 
 import cli_digest
 from _oracles import loop_episode_lengths, loop_tally, unchunked_sample_index
-
-SCHEMA = json.loads(
-    (Path(ewfs.__file__).parent / "data" / "output.schema.json").read_text(encoding="utf-8")
-)
+from _schema import VALIDATOR
 
 # The CLI child imports the same ewfs as this process, installed or not.
 CHILD_ENV = {
@@ -51,7 +48,7 @@ def run_cli(*args, check=True):
 def cli_json(*args):
     proc = run_cli(*args, "--json")
     payload = json.loads(proc.stdout)
-    jsonschema.validate(payload, SCHEMA)
+    VALIDATOR.validate(payload)
     return payload
 
 
@@ -191,9 +188,9 @@ def test_mc_writes_files_and_manifest(tmp_path):
         "--out", str(out),
     )
     payload = json.loads((out / "mc.json").read_text())
-    jsonschema.validate(payload, SCHEMA)
+    VALIDATOR.validate(payload)
     manifest = json.loads((out / "manifest.json").read_text())
-    jsonschema.validate(manifest, SCHEMA)
+    VALIDATOR.validate(manifest)
     assert manifest["described_command"] == "mc"
     assert set(manifest["outputs"]) == {"mc.json", "halting_histogram.csv"}
     for name in manifest["outputs"]:
@@ -317,17 +314,17 @@ def test_schema_requires_every_field_a_renderer_reads():
         (["audit", "--ruleset", "all-collapse"], None, "conclusion_value"),
     ):
         payload = json.loads(_main_in_process(*argv, "--json"))
-        jsonschema.validate(payload, SCHEMA)
+        VALIDATOR.validate(payload)
         del (payload[section] if section else payload)[field]
         with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
-            jsonschema.validate(payload, SCHEMA)
+            VALIDATOR.validate(payload)
     # Any payload that validates can be rendered, so every payload the digest grid prints validates.
-    validator, validated = jsonschema.Draft7Validator(SCHEMA), 0
+    validated = 0
     for theta in cli_digest.THETAS:
         for argv in _digest_grid(theta):
             code, out, _ = cli_digest.run(argv + ["--json"])
             if code == 0:
-                validator.validate(json.loads(out))
+                VALIDATOR.validate(json.loads(out))
                 validated += 1
     assert validated == 1000
 
@@ -362,8 +359,8 @@ def test_audit_golden_all_rulesets(tmp_path):
 
     out = tmp_path / "audit"
     run_cli("audit", "--ruleset", "fr-mixed", "--out", str(out))
-    jsonschema.validate(json.loads((out / "audit.json").read_text()), SCHEMA)
-    jsonschema.validate(json.loads((out / "manifest.json").read_text()), SCHEMA)
+    VALIDATOR.validate(json.loads((out / "audit.json").read_text()))
+    VALIDATOR.validate(json.loads((out / "manifest.json").read_text()))
 
 
 def test_exit_code_2_on_bad_flags():
@@ -518,7 +515,7 @@ def test_every_invocation_keeps_the_exit_contract(argv):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
-        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+        VALIDATOR.validate(json.loads(out.getvalue()))
         assert lines == [], argv
         return
     assert out.getvalue() == "", argv
@@ -584,9 +581,9 @@ def test_out_is_written_before_anything_is_printed(command, kind, as_json):
             return
         assert (code, lines) == (0, []), argv
         written = (root / rel / f"{command[0]}.json").read_text(encoding="utf-8")
-        jsonschema.validate(json.loads(written), SCHEMA)
+        VALIDATOR.validate(json.loads(written))
         manifest = json.loads((root / rel / "manifest.json").read_text(encoding="utf-8"))
-        jsonschema.validate(manifest, SCHEMA)
+        VALIDATOR.validate(manifest)
         if as_json:
             assert written == out.getvalue()
 

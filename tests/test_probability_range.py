@@ -17,7 +17,6 @@ The output schema bounds the audit's statement and conclusion values to
 import copy
 import json
 import os
-from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -27,6 +26,7 @@ import pytest
 from ewfs import perspectives, protocol
 from ewfs.perspectives import AGENTS, RECORDS, RULE_KINDS, TIMES, NotEvaluableError, Perspective
 
+from _schema import VALIDATOR
 from cli_digest import THETAS, grid, mc_grid, run
 
 SPECS = (
@@ -93,9 +93,6 @@ def test_merged_predictions_lie_in_the_unit_interval():
 
 
 def test_schema_bounds_audit_values_to_the_unit_interval():
-    schema = json.loads(
-        (Path(perspectives.__file__).parent / "data" / "output.schema.json").read_text(encoding="utf-8")
-    )
     with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
         payloads = [
             json.loads(run(argv + ["--json"])[1])
@@ -104,10 +101,10 @@ def test_schema_bounds_audit_values_to_the_unit_interval():
             if argv[0] == "audit"
         ]
     for payload in payloads:
-        jsonschema.validate(payload, schema)
+        VALIDATOR.validate(payload)
     statement, conclusion = copy.deepcopy(payloads[0]), copy.deepcopy(payloads[0])
     statement["statements"][0]["value"] = 1.0000000000000004
     conclusion["conclusion_value"] = -1e-300
     for broken in (statement, conclusion):
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(broken, schema)
+            VALIDATOR.validate(broken)

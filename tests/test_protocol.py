@@ -17,6 +17,8 @@ from ewfs.protocol import (
     RoundRecord,
     RoundTally,
     JointDistribution,
+    _draw,
+    _record_cdf,
     _tally_chunks,
     exact_joint,
     exact_record_distribution,
@@ -240,13 +242,20 @@ def _tally_in_chunks(keys, index):
     return _tally_chunks(keys, (index[s:s + SAMPLE_CHUNK] for s in range(0, len(index), SAMPLE_CHUNK)))
 
 
-def test_halts_on_chunk_edges():
-    keys = tuple(exact_record_distribution(ProtocolConfig(semantics="collapse")))
+def _chunk_edge_layouts(keys):
+    """Two int64 round indices: halts on and next to chunk edges, and an episode open over two chunks."""
     halt = next(i for i, k in enumerate(keys) if k[2:] == ("okbar", "ok"))
     other = next(i for i, k in enumerate(keys) if k[2:] != ("okbar", "ok"))
-    index = np.full(2 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
-    for pos in (0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK):
-        index[pos] = halt
+    edges = np.full(2 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
+    edges[[0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK]] = halt
+    spanning = np.full(3 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
+    spanning[[0, 3 * SAMPLE_CHUNK + 2]] = halt
+    return edges, spanning
+
+
+def test_halts_on_chunk_edges():
+    keys = tuple(exact_record_distribution(ProtocolConfig(semantics="collapse")))
+    index, spanning = _chunk_edge_layouts(keys)
     tally = _tally_in_chunks(keys, index)
     lengths = loop_episode_lengths(keys, index.tolist())
     assert lengths == [1, SAMPLE_CHUNK - 1, 1, SAMPLE_CHUNK]
@@ -254,12 +263,84 @@ def test_halts_on_chunk_edges():
     assert tally.leftover == 4
     assert tally_joint(tally) == loop_tally(keys, index.tolist())
     # an episode open across two whole chunks without a halt
-    index = np.full(3 * SAMPLE_CHUNK + 5, other, dtype=np.int64)
-    index[[0, 3 * SAMPLE_CHUNK + 2]] = halt
-    tally = _tally_in_chunks(keys, index)
-    assert loop_episode_lengths(keys, index.tolist()) == [1, 3 * SAMPLE_CHUNK + 2]
+    tally = _tally_in_chunks(keys, spanning)
+    assert loop_episode_lengths(keys, spanning.tolist()) == [1, 3 * SAMPLE_CHUNK + 2]
     assert np.flatnonzero(tally.lengths).tolist() == [1, 3 * SAMPLE_CHUNK + 2]
     assert (tally.lengths[[1, -1]].tolist(), tally.leftover) == ([1, 1], 2)
+
+
+def _assert_draw_is_binary_search(cum, uniforms):
+    want = np.searchsorted(cum[:-1], uniforms, side="right")
+    got = _draw(cum, uniforms)
+    assert got.dtype == np.min_scalar_type(len(cum) - 1)
+    assert got.tolist() == want.tolist()
+
+
+def _edge_uniforms(cum):
+    """Every edge, its neighbours toward 0 and 1, and the extreme uniforms ``rng.random`` returns."""
+    edges = cum[:-1]
+    return np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, 1.0 - 2.0**-53]]
+    )
+
+
+@pytest.mark.parametrize("semantics", ["unitary", "collapse"])
+@pytest.mark.parametrize("theta", [0.0, 0.7, np.pi, 2 * np.pi])
+def test_draw_equals_binary_search_at_the_edges(semantics, theta):
+    _, cum = _record_cdf(ProtocolConfig(semantics=semantics, theta=theta))
+    uniforms = _edge_uniforms(cum)
+    _assert_draw_is_binary_search(cum, uniforms)
+    _assert_draw_is_binary_search(cum, np.random.default_rng(17).random(SAMPLE_CHUNK))
+    assert _draw(cum, uniforms).dtype == np.uint8
+    # run_round draws from one Python float
+    want = np.searchsorted(cum[:-1], uniforms, side="right").tolist()
+    assert [int(_draw(cum, u)) for u in uniforms.tolist()] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(-10.0, 10.0), semantics=st.sampled_from(["unitary", "collapse"]))
+def test_draw_equals_binary_search_at_any_theta(theta, semantics):
+    _, cum = _record_cdf(ProtocolConfig(semantics=semantics, theta=theta))
+    _assert_draw_is_binary_search(cum, _edge_uniforms(cum))
+
+
+def test_run_round_takes_the_binary_search_record():
+    for semantics in ("unitary", "collapse"):
+        cfg = ProtocolConfig(semantics=semantics, theta=0.7)
+        keys, cum = _record_cdf(cfg)
+        for i in range(200):
+            u = round_rng(11, i).random()
+            r, z, wbar, w = keys[int(np.searchsorted(cum[:-1], u, side="right"))]
+            assert run_round(cfg, round_rng(11, i), i) == RoundRecord(i, r, z, wbar, w)
+
+
+def test_draw_on_synthetic_edges():
+    # two empty records make three equal edges: a uniform on them skips both
+    cum = np.cumsum([0.25, 0.0, 0.0, 0.25, 0.5])
+    _assert_draw_is_binary_search(cum, _edge_uniforms(cum))
+    assert _draw(cum, np.array([0.0, 0.25, 0.4, 0.5, 1.0 - 2.0**-53])).tolist() == [0, 3, 3, 4, 4]
+    # more records than uint8 holds: the index widens instead of wrapping
+    rng = np.random.default_rng(3)
+    for n_records, dtype in ((256, np.uint8), (257, np.uint16), (300, np.uint16)):
+        probs = rng.random(n_records)
+        probs[::7] = 0.0
+        probs[-1] = 1.0
+        cum = np.cumsum(probs / probs.sum())
+        uniforms = np.concatenate([_edge_uniforms(cum), rng.random(SAMPLE_CHUNK)])
+        _assert_draw_is_binary_search(cum, uniforms)
+        assert _draw(cum, uniforms).dtype == dtype
+        assert int(_draw(cum, 1.0 - 2.0**-53)) == n_records - 1
+
+
+@pytest.mark.parametrize("semantics", ["unitary", "collapse"])
+def test_tally_does_not_depend_on_index_dtype(semantics):
+    keys, cum = _record_cdf(ProtocolConfig(semantics=semantics, seed=4))
+    drawn = _draw(cum, np.random.default_rng(4).random(2 * SAMPLE_CHUNK + 11))
+    assert drawn.dtype == np.uint8
+    for index in (*_chunk_edge_layouts(keys), drawn):
+        assert _tally_in_chunks(keys, index.astype(np.uint8)) == _tally_in_chunks(
+            keys, index.astype(np.int64)
+        )
 
 
 def test_round_tally_is_read_only_value():
