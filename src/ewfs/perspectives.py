@@ -30,13 +30,12 @@ enters only through the coin amplitudes in the contraction: branch ``b`` is
 Combining the amplitudes before squaring keeps full precision near an
 interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` would cancel.
 
-Where the description holds a record of the coin, heads and tails do not
-interfere and θ drops out (see ``_kernel``).  Such a θ-free kernel is
-contracted once.  Its state is built and checked by the first ``assign``
-that asks for it, and each spec's Born read, target check included, by the
-first prediction of it; every later angle reuses them, and a prediction
-hands out a fresh dict.  Every other kernel is contracted, and its states
-and reads computed, at each angle, by the same functions.
+A kernel answers an angle from its view there (see ``_Kernel``).  Where the
+description holds a record of the coin, heads and tails do not interfere
+and θ drops out (see ``_kernel``): such a θ-free kernel is contracted once
+and its one view answers every angle.  Every other kernel keeps the view of
+the latest angle it was asked for, so a description is contracted, built
+and read once per angle, however many agents and statements share it.
 """
 
 from __future__ import annotations
@@ -160,26 +159,33 @@ _PROJECTORS: Mapping[str, tuple[tuple[str, np.ndarray], ...]] = MappingProxyType
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
-    """An assignment's kept layout and θ-free branches, plus what never depends on θ.
+    """An assignment's kept layout and θ-free branches, and its view at one angle.
 
     ``branches`` is the read-only array of shape (2, branches, kept dim, rest
     dim): entry ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0)
-    or tails (i = 1), kept registers on the rows.  A θ-free kernel keeps its
-    read-only live branches with their total weight in ``live``; a
-    θ-dependent one keeps ``None``.  A θ-free kernel also computes, once and
-    only when first asked, its state and each spec's Born read (``reads``,
-    weakly keyed by spec, so a spec a caller drops leaves with its entry).
-    The kernel cache owns them: ``_kernel.cache_clear()`` drops them too.
+    or tails (i = 1), kept registers on the rows.
+
+    A view is what the description gives at one angle: its read-only live
+    branches with their total weight (``live``), its state, built and checked
+    by the first ``assign`` that asks for it, and each spec's Born read,
+    target check included, made by the first prediction of that spec
+    (``reads``, weakly keyed by spec, so a spec a caller drops leaves with its
+    entry).  A θ-free kernel is its own view, good at every angle.  A
+    θ-dependent one keeps ``live`` at ``None`` and, in ``latest``, the view of
+    the latest angle it was asked for, keyed by the bytes of the coin
+    amplitudes it was contracted with; another angle replaces it.  The kernel
+    cache owns every view: ``_kernel.cache_clear()`` drops them too.
     """
 
     layout: SpaceLayout
     branches: np.ndarray
     live: tuple[np.ndarray, float] | None
     reads: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, repr=False)
+    latest: tuple[bytes, "_Kernel | None"] = field(default=(b"", None), repr=False)
 
     @cached_property
     def state(self) -> DensityMatrix | None:
-        """The θ-free state, built and checked on first use; ``None`` if θ-dependent or empty."""
+        """The view's state, built and checked on first use; ``None`` if θ-dependent or empty."""
         if self.live is None or not len(self.live[0]):
             return None
         psi, total = self.live
@@ -187,7 +193,7 @@ class _Kernel:
 
 
 def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
-    """The branches ``ψ_b = a_h M_h + a_t M_t`` that carry weight, and their total weight.
+    """The read-only branches ``ψ_b = a_h M_h + a_t M_t`` that carry weight, and their total weight.
 
     One pass over the weights decides liveness; the mask is built only when
     a branch dies.  ``initial=inf`` lets a kernel with no branches left come
@@ -198,6 +204,7 @@ def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]
     if not np.minimum.reduce(weights, initial=np.inf) >= IMPOSSIBLE_MASS:
         live = weights >= IMPOSSIBLE_MASS
         psi, weights = psi[live], weights[live]
+    psi.setflags(write=False)
     return psi, np.add.reduce(weights)
 
 
@@ -246,29 +253,35 @@ def _kernel(
     columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
     if (columns[0] & columns[1]).any():
         return _Kernel(layout, m, None)
-    psi, total = _contract(m, protocol.coin_amplitudes(0.0))
-    psi.setflags(write=False)
-    return _Kernel(layout, m, (psi, total))
+    return _Kernel(layout, m, _contract(m, protocol.coin_amplitudes(0.0)))
 
 
-def _live_branches(p: Perspective, names: tuple[str, ...], theta: float):
-    """The kernel, the branches ``ψ_b`` that carry weight at θ, and their total weight.
+def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _Kernel:
+    """The view of the perspective's description of the named registers at θ.
 
     A non-finite θ is refused before a kernel is read: a θ-free kernel would
-    otherwise answer for it with its θ = 0 state.
+    otherwise answer for it with its θ = 0 state.  A θ-dependent kernel's
+    latest view is read once and is used only if it was contracted with these
+    exact amplitudes, so it answers bit for bit as a fresh contraction would,
+    and a call racing another angle uses only the view it found or built.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     # Neither order changes the kernel, so sorting both keys it by sets.
     names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
     kernel = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
+    view = kernel  # a θ-free kernel is its own view
     if kernel.live is None:
-        psi, total = _contract(kernel.branches, protocol.coin_amplitudes(theta))
-    else:
-        psi, total = kernel.live
-    if not len(psi):
+        amplitudes = protocol.coin_amplitudes(theta)
+        key = amplitudes.tobytes()
+        latest_key, view = kernel.latest
+        if latest_key != key:
+            view = _Kernel(kernel.layout, kernel.branches, _contract(kernel.branches, amplitudes))
+            # Frozen, and one store: a reader sees the old view or the new one.
+            object.__setattr__(kernel, "latest", (key, view))
+    if not len(view.live[0]):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
-    return kernel, psi, total
+    return view
 
 
 def assign(
@@ -278,25 +291,19 @@ def assign(
 ) -> DensityMatrix:
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
-    kernel, psi, total = _live_branches(p, names, theta)
-    if kernel.live is None:
-        return DensityMatrix._gram(kernel.layout, _rows(psi), total)
-    return kernel.state
+    return _view(p, names, theta).state
 
 
 def predict_distribution(
     p: Perspective, spec: MeasurementSpec, theta: float = 0.0
 ) -> dict[str, float]:
     """Born probabilities under the assigned state, read off its live branches without building it."""
-    kernel, psi, total = _live_branches(p, spec.target, theta)
-    if kernel.live is None:
-        _check_target(kernel.layout, spec)
-        return born_distribution(spec, psi, total)
-    # θ-free: read and checked once per spec; each caller gets its own copy.
-    dist = kernel.reads.get(spec)
+    view = _view(p, spec.target, theta)
+    # Read and checked once per view and spec; each caller gets its own copy.
+    dist = view.reads.get(spec)
     if dist is None:
-        _check_target(kernel.layout, spec)
-        dist = kernel.reads[spec] = born_distribution(spec, psi, total)
+        _check_target(view.layout, spec)
+        dist = view.reads[spec] = born_distribution(spec, *view.live)
     return dict(dist)
 
 

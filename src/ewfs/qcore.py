@@ -183,7 +183,7 @@ class DensityMatrix:
         Runs the shape, Hermitian and trace checks but no eigendecomposition.
         The caller guarantees finite complex ``rows`` (one row per basis state
         of ``layout``) and ``total >= IMPOSSIBLE_MASS > 0``, as
-        ``perspectives._live_branches`` does.  For such rows ``R R†/t`` is
+        ``perspectives._view`` does.  For such rows ``R R†/t`` is
         positive semidefinite, and floating-point rounding moves its
         eigenvalues by about k·u (k the row length, at most 8 branches x 36
         here; u = 2⁻⁵³), so by under 4e-14, far below ``DEFAULT_ATOL``.

@@ -98,16 +98,28 @@ class Statement:
             raise ValueError("nested statements require a single-record inner conditioning")
 
     def reconditioned(self, var: str, value: str) -> "Statement":
-        """Copy of this statement with its conditioning on ``var`` replaced."""
-        cond = tuple((k, value if k == var else v) for k, v in self.condition)
-        if var not in dict(self.condition):
-            cond = cond + ((var, value),)
-        return Statement(self.id, self.speaker, self.time, self.kind, cond, self.event, self.inner)
+        """Copy of this statement with its conditioning on ``var`` replaced.
+
+        Built and validated on the first request for ``(var, value)`` and
+        kept; a record has a few values, so a statement keeps a few copies.
+        """
+        copy = self._copies.get((var, value))
+        if copy is None:
+            cond = tuple((k, value if k == var else v) for k, v in self.condition)
+            if var not in dict(self.condition):
+                cond = cond + ((var, value),)
+            copy = Statement(self.id, self.speaker, self.time, self.kind, cond, self.event, self.inner)
+            self._copies[(var, value)] = copy
+        return copy
 
     def describe(self) -> str:
         return self._description
 
     # θ-free and the statement never changes: written on first use and kept.
+    @cached_property
+    def _copies(self) -> dict[tuple[str, str], "Statement"]:
+        return {}
+
     @cached_property
     def _description(self) -> str:
         cond = ", ".join(f"{k}={v}" for k, v in self.condition) or "-"

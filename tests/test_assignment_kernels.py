@@ -222,11 +222,11 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
         _sweep_op(theta)
     # The grid alone: the audits' premise and record distributions read Born
     # probabilities off the branches and build no density matrix.  The 30
-    # θ-free grid states were built with their kernels; only the 14
+    # θ-free grid states were built with their kernels; only the 5 distinct
     # θ-dependent ones are built per angle.
     assert counts["assign"] == len(angles) * len(SWEEP_GRID)
     assert counts["record"] > 0
-    assert counts["density"] == len(angles) * 14
+    assert counts["density"] == len(angles) * 5
     assert _kernel_cache_sizes() == warm
 
 

@@ -120,3 +120,35 @@ def test_a_rule_set_with_a_builtin_name_is_still_checked():
         with pytest.raises(ValueError, match="empty chain"):
             chain((), rs)
         assert chain(list(statements), rs) == chain(statements, rs)
+
+
+def test_a_warm_audit_constructs_no_statement(monkeypatch):
+    # A nested certainty re-conditions its inner statement on the value the
+    # outer speaker is certain of; that copy is θ-free, so it is built and
+    # validated once and kept on the statement.
+    angles = MULTIPLES_OF_2PI + GENERIC
+    for theta in angles:
+        for name in RULESET_NAMES:
+            audit(name, theta)
+    built, copies = [], []
+    post_init, reconditioned = reasoning.Statement.__post_init__, reasoning.Statement.reconditioned
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_reconditioned(self, var, value):
+        copies.append(reconditioned(self, var, value))
+        return copies[-1]
+
+    monkeypatch.setattr(reasoning.Statement, "__post_init__", counted_post_init)
+    monkeypatch.setattr(reasoning.Statement, "reconditioned", counted_reconditioned)
+    for theta in angles:
+        for name in RULESET_NAMES:
+            audit(name, theta)
+    assert built == []
+    assert len(copies) >= 2 * len(angles)
+    # Each kept copy is the statement a fresh build gives.
+    for copy in copies:
+        fields = (copy.id, copy.speaker, copy.time, copy.kind, copy.condition, copy.event, copy.inner)
+        assert copy == reasoning.Statement(*fields)

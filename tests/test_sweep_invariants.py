@@ -109,7 +109,8 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
         _sweep_op(theta)
     # Every assignment is Gram-built: shape, Hermitian and trace checked, no
     # eigendecomposition.  A θ-free state was built and checked with its
-    # kernel, during the warm-up; the 14 θ-dependent ones are built per angle.
+    # kernel, during the warm-up; the 14 θ-dependent assignments share 5
+    # distinct states, each built once per angle.
     theta_dependent = [
         (agent, time, cond, rule)
         for agent, time, cond, rule in SWEEP_GRID
@@ -118,7 +119,7 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
         ).live is None
     ]
     assert len(theta_dependent) == 14
-    assert counts["gram"] == len(theta_dependent) * len(angles)
+    assert counts["gram"] == 5 * len(angles)
     assert counts["checks"] == counts["gram"]
     assert counts["eigvalsh in gram"] == 0
     assert counts["public"] == 0
@@ -126,8 +127,8 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
 
 def test_a_warm_sweep_op_reads_and_builds_only_what_depends_on_theta(monkeypatch):
     # After warm-up a θ-free Born read, state and purity are all kept: one
-    # op makes the 3 θ-dependent Born reads of its 12, builds the 14
-    # θ-dependent grid states and computes the purity of those 14 only.
+    # op makes the 2 distinct θ-dependent Born reads of its 12, builds the 5
+    # distinct θ-dependent grid states and computes the purity of those 5 only.
     angles = MULTIPLES_OF_2PI + GENERIC
     for theta in angles:
         _sweep_op(theta)
@@ -152,4 +153,4 @@ def test_a_warm_sweep_op_reads_and_builds_only_what_depends_on_theta(monkeypatch
         for agent, time, cond, rule in SWEEP_GRID:
             rho = assign(Perspective(agent, time, cond, AssignmentRule(rule)), default_registers(time), theta)
             assert rho.purity() == rho.purity()
-        assert counts == {"born": 3, "gram": 14, "purity": 14}, theta
+        assert counts == {"born": 2, "gram": 5, "purity": 5}, theta

@@ -182,10 +182,11 @@ def test_every_returned_state_ran_the_checks_and_a_theta_free_one_once(monkeypat
         else:
             assert len({id(rho) for rho in states}) == len(angles), p
     # One build per θ-free kernel (agents that share a checkpoint,
-    # conditioning and rule share it), one per θ-dependent state and angle.
+    # conditioning and rule share it), one per distinct θ-dependent state
+    # and angle.
     shared = {id(states[0]) for states in free.values()}
     assert len(shared) == 15
-    assert len(built) == len(shared) + 14 * len(angles)
+    assert len(built) == len(shared) + 5 * len(angles)
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
