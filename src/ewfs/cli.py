@@ -33,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, perspectives, protocol, reasoning
-from .perspectives import AssignmentRule, NotEvaluableError, Perspective
+# ``perspectives`` and ``reasoning`` load in the commands that use them, so
+# ``exact``, ``mc`` and ``--version`` never build them.
+from . import __version__, protocol
 from .protocol import ProtocolConfig
 
 # Small-denominator rationals (up to 1/144) round-trip exactly in golden tests.
@@ -42,9 +43,9 @@ MAX_DENOMINATOR = 144
 SCHEMA_VERSION = "1"
 
 RULE_FLAGS = {
-    "collapse": perspectives.COLLAPSE_AWARE,
-    "unitary": perspectives.UNITARY_GLOBAL,
-    "own-record": perspectives.OWN_RECORD_PURE,
+    "collapse": protocol.COLLAPSE_AWARE,
+    "unitary": protocol.UNITARY_GLOBAL,
+    "own-record": protocol.OWN_RECORD_PURE,
 }
 
 _PREDICTION_SPECS = (
@@ -151,10 +152,12 @@ def _default_subsystems(time: str) -> tuple[str, ...]:
 
 
 def _cmd_perspectives(args) -> tuple[dict, list]:
-    rule = AssignmentRule(RULE_FLAGS[args.rule])
+    from . import perspectives
+
+    rule = perspectives.AssignmentRule(RULE_FLAGS[args.rule])
     conditioning = tuple(args.cond or ())
     subsystems = args.subsystems or _default_subsystems(args.time)
-    persp = Perspective(args.agent, args.time, conditioning, rule)
+    persp = perspectives.Perspective(args.agent, args.time, conditioning, rule)
     rho = perspectives.assign(persp, subsystems, args.theta)
 
     predictions = []
@@ -185,6 +188,8 @@ def _cmd_perspectives(args) -> tuple[dict, list]:
 
 
 def _cmd_audit(args) -> tuple[dict, list]:
+    from . import reasoning
+
     report = reasoning.audit(args.ruleset, args.theta)
     statements = [
         {"id": res.statement_id, "description": res.description, "status": res.status, "value": res.value}
@@ -292,7 +297,7 @@ def _parse_condition(text: str) -> tuple[str, str]:
         raise argparse.ArgumentTypeError(f"conditions look like var=value, got {text!r}")
     var, value = (part.strip() for part in text.split("=", 1))
     # Only records that exist at a checkpoint ``--time`` offers can be conditioned on.
-    records = {k: v for k, v in perspectives.RECORDS.items() if v[1] in perspectives.TIMES}
+    records = {k: v for k, v in protocol.RECORDS.items() if v[1] in protocol.TIMES}
     if var not in records:
         raise argparse.ArgumentTypeError(
             f"unknown record {var!r}; choose from {sorted(records)}"
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_mc, _cmd_mc)
 
     p_persp = sub.add_parser("perspectives", help="density matrix an agent assigns")
-    p_persp.add_argument("--agent", choices=perspectives.AGENTS, required=True)
-    p_persp.add_argument("--time", choices=perspectives.TIMES, required=True)
+    p_persp.add_argument("--agent", choices=protocol.AGENTS, required=True)
+    p_persp.add_argument("--time", choices=protocol.TIMES, required=True)
     p_persp.add_argument("--rule", choices=tuple(RULE_FLAGS), required=True)
     p_persp.add_argument("--cond", action="append", type=_parse_condition, metavar="VAR=VALUE",
                          help="condition on a record, e.g. r=tails (repeatable)")
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_persp, _cmd_perspectives)
 
     p_audit = sub.add_parser("audit", help="statement-chain audit under a rule set")
-    p_audit.add_argument("--ruleset", choices=reasoning.RULESET_NAMES, required=True)
+    p_audit.add_argument("--ruleset", choices=protocol.RULESET_NAMES, required=True)
     p_audit.add_argument("--theta", type=_finite_float, default=0.0)
     add_common(p_audit, _cmd_audit)
     return parser
@@ -433,11 +438,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, extra_files = args.func(args)
-    except NotEvaluableError as exc:
+    except ValueError as exc:
+        from .perspectives import NotEvaluableError  # loaded here only on an error
+
+        if not isinstance(exc, NotEvaluableError):  # a flag combination the library refuses
+            args.parser.error(str(exc))
         print(f"not-evaluable: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a flag combination the library refuses
-        args.parser.error(str(exc))
     if args.out is not None:
         # Files first: an --out that cannot be written is a flag error, and nothing is printed.
         try:

@@ -51,25 +51,19 @@ import numpy as np
 
 from . import protocol
 from .measurement import MeasurementSpec, _check_target, born_distribution, pointer_readout_spec
+from .protocol import (
+    AGENTS,
+    COLLAPSE_AWARE,
+    OWN_RECORD_PURE,
+    RECORDS,
+    RULE_KINDS,
+    TIMES,
+    UNITARY_GLOBAL,
+)
 from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, embed, projector
 
-COLLAPSE_AWARE = "collapse-aware"
-UNITARY_GLOBAL = "unitary-global"
-OWN_RECORD_PURE = "own-record-pure"
-RULE_KINDS = (COLLAPSE_AWARE, UNITARY_GLOBAL, OWN_RECORD_PURE)
-
-AGENTS = ("Fbar", "F", "Wbar", "W")
-TIMES = (protocol.T00, protocol.T10, protocol.T20, protocol.T30)
-_TIME_INDEX = {t: i for i, t in enumerate(TIMES + ("n:40",))}
-
-# record variable -> (owning agent, checkpoint at which the record exists,
-#                     allowed values)
-RECORDS: Mapping[str, tuple[str, str, tuple[str, ...]]] = MappingProxyType({
-    "r": ("Fbar", protocol.T10, (protocol.HEADS, protocol.TAILS)),
-    "z": ("F", protocol.T20, (protocol.Z_MINUS, protocol.Z_PLUS)),
-    "wbar": ("Wbar", protocol.T30, (protocol.OKBAR, protocol.FAILBAR)),
-    "w": ("W", "n:40", (protocol.OK, protocol.FAIL)),
-})
+# Checkpoint order, the ``w`` announcement's checkpoint last.
+_TIME_INDEX = {t: i for i, t in enumerate(TIMES + (RECORDS["w"][1],))}
 
 
 class NotEvaluableError(ValueError):

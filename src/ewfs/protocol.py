@@ -75,6 +75,28 @@ COLLAPSE, UNITARY = "collapse", "unitary"
 WBAR_VALUES = (OKBAR, FAILBAR, OTHER)
 W_VALUES = (OK, FAIL, OTHER)
 
+# The agents, and the checkpoints at which one can assign a state.
+AGENTS = ("Fbar", "F", "Wbar", "W")
+TIMES = (T00, T10, T20, T30)
+
+# record variable -> (owning agent, checkpoint at which the record exists,
+#                     allowed values); the announcement ``w`` comes after
+# the last checkpoint.
+RECORDS: Mapping[str, tuple[str, str, tuple[str, ...]]] = MappingProxyType({
+    "r": ("Fbar", T10, (HEADS, TAILS)),
+    "z": ("F", T20, (Z_MINUS, Z_PLUS)),
+    "wbar": ("Wbar", T30, (OKBAR, FAILBAR)),
+    "w": ("W", "n:40", (OK, FAIL)),
+})
+
+# The state-assignment rules (see ``perspectives``) and the built-in rule
+# sets audited with them (see ``reasoning``).
+COLLAPSE_AWARE = "collapse-aware"
+UNITARY_GLOBAL = "unitary-global"
+OWN_RECORD_PURE = "own-record-pure"
+RULE_KINDS = (COLLAPSE_AWARE, UNITARY_GLOBAL, OWN_RECORD_PURE)
+RULESET_NAMES = ("fr-mixed", "all-collapse", "all-unitary")
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:

@@ -3,18 +3,24 @@
 The agents' published claims are formalized as conditional-probability
 assertions over the round records (r, z, wbar, w):
 
-* ``certain(event | condition)`` holds iff P = 1 within ``qcore.DEFAULT_ATOL``,
 * ``nonzero(event | condition)`` holds iff P > ``qcore.IMPOSSIBLE_MASS``,
+* ``certain(event | condition)`` holds iff the record's other values carry
+  at most ``qcore.IMPOSSIBLE_MASS``: no other value is nonzero,
 
 with P computed from the state the speaker assigns under a configurable
-rule set; the assignment kernels prune branches at that same mass.  Nested
-claims ("A is certain that B is certain that ...") unfold by the minimal
-rule sufficient for the argument audited here: the outer speaker must
-assign probability one to some value of the inner speaker's record, and the
-inner claim re-conditioned on that value must hold.  No general epistemic
-logic is attempted.  A chain reads each standpoint's record distribution
-once: a nested certainty, or another speaker at the same checkpoint with the
-same conditioning and rule, reuses what an earlier link of the chain read.
+rule set; the assignment kernels prune branches at that same mass.  A
+certainty reads the small mass left off the event, not the difference of
+its probability from one, so it keeps full precision: near θ ≡ 0 mod 2π,
+where 1 − P(z=+1/2 | wbar=okbar) is about θ², the ``fr-mixed`` chain holds
+only within about 1e-6 of 2πℤ.
+
+Nested claims ("A is certain that B is certain that ...") unfold by the
+minimal rule sufficient for the argument audited here: the outer speaker
+must be certain of some value of the inner speaker's record, and the inner
+claim re-conditioned on that value must hold.  No general epistemic logic
+is attempted.  A chain reads each standpoint's record distribution once: a
+nested certainty, or another speaker at the same checkpoint with the same
+conditioning and rule, reuses what an earlier link of the chain read.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
 with the chain of statement values it is audited with:
@@ -44,17 +50,14 @@ from typing import Mapping, Sequence
 from . import protocol
 from .measurement import MeasurementSpec
 from .perspectives import (
-    COLLAPSE_AWARE,
-    OWN_RECORD_PURE,
-    RECORDS,
-    UNITARY_GLOBAL,
     AssignmentRule,
     NotEvaluableError,
     Perspective,
     predict_distribution,
     record_distribution,
 )
-from .qcore import DEFAULT_ATOL, IMPOSSIBLE_MASS
+from .protocol import COLLAPSE_AWARE, OWN_RECORD_PURE, RECORDS, RULESET_NAMES, UNITARY_GLOBAL
+from .qcore import IMPOSSIBLE_MASS
 
 CERTAIN = "certain"
 NONZERO = "nonzero"
@@ -220,12 +223,12 @@ _FR_CHAIN = (FBAR_02, F_12, F_13, WBAR_22, WBAR_23)
 _FR_OWN_IDS = (PREMISE_ID, FBAR_02.id, F_12.id, F_13.id)
 
 # Each built-in rule set and the statement chain it is audited with, in CLI order.
+_FR_MIXED, _ALL_COLLAPSE, _ALL_UNITARY = RULESET_NAMES
 BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingProxyType({
-    "fr-mixed": (RuleSet("fr-mixed", _UNITARY, tuple((i, _OWN) for i in _FR_OWN_IDS)), _FR_CHAIN),
-    "all-collapse": (RuleSet("all-collapse", AssignmentRule(COLLAPSE_AWARE)), _FR_CHAIN),
-    "all-unitary": (RuleSet("all-unitary", _UNITARY), (FBAR_02_STAR, F_12, WBAR_22, WBAR_23_STAR)),
+    _FR_MIXED: (RuleSet(_FR_MIXED, _UNITARY, tuple((i, _OWN) for i in _FR_OWN_IDS)), _FR_CHAIN),
+    _ALL_COLLAPSE: (RuleSet(_ALL_COLLAPSE, AssignmentRule(COLLAPSE_AWARE)), _FR_CHAIN),
+    _ALL_UNITARY: (RuleSet(_ALL_UNITARY, _UNITARY), (FBAR_02_STAR, F_12, WBAR_22, WBAR_23_STAR)),
 })
-RULESET_NAMES = tuple(BUILTIN_AUDITS)
 
 
 def _builtin(name: str) -> tuple[RuleSet, tuple[Statement, ...]]:
@@ -249,10 +252,19 @@ def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _status(kind: str, value: float) -> str:
-    if kind == CERTAIN:
-        return HOLDS if abs(value - 1.0) <= DEFAULT_ATOL else FAILS
-    return HOLDS if value > IMPOSSIBLE_MASS else FAILS
+def _certain(dist: Mapping[str, float], value: str) -> bool:
+    """The record's other values carry at most ``IMPOSSIBLE_MASS``: no other value is nonzero."""
+    other = 0.0  # a loop costs half of sum() over a generator on these few entries
+    for v, p in dist.items():
+        if v != value:
+            other += p
+    return other <= IMPOSSIBLE_MASS
+
+
+def _status(kind: str, dist: Mapping[str, float], value: str) -> str:
+    """Whether a claim of this kind holds for one value of a record's distribution."""
+    holds = _certain(dist, value) if kind == CERTAIN else dist.get(value, 0.0) > IMPOSSIBLE_MASS
+    return HOLDS if holds else FAILS
 
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
@@ -290,14 +302,15 @@ def _evaluate(
         return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
     if st.inner is None:
         value = dist.get(st.event[1], 0.0)
-        return StatementResult(st.id, st.describe(), _status(st.kind, value), value)
+        return StatementResult(st.id, st.describe(), _status(st.kind, dist, st.event[1]), value)
 
-    certain_values = [v for v, p in dist.items() if abs(p - 1.0) <= DEFAULT_ATOL]
-    if not certain_values:
+    # Only the most likely value can be certain: the others then carry at most IMPOSSIBLE_MASS.
+    best = max(dist, key=dist.__getitem__)
+    if not _certain(dist, best):
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
-        return StatementResult(st.id, st.describe(), FAILS, max(dist.values()))
-    inner = st.inner.reconditioned(var, certain_values[0])
+        return StatementResult(st.id, st.describe(), FAILS, dist[best])
+    inner = st.inner.reconditioned(var, best)
     inner_result = _evaluate(inner, rs, theta, seen, reads)
     return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
@@ -324,10 +337,11 @@ def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
     rule = rs.rule_for(PREMISE_ID)
     persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
     try:
-        value = predict_distribution(persp, _PREMISE_SPEC, theta)["right"]
+        dist = predict_distribution(persp, _PREMISE_SPEC, theta)
     except NotEvaluableError:
         return StatementResult(PREMISE_ID, _PREMISE_DESCRIPTION, NOT_EVALUABLE, None)
-    return StatementResult(PREMISE_ID, _PREMISE_DESCRIPTION, _status(CERTAIN, value), value)
+    status = _status(CERTAIN, dist, "right")
+    return StatementResult(PREMISE_ID, _PREMISE_DESCRIPTION, status, dist["right"])
 
 
 def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> AuditReport:

@@ -60,16 +60,16 @@ def test_some_link_is_at_most_one_half(theta):
 @pytest.mark.parametrize(
     "theta, contradiction",
     [
-        (5e-6, True),
-        (-5e-6, True),
-        (2 * np.pi + 5e-6, True),
-        (2e-5, False),
-        (-2e-5, False),
-        (2 * np.pi + 2e-5, False),
+        (5e-7, True),
+        (-5e-7, True),
+        (2 * np.pi + 5e-7, True),
+        (2e-6, False),
+        (-2e-6, False),
+        (2 * np.pi + 2e-6, False),
     ],
 )
 def test_fr_mixed_contradiction_window_near_theta_zero(theta, contradiction):
-    # 1 - Wbar_22 is about theta^2, and a certainty allows DEFAULT_ATOL = 1e-10, so the float
-    # audit still reads a contradiction within about sqrt(1e-10) = 1e-5 of 2*pi*k.  Both sides
-    # are pinned well away from that edge: 1 - Wbar_22 is 2.5e-11 inside and 4e-10 outside.
+    # 1 - Wbar_22 is about theta^2, and a certainty allows its other values IMPOSSIBLE_MASS =
+    # 1e-12, so the float audit still reads a contradiction within about 1e-6 of 2*pi*k.  Both
+    # sides are pinned well away from that edge: 1 - Wbar_22 is 2.5e-13 inside and 4e-12 outside.
     assert reasoning.audit("fr-mixed", theta).contradiction is contradiction

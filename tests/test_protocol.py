@@ -405,7 +405,10 @@ def test_theta_is_2pi_periodic(theta, k):
 
 def test_no_cache_is_keyed_on_theta():
     # a cache keyed on a raw float angle grows with every new angle
-    import ewfs.cli  # noqa: F401  (loads every library module)
+    # ewfs.cli loads perspectives and reasoning only in the commands that use them.
+    import ewfs.cli  # noqa: F401
+    import ewfs.perspectives  # noqa: F401
+    import ewfs.reasoning  # noqa: F401
 
     for name, module in list(sys.modules.items()):
         if name != "ewfs" and not name.startswith("ewfs."):
