@@ -30,19 +30,19 @@ enters only through the coin amplitudes in the contraction: branch ``b`` is
 Combining the amplitudes before squaring keeps full precision near an
 interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` would cancel.
 
-A kernel answers an angle from its view there (see ``_Kernel``).  Where the
-description holds a record of the coin, heads and tails do not interfere
-and θ drops out (see ``_kernel``): such a θ-free kernel is contracted once
-and its one view answers every angle.  Every other kernel keeps the view of
-the latest angle it was asked for, so a description is contracted, built
-and read once per angle, however many agents and statements share it.
+A kernel answers an angle from its view (see ``_View``), the one memo of
+values.  Where the description holds a record of the coin, θ drops out (see
+``_kernel``): such a θ-free kernel is contracted once and its one view
+answers every angle.  Every other kernel keeps the view of the latest angle
+it was asked for, so a description is contracted, built and read once per
+angle, however many agents, statements and chain links share it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 from weakref import WeakKeyDictionary
@@ -87,7 +87,9 @@ class Perspective:
 
     Checked and normalized in one pass before any field is set: the
     conditioning becomes a tuple of ``(str, str)`` pairs, and a rule given
-    by name becomes an ``AssignmentRule``.
+    by name becomes an ``AssignmentRule``.  It also keeps the kernel key
+    ``(time, sorted conditioning, collapse?)`` as a private attribute, not a
+    field: equality, hashing and ``repr`` ignore it, copies carry it.
     """
 
     agent: str
@@ -126,7 +128,9 @@ class Perspective:
                     f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {agent}"
                 )
         # Frozen: each field is written once, straight into the instance.
-        self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule)
+        # Sorted: the conditioning's order does not change the kernel.
+        key = (time, tuple(sorted(cond)), rule.kind == COLLAPSE_AWARE)
+        self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule, _kernel_key=key)
 
 
 # record variable -> measurement whose outcome reproduces it
@@ -151,39 +155,49 @@ _PROJECTORS: Mapping[str, tuple[tuple[str, np.ndarray], ...]] = MappingProxyType
 })
 
 
-@dataclass(frozen=True, eq=False)
+class _View:
+    """What a description gives at one angle (at every angle, if θ-free): the memo of its values.
+
+    ``live`` holds the read-only live branches, shape (branches, kept dim,
+    rest dim), and their total weight.  ``state`` is built and checked by the
+    first ``assign`` that asks for it.  ``reads`` holds each spec's Born read,
+    target check included, made by the first prediction of that spec; it is
+    weakly keyed by spec, so a spec a caller drops leaves with its entry.
+    """
+
+    __slots__ = ("layout", "live", "reads", "_state")
+
+    def __init__(self, layout: SpaceLayout, live: tuple[np.ndarray, float]) -> None:
+        self.layout, self.live = layout, live
+        self.reads, self._state = WeakKeyDictionary(), None
+
+    @property
+    def state(self) -> DensityMatrix | None:
+        """The view's state, built and checked on first use; ``None`` if no branch is live."""
+        if self._state is None and len(self.live[0]):
+            psi, total = self.live
+            self._state = DensityMatrix._gram(self.layout, _rows(psi), total)
+        return self._state
+
+
 class _Kernel:
-    """An assignment's kept layout and θ-free branches, and its view at one angle.
+    """An assignment's kept layout, its θ-free branches and its latest view.
 
     ``branches`` is the read-only array of shape (2, branches, kept dim, rest
     dim): entry ``[i, b]`` is branch ``b`` of a coin starting in heads (i = 0)
     or tails (i = 1), kept registers on the rows.
 
-    A view is what the description gives at one angle: its read-only live
-    branches with their total weight (``live``), its state, built and checked
-    by the first ``assign`` that asks for it, and each spec's Born read,
-    target check included, made by the first prediction of that spec
-    (``reads``, weakly keyed by spec, so a spec a caller drops leaves with its
-    entry).  A θ-free kernel is its own view, good at every angle.  A
-    θ-dependent one keeps ``live`` at ``None`` and, in ``latest``, the view of
-    the latest angle it was asked for, keyed by the bytes of the coin
+    ``latest`` is ``(key, view)``.  A θ-free kernel's one view answers every
+    angle and sits under the key ``None``.  A θ-dependent kernel keeps the
+    view of the latest angle it was asked for, under the bytes of the coin
     amplitudes it was contracted with; another angle replaces it.  The kernel
     cache owns every view: ``_kernel.cache_clear()`` drops them too.
     """
 
-    layout: SpaceLayout
-    branches: np.ndarray
-    live: tuple[np.ndarray, float] | None
-    reads: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, repr=False)
-    latest: tuple[bytes, "_Kernel | None"] = field(default=(b"", None), repr=False)
+    __slots__ = ("layout", "branches", "latest")
 
-    @cached_property
-    def state(self) -> DensityMatrix | None:
-        """The view's state, built and checked on first use; ``None`` if θ-dependent or empty."""
-        if self.live is None or not len(self.live[0]):
-            return None
-        psi, total = self.live
-        return DensityMatrix._gram(self.layout, _rows(psi), total)
+    def __init__(self, layout: SpaceLayout, branches: np.ndarray, latest: tuple) -> None:
+        self.layout, self.branches, self.latest = layout, branches, latest
 
 
 def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -246,11 +260,11 @@ def _kernel(
     m.setflags(write=False)
     columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
     if (columns[0] & columns[1]).any():
-        return _Kernel(layout, m, None)
-    return _Kernel(layout, m, _contract(m, protocol.coin_amplitudes(0.0)))
+        return _Kernel(layout, m, (b"", None))  # no view until the first angle
+    return _Kernel(layout, m, (None, _View(layout, _contract(m, protocol.coin_amplitudes(0.0)))))
 
 
-def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _Kernel:
+def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _View:
     """The view of the perspective's description of the named registers at θ.
 
     A non-finite θ is refused before a kernel is read: a θ-free kernel would
@@ -261,18 +275,15 @@ def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _Kernel:
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    # Neither order changes the kernel, so sorting both keys it by sets.
-    names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
-    kernel = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
-    view = kernel  # a θ-free kernel is its own view
-    if kernel.live is None:
+    # Register order does not change the kernel, so sorting keys it by the set.
+    kernel = _kernel(*p._kernel_key, tuple(sorted(names)))
+    key, view = kernel.latest
+    if key is not None:
         amplitudes = protocol.coin_amplitudes(theta)
-        key = amplitudes.tobytes()
-        latest_key, view = kernel.latest
-        if latest_key != key:
-            view = _Kernel(kernel.layout, kernel.branches, _contract(kernel.branches, amplitudes))
-            # Frozen, and one store: a reader sees the old view or the new one.
-            object.__setattr__(kernel, "latest", (key, view))
+        new = amplitudes.tobytes()
+        if key != new:
+            view = _View(kernel.layout, _contract(kernel.branches, amplitudes))
+            kernel.latest = (new, view)  # one store: a reader sees the old view or the new one
     if not len(view.live[0]):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
     return view

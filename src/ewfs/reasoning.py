@@ -18,9 +18,9 @@ Nested claims ("A is certain that B is certain that ...") unfold by the
 minimal rule sufficient for the argument audited here: the outer speaker
 must be certain of some value of the inner speaker's record, and the inner
 claim re-conditioned on that value must hold.  No general epistemic logic
-is attempted.  A chain reads each standpoint's record distribution once: a
-nested certainty, or another speaker at the same checkpoint with the same
-conditioning and rule, reuses what an earlier link of the chain read.
+is attempted.  Evaluation keeps no values of its own: a nested certainty,
+or another speaker with the same checkpoint, conditioning and rule, reads
+its record off the same ``perspectives`` view as an earlier link.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
 with the chain of statement values it is audited with:
@@ -269,18 +269,10 @@ def _status(kind: str, dist: Mapping[str, float], value: str) -> str:
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Evaluate one statement under a rule set; exact, no sampling."""
-    return _evaluate(st, rs, theta, seen=(), reads={})
+    return _evaluate(st, rs, theta, seen=())
 
 
-# What one evaluation or chain has read: (checkpoint, conditioning, rule,
-# record) -> merged record distribution, or None where the conditioning has
-# probability zero.
-_Reads = dict[tuple, dict[str, float] | None]
-
-
-def _evaluate(
-    st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...], reads: _Reads
-) -> StatementResult:
+def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -> StatementResult:
     if st.id in seen:
         raise ValueError(f"cyclic statement dependency through {st.id!r}")
     seen = seen + (st.id,)
@@ -288,17 +280,12 @@ def _evaluate(
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
     persp = _perspective(st.speaker, st.time, st.condition, rule)
-    # The speaker is left out of the key: an assignment depends only on the
-    # checkpoint, conditioning and rule (``perspectives._kernel`` takes no
-    # agent), so two speakers who share those read the same distribution.
-    key = (st.time, st.condition, rule, var)
-    if key not in reads:
-        try:
-            reads[key] = record_distribution(persp, var, theta)
-        except NotEvaluableError:
-            reads[key] = None
-    dist = reads[key]
-    if dist is None:
+    # An assignment depends only on the checkpoint, conditioning and rule
+    # (``perspectives._kernel`` takes no agent), so a repeated read, by this
+    # speaker or another, is a hit on the same view.
+    try:
+        dist = record_distribution(persp, var, theta)
+    except NotEvaluableError:
         return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
     if st.inner is None:
         value = dist.get(st.event[1], 0.0)
@@ -311,7 +298,7 @@ def _evaluate(
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, dist[best])
     inner = st.inner.reconditioned(var, best)
-    inner_result = _evaluate(inner, rs, theta, seen, reads)
+    inner_result = _evaluate(inner, rs, theta, seen)
     return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
 
@@ -355,9 +342,9 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
 
     Raises ``ValueError`` for an empty chain, a repeated statement id, or an
     override id that is neither ``PREMISE_ID`` nor the id of a chain
-    statement or of a statement nested in one.  Each (checkpoint,
-    conditioning, rule, record) distribution is read once per call and
-    shared by every statement that needs it; nothing outlives the call.
+    statement or of a statement nested in one.  The chain keeps no reads of
+    its own: each record distribution comes off its description's view, whose
+    Born read is made once per angle, whichever statement asks first.
     """
     if not statements:
         raise ValueError("empty chain: no statement to conclude from")
@@ -375,8 +362,7 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
             raise ValueError(
                 f"rule set {rs.name!r} overrides {sid!r}, which names no statement of the chain"
             )
-    reads: _Reads = {}
-    results = tuple(_evaluate(st, rs, theta, seen=(), reads=reads) for st in statements)
+    results = tuple(_evaluate(st, rs, theta, seen=()) for st in statements)
 
     conclusion: str | None = None
     conclusion_value: float | None = None

@@ -129,10 +129,11 @@ def test_kernel_arrays_are_read_only():
     assign(p, ("S", "F"), 0.4)
     record_distribution(p, "wbar", 0.4)
     kernel = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
-    assert kernel.live is not None  # the wbar record is traced out: θ-free
-    psi, _ = kernel.live
+    key, view = kernel.latest
+    assert key is None  # the wbar record is traced out: θ-free
+    psi, _ = view.live
     spec = RECORD_READOUTS["wbar"]
-    for arr in (kernel.branches, psi, kernel.state.matrix, spec.basis, spec.bras):
+    for arr in (kernel.branches, psi, view.state.matrix, spec.basis, spec.bras):
         assert arr.flags.writeable is False
     for _, proj in perspectives._PROJECTORS["wbar"]:
         assert proj.flags.writeable is False

@@ -1,12 +1,12 @@
-"""Each θ computes each quantity once: purity in one pass, one read per chain link.
+"""Each θ computes each quantity once: purity in one pass, one Born read per description.
 
 * ``DensityMatrix.purity`` sums Σ|ρᵢⱼ|² in one pass; on the sweep grid it
   stays within 1e-15 of the matrix-product trace kept in ``_oracles``.
-* ``chain`` reads each (checkpoint, conditioning, rule, record) distribution
-  once per call, whichever speaker asks, so the three built-in audits make 9
-  record reads and 12 Born predictions per angle (the premise adds one
-  prediction per audit), and the shared reads change no verdict and no
-  value against ``evaluate`` one statement at a time.
+* ``chain`` keeps no reads of its own: at a fresh angle the three built-in
+  audits make one Born read per θ-dependent (kernel, spec) pair they touch,
+  whichever speaker or chain link asks, and reading off the shared views
+  changes no verdict and no value against ``evaluate`` one statement at a
+  time.
 * ``chain`` rejects an empty chain and an override id that names no
   statement, instead of concluding from nothing or ignoring the override.
 """
@@ -47,25 +47,31 @@ def test_purity_matches_the_matrix_product_trace():
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, 2 * np.pi])
 def test_audits_read_each_perspective_once_per_chain(monkeypatch, theta):
-    for name in RULESET_NAMES:  # warm-up: θ-free kernels and perspectives built once
-        audit(name, theta)
-    calls = {"record": 0, "predict": 0}
-    record, predict = perspectives.record_distribution, perspectives.predict_distribution
+    for name in RULESET_NAMES:  # warm-up at another angle: θ-free reads made, views replaced
+        audit(name, theta + 1.0)
+    touched, born = set(), []
+    predict, read = perspectives.predict_distribution, perspectives.born_distribution
 
-    def counted_record(*args, **kwargs):
-        calls["record"] += 1
-        return record(*args, **kwargs)
+    def recording_predict(p, spec, theta=0.0):
+        dist = predict(p, spec, theta)  # a not-evaluable read raises before any Born read
+        cond, names = tuple(sorted(p.conditioning)), tuple(sorted(spec.target))
+        kernel = perspectives._kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
+        if kernel.latest[0] is not None:  # keyed by amplitudes: θ-dependent
+            touched.add((id(kernel), spec))
+        return dist
 
-    def counted_predict(*args, **kwargs):
-        calls["predict"] += 1
-        return predict(*args, **kwargs)
+    def counted_read(*args):
+        born.append(args[0])
+        return read(*args)
 
-    monkeypatch.setattr(reasoning, "record_distribution", counted_record)
-    monkeypatch.setattr(reasoning, "predict_distribution", counted_predict)
-    monkeypatch.setattr(perspectives, "predict_distribution", counted_predict)
+    monkeypatch.setattr(reasoning, "predict_distribution", recording_predict)
+    monkeypatch.setattr(perspectives, "predict_distribution", recording_predict)
+    monkeypatch.setattr(perspectives, "born_distribution", counted_read)
     for name in RULESET_NAMES:
         audit(name, theta)
-    assert calls == {"record": 9, "predict": 12}
+    assert touched
+    assert len(born) == len(touched)
+    assert sorted(map(id, born)) == sorted(id(spec) for _, spec in touched)
 
 
 def _same_as_one_at_a_time(statements, rs, theta):

@@ -1,8 +1,10 @@
 """Each description is computed once per angle: a kernel keeps its view of the latest angle.
 
-A θ-dependent kernel keeps the live branches, state and Born reads of the
-latest angle it was asked for, keyed by the exact bytes of the coin
-amplitudes it was contracted with; a θ-free kernel is its own view.
+A view holds the live branches, state and Born reads of one description at
+one angle.  A θ-dependent kernel keeps the view of the latest angle it was
+asked for, keyed by the exact bytes of the coin amplitudes it was
+contracted with; a θ-free kernel keeps one view, under the key ``None``, for
+every angle.
 
 * A warm answer, a view hit or a view replaced, is byte for byte the
   answer of a cold kernel after ``_kernel.cache_clear()``, over the sweep
@@ -133,7 +135,7 @@ def _theta_dependent_calls():
             kernel = perspectives._kernel(
                 p.time, tuple(sorted(p.conditioning)), p.rule.kind == COLLAPSE_AWARE, tuple(sorted(names))
             )
-            if kernel.live is None:
+            if kernel.latest[0] is not None:  # keyed by amplitudes: θ-dependent
                 calls.setdefault((id(kernel), var), (p, var, names))
     return list(calls.values())
 

@@ -116,7 +116,7 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
         for agent, time, cond, rule in SWEEP_GRID
         if perspectives._kernel(
             time, tuple(sorted(cond)), rule == "collapse-aware", tuple(sorted(default_registers(time)))
-        ).live is None
+        ).latest[0] is not None
     ]
     assert len(theta_dependent) == 14
     assert counts["gram"] == 5 * len(angles)

@@ -1,7 +1,7 @@
 """θ-free Born reads and states are computed once, on first use, and never served stale.
 
-A θ-free kernel keeps each spec's Born read in ``kernel.reads``, weakly keyed
-by the spec, and builds its state on the first ``assign``.
+A θ-free kernel's one view keeps each spec's Born read in ``reads``, weakly
+keyed by the spec, and builds its state on the first ``assign``.
 
 * Every call returns a fresh dict: mutating one changes no later read.
 * ``_kernel.cache_clear()`` takes the reads with the kernels: every
@@ -32,7 +32,7 @@ from ewfs.perspectives import (
 import test_theta_free
 from _oracles import product_spec
 from test_assignment_kernels import PERSPECTIVES
-from test_theta_free import _cases, _kernel_of, _outcome, _theta_free
+from test_theta_free import _cases, _free_view, _kernel_of, _outcome, _theta_free
 
 
 def _register_spec(name):
@@ -46,6 +46,12 @@ SUBSET_SPECS = tuple(
     for k in range(1, 5)
     for names in itertools.combinations(protocol.LAYOUT.names, k)
 )
+
+
+def _reads(kernel):
+    """The Born reads a kernel keeps for every angle: its θ-free view's; none if θ-dependent."""
+    view = _free_view(kernel)
+    return {} if view is None else view.reads
 
 
 def _theta_free_reads():
@@ -83,10 +89,10 @@ def test_cache_clear_leaves_no_stale_read_or_state():
             _outcome(record_distribution, p, var, 0.0)
     p, var = _theta_free_reads()[0]
     old = _kernel_of(p, RECORD_READOUTS[var].target)
-    assert len(old.reads) >= 1
+    assert len(_reads(old)) >= 1
     perspectives._kernel.cache_clear()
     new = _kernel_of(p, RECORD_READOUTS[var].target)
-    assert new is not old and len(new.reads) == 0
+    assert new is not old and len(_reads(new)) == 0
     assert perspectives._kernel.cache_info().currsize == 1
     for theta in (0.7, 2.0):  # the per-angle oracle comparison, on fresh kernels
         test_theta_free.test_states_match_the_per_angle_contraction.hypothesis.inner_test(theta=theta)
@@ -105,28 +111,29 @@ def test_at_most_one_read_per_kernel_and_spec_over_every_key():
                 for spec in SUBSET_SPECS:
                     kernel = _kernel_of(q, spec.target)
                     kernels[id(kernel)] = kernel
-                    if _outcome(predict_distribution, q, spec, theta) is not None and kernel.live is not None:
+                    evaluable = _outcome(predict_distribution, q, spec, theta) is not None
+                    if evaluable and _free_view(kernel) is not None:
                         free.add(id(kernel))
         assert perspectives._kernel.cache_info().currsize == 1_200
         assert len(kernels) == 1_200
-        sizes = Counter(len(kernel.reads) for kernel in kernels.values())
+        sizes = Counter(len(_reads(kernel)) for kernel in kernels.values())
         assert sizes == Counter({1: len(free), 0: 1_200 - len(free)})
-        assert all(len(kernels[k].reads) == 1 for k in free)
+        assert all(len(_reads(kernels[k])) == 1 for k in free)
     assert 0 < len(free) < 1_200
 
 
 def test_a_dropped_spec_leaves_the_reads():
     p = Perspective("W", "n:30", (), "collapse-aware")
     kernel = _kernel_of(p, ("R",))
-    assert kernel.live is not None
-    before = len(kernel.reads)
+    assert _free_view(kernel) is not None
+    before = len(_reads(kernel))
     spec = _register_spec("R")
     want = predict_distribution(p, spec, 0.5)
-    assert len(kernel.reads) == before + 1
+    assert len(_reads(kernel)) == before + 1
     assert predict_distribution(p, spec, 1.5) == want
     del spec
     gc.collect()
-    assert len(kernel.reads) == before
+    assert len(_reads(kernel)) == before
 
 
 def test_a_wrong_target_is_refused_at_every_read():
@@ -137,12 +144,12 @@ def test_a_wrong_target_is_refused_at_every_read():
     reversed_order = product_spec(_register_spec("S"), _register_spec("R"))
     for spec, names in ((three_level, ("R",)), (reversed_order, ("R", "S"))):
         kernel = _kernel_of(p, names)
-        assert kernel.live is not None
-        before = len(kernel.reads)
+        assert _free_view(kernel) is not None
+        before = len(_reads(kernel))
         for theta in (0.5, 1.5):
             with pytest.raises(ValueError, match="measurement targets"):
                 predict_distribution(p, spec, theta)
-        assert len(kernel.reads) == before
+        assert len(_reads(kernel)) == before
 
 
 def test_predictions_build_no_state_and_the_first_assign_builds_it(monkeypatch):
@@ -166,7 +173,7 @@ def test_predictions_build_no_state_and_the_first_assign_builds_it(monkeypatch):
     states = {}
     for p, names in free:
         rho = assign(p, names, 0.9)
-        assert rho is _kernel_of(p, names).state
+        assert rho is _free_view(_kernel_of(p, names)).state
         states[id(rho)] = rho
     # One build per θ-free kernel, none at a later angle.
     assert {id(rho) for rho in built} == set(states)

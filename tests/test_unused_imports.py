@@ -1,0 +1,56 @@
+"""No ``ewfs`` module imports a name it never uses.
+
+A stdlib ``ast`` check standing in for a linter's unused-import rule: every
+name an ``import`` or ``from ... import`` binds in a module, at any depth,
+must be read somewhere in that module, or be listed in its ``__all__``.
+``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ewfs
+
+MODULES = sorted(Path(ewfs.__file__).resolve().parent.glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\nimport os, sys as system\n"
+        "from math import pi, tau\nprint(tau)\n"
+    )
+    assert _unused_imports(source) == ["os (line 2)", "pi (line 3)", "system (line 2)"]
+    assert _unused_imports("import os.path\nos.sep\n__all__ = ['pi']\nfrom math import pi\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_module_is_checked():
+    assert {path.name for path in MODULES} >= {
+        "__init__.py", "__main__.py", "cli.py", "measurement.py", "perspectives.py",
+        "protocol.py", "qcore.py", "reasoning.py",
+    }
