@@ -202,7 +202,7 @@ def _cmd_audit(args) -> tuple[dict, list]:
         "theta": args.theta,
         "statements": statements,
         "chain_conclusion": report.chain_conclusion,
-        "conclusion_value": report.conclusion_value,
+        "conclusion_value": None if report.conclusion_value is None else prob_json(report.conclusion_value),
         "contradiction": report.contradiction,
         "witness": None if report.witness is None else prob_json(report.witness),
     }, []
@@ -271,8 +271,7 @@ def _render_audit(payload: dict) -> str:
         lines.append(f"{stmt['id']:<14}{stmt['status']:<15}{value:<14}{stmt['description']}")
     lines += ["", f"chain conclusion: {payload['chain_conclusion'] or '(chain broken)'}"]
     if payload["conclusion_value"] is not None:
-        # The payload keeps this value bare, so its fraction is found here.
-        lines.append(f"conclusion value: {_prob_cell(prob_json(payload['conclusion_value']))}")
+        lines.append(f"conclusion value: {_prob_cell(payload['conclusion_value'])}")
     if payload["witness"] is not None:
         lines.append(f"exact P(halt): {_prob_cell(payload['witness'])}")
     lines.append(f"contradiction: {payload['contradiction']}")

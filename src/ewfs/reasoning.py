@@ -17,10 +17,11 @@ only within about 1e-6 of 2πℤ.
 Nested claims ("A is certain that B is certain that ...") unfold by the
 minimal rule sufficient for the argument audited here: the outer speaker
 must be certain of some value of the inner speaker's record, and the inner
-claim re-conditioned on that value must hold.  No general epistemic logic
-is attempted.  Evaluation keeps no values of its own: a nested certainty,
-or another speaker with the same checkpoint, conditioning and rule, reads
-its record off the same ``perspectives`` view as an earlier link.
+claim must hold when its speaker conditions on ``((record, that value),)``
+in place of its own conditioning.  No general epistemic logic is attempted.
+Evaluation builds no ``Statement`` and keeps no values of its own: a nested
+certainty, or another speaker with the same checkpoint, conditioning and
+rule, reads its record off the same ``perspectives`` view as an earlier link.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
 with the chain of statement values it is audited with:
@@ -100,29 +101,10 @@ class Statement:
         if self.inner is not None and len(self.inner.condition) != 1:
             raise ValueError("nested statements require a single-record inner conditioning")
 
-    def reconditioned(self, var: str, value: str) -> "Statement":
-        """Copy of this statement with its conditioning on ``var`` replaced.
-
-        Built and validated on the first request for ``(var, value)`` and
-        kept; a record has a few values, so a statement keeps a few copies.
-        """
-        copy = self._copies.get((var, value))
-        if copy is None:
-            cond = tuple((k, value if k == var else v) for k, v in self.condition)
-            if var not in dict(self.condition):
-                cond = cond + ((var, value),)
-            copy = Statement(self.id, self.speaker, self.time, self.kind, cond, self.event, self.inner)
-            self._copies[(var, value)] = copy
-        return copy
-
     def describe(self) -> str:
         return self._description
 
     # θ-free and the statement never changes: written on first use and kept.
-    @cached_property
-    def _copies(self) -> dict[tuple[str, str], "Statement"]:
-        return {}
-
     @cached_property
     def _description(self) -> str:
         cond = ", ".join(f"{k}={v}" for k, v in self.condition) or "-"
@@ -269,17 +251,21 @@ def _status(kind: str, dist: Mapping[str, float], value: str) -> str:
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Evaluate one statement under a rule set; exact, no sampling."""
-    return _evaluate(st, rs, theta, seen=())
+    return _evaluate(st, rs, theta, st.condition, seen=())
 
 
-def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -> StatementResult:
+def _evaluate(
+    st: Statement, rs: RuleSet, theta: float, condition: tuple[tuple[str, str], ...], seen: tuple[str, ...]
+) -> StatementResult:
+    # ``condition`` is the statement's own, or, for a nested claim's inner
+    # statement, the one record value the outer speaker is certain of.
     if st.id in seen:
         raise ValueError(f"cyclic statement dependency through {st.id!r}")
     seen = seen + (st.id,)
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
-    persp = _perspective(st.speaker, st.time, st.condition, rule)
+    persp = _perspective(st.speaker, st.time, condition, rule)
     # An assignment depends only on the checkpoint, conditioning and rule
     # (``perspectives._kernel`` takes no agent), so a repeated read, by this
     # speaker or another, is a hit on the same view.
@@ -297,8 +283,7 @@ def _evaluate(st: Statement, rs: RuleSet, theta: float, seen: tuple[str, ...]) -
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, dist[best])
-    inner = st.inner.reconditioned(var, best)
-    inner_result = _evaluate(inner, rs, theta, seen)
+    inner_result = _evaluate(st.inner, rs, theta, ((var, best),), seen)
     return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
 
@@ -362,7 +347,7 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
             raise ValueError(
                 f"rule set {rs.name!r} overrides {sid!r}, which names no statement of the chain"
             )
-    results = tuple(_evaluate(st, rs, theta, seen=()) for st in statements)
+    results = tuple(evaluate(st, rs, theta) for st in statements)
 
     conclusion: str | None = None
     conclusion_value: float | None = None

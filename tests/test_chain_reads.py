@@ -7,6 +7,7 @@
   whichever speaker or chain link asks, and reading off the shared views
   changes no verdict and no value against ``evaluate`` one statement at a
   time.
+* an audit, cold or warm, constructs no ``Statement``.
 * ``chain`` rejects an empty chain and an override id that names no
   statement, instead of concluding from nothing or ignoring the override.
 """
@@ -128,33 +129,22 @@ def test_a_rule_set_with_a_builtin_name_is_still_checked():
         assert chain(list(statements), rs) == chain(statements, rs)
 
 
-def test_a_warm_audit_constructs_no_statement(monkeypatch):
-    # A nested certainty re-conditions its inner statement on the value the
-    # outer speaker is certain of; that copy is θ-free, so it is built and
-    # validated once and kept on the statement.
+def test_an_audit_constructs_no_statement_cold_or_warm(monkeypatch):
+    # A nested certainty reads its inner statement under the value the outer
+    # speaker is certain of, as a conditioning, so no copy of it is built.
     angles = MULTIPLES_OF_2PI + GENERIC
-    for theta in angles:
-        for name in RULESET_NAMES:
-            audit(name, theta)
-    built, copies = [], []
-    post_init, reconditioned = reasoning.Statement.__post_init__, reasoning.Statement.reconditioned
+    built = []
+    post_init = reasoning.Statement.__post_init__
 
     def counted_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counted_reconditioned(self, var, value):
-        copies.append(reconditioned(self, var, value))
-        return copies[-1]
-
     monkeypatch.setattr(reasoning.Statement, "__post_init__", counted_post_init)
-    monkeypatch.setattr(reasoning.Statement, "reconditioned", counted_reconditioned)
-    for theta in angles:
-        for name in RULESET_NAMES:
-            audit(name, theta)
-    assert built == []
-    assert len(copies) >= 2 * len(angles)
-    # Each kept copy is the statement a fresh build gives.
-    for copy in copies:
-        fields = (copy.id, copy.speaker, copy.time, copy.kind, copy.condition, copy.event, copy.inner)
-        assert copy == reasoning.Statement(*fields)
+    perspectives._kernel.cache_clear()
+    reasoning._perspective.cache_clear()
+    for _ in ("cold", "warm"):
+        for theta in angles:
+            for name in RULESET_NAMES:
+                audit(name, theta)
+        assert built == []

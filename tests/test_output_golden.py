@@ -35,7 +35,7 @@ GROUPS = ("exact", "audit", "perspectives", "perspectives --json", "purity", "ma
 GOLDEN_SHA256 = {
     "0": {
         "exact": "e40927480c23aee7895a4d6ef423dfd0a45788a6051b73d4c2910790f39276c9",
-        "audit": "dfc9c51756bfc0c4e99fe72d298e4fe7caf7165dd4466ada8cd7570d8177b7b3",
+        "audit": "d0e46fad696881b8882b509b6e9c054cf5bbf006857180563daa86514bd7077d",
         "perspectives": "0b5ace7fe7349669026c0da73dcbb416ced070b825f648d47e744f47a2e8ba49",
         "perspectives --json": "29da0ee72706ac2736afaf948c61bd64cde4b239ed07c71b6d4e3ec5b6eb9ec3",
         "purity": "f7acbdf361ef76c36c9f5541d0f70b90dfbc5cd531de09de3f20add179d7c09a",
@@ -83,7 +83,7 @@ GOLDEN_SHA256 = {
     },
     "6.283185307179586": {
         "exact": "91e1ed39f66f35fe25afd475fa0d33f8152bca0eabe538b6023e107df8adc230",
-        "audit": "a53dbc068756f81ccccb43100f485fca1d74c59bbfe2790d222dd1d85a569eb7",
+        "audit": "626e40f0fca48cffe14205195f06865b13d4a664e5a5cfef98b3b731820fc2e4",
         "perspectives": "b88aaec90341d87c1fa47172c41967793ddf00e1183aa2ef4237b1f213398318",
         "perspectives --json": "587ed97e5bb60f1b73eb3dfff99a489a636dec6676d8ef65f11adf9a6359ad6c",
         "purity": "f7acbdf361ef76c36c9f5541d0f70b90dfbc5cd531de09de3f20add179d7c09a",

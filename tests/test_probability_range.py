@@ -104,7 +104,7 @@ def test_schema_bounds_audit_values_to_the_unit_interval():
         VALIDATOR.validate(payload)
     statement, conclusion = copy.deepcopy(payloads[0]), copy.deepcopy(payloads[0])
     statement["statements"][0]["value"] = 1.0000000000000004
-    conclusion["conclusion_value"] = -1e-300
+    conclusion["conclusion_value"]["value"] = -1e-300
     for broken in (statement, conclusion):
         with pytest.raises(jsonschema.ValidationError):
             VALIDATOR.validate(broken)

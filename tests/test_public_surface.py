@@ -70,3 +70,8 @@ def test_restatements_and_unused_defaults_are_gone():
     for fn in (measurement.pointer_readout_spec, measurement.born_distribution):
         params = inspect.signature(fn).parameters.values()
         assert [p.name for p in params if p.default is not p.empty] == [], fn.__name__
+
+
+def test_a_statement_has_no_reconditioned_copy():
+    # A nested certainty passes the inner statement its conditioning instead.
+    assert not hasattr(reasoning.Statement, "reconditioned")

@@ -19,6 +19,7 @@ from ewfs.reasoning import (
     WBAR_23,
     RuleSet,
     Statement,
+    StatementResult,
     audit,
     builtin_ruleset,
     chain,
@@ -27,7 +28,14 @@ from ewfs.reasoning import (
     premise_result,
     standard_chain,
 )
-from ewfs.perspectives import AssignmentRule, COLLAPSE_AWARE, UNITARY_GLOBAL, Perspective, assign
+from ewfs.perspectives import (
+    AssignmentRule,
+    COLLAPSE_AWARE,
+    UNITARY_GLOBAL,
+    Perspective,
+    assign,
+    record_distribution,
+)
 from ewfs.qcore import pure_density
 
 from _oracles import fidelity
@@ -103,6 +111,28 @@ def test_doubly_nested_statement():
     # the observer is not even certain of the spin record under collapse
     assert res.status == FAILS
     assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_nested_claim_is_read_under_the_value_its_speaker_is_certain_of(theta):
+    # Y names r=heads, but F is certain of r=tails given z=+1/2, so X reads Y
+    # under r=tails: the value of Y built on r=tails, not of Y as written.
+    rs = builtin_ruleset("fr-mixed")
+    y = Statement("Y", "Fbar", "n:20", CERTAIN, (("r", "heads"),), event=("w", "fail"))
+    y_tails = Statement("Y", "Fbar", "n:20", CERTAIN, (("r", "tails"),), event=("w", "fail"))
+    x = evaluate(Statement("X", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=y), rs, theta)
+    assert (x.status, x.value) == (HOLDS, 1.0)
+    assert x.value == evaluate(y_tails, rs, theta).value
+    assert evaluate(y, rs, theta).status == FAILS
+
+    # Given z=-1/2, F is not certain of r: the nested claim fails with F's
+    # largest probability for a value of r.
+    uncertain = Statement("X", "F", "n:20", CERTAIN, (("z", "-1/2"),), inner=y)
+    dist = record_distribution(Perspective("F", "n:20", (("z", "-1/2"),), rs.rule_for("X")), "r", theta)
+    assert max(dist.values()) < 1.0
+    assert evaluate(uncertain, rs, theta) == StatementResult(
+        "X", uncertain.describe(), FAILS, max(dist.values())
+    )
 
 
 def test_not_evaluable_is_distinct_from_fails():
