@@ -31,10 +31,9 @@ __version__ = "0.1.0"
 
 # Each module and the names the package re-exports from it.
 _EXPORTS = {
-    "qcore": ("DensityMatrix", "Operator", "SpaceLayout", "StateVector", "dephase"),
+    "qcore": ("DensityMatrix", "Operator", "SpaceLayout", "StateVector"),
     "measurement": ("DilationSpec", "MeasurementSpec", "build_dilation"),
-    "protocol": ("JointDistribution", "ProtocolConfig", "RoundRecord", "RoundTally", "exact_joint",
-                 "run_round", "sample_records"),
+    "protocol": ("JointDistribution", "ProtocolConfig", "RoundTally", "exact_joint", "sample_records"),
     "perspectives": ("AssignmentRule", "NotEvaluableError", "Perspective", "assign"),
     "reasoning": ("AuditReport", "RuleSet", "Statement", "audit", "chain", "evaluate"),
     "cli": (),
@@ -53,7 +52,6 @@ __all__ = [
     "Operator",
     "Perspective",
     "ProtocolConfig",
-    "RoundRecord",
     "RoundTally",
     "RuleSet",
     "SpaceLayout",
@@ -64,10 +62,8 @@ __all__ = [
     "audit",
     "build_dilation",
     "chain",
-    "dephase",
     "evaluate",
     "exact_joint",
-    "run_round",
     "sample_records",
 ]
 

@@ -149,10 +149,6 @@ class JointDistribution:
     def prob(self, wbar: str, w: str) -> float:
         return self.entries.get((wbar, w), 0.0)
 
-    def tv_distance(self, other: "JointDistribution") -> float:
-        keys = set(self.entries) | set(other.entries)
-        return 0.5 * sum(abs(self.prob(*k) - other.prob(*k)) for k in keys)
-
 
 # ---------------------------------------------------------------------------
 # Protocol ingredients: states, bases, dilations.
@@ -264,8 +260,6 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 # Exact statistics: one engine for both semantics.
 # ---------------------------------------------------------------------------
 
-_PRUNE = 1e-15
-
 # The θ-free factors of both exact tables, read-only: Lbar's and L's
 # conjugated bases (the specs' own `bras`), the same two as squared moduli, the coin record ``r``
 # each Lbar outcome reads out and the spin record ``z`` each L outcome reads
@@ -324,7 +318,8 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
         axes = (0, 1, 2, 3)
     labels = ((HEADS, TAILS), F_POINTER_LABELS, _WBAR_LABELS, _W_LABELS)
     out: dict[tuple[str, str, str, str], float] = {}
-    for idx in zip(*np.nonzero(table >= _PRUNE)):
+    # Every cell is exactly 0 or at least 1/48, so the key set never moves with θ.
+    for idx in zip(*np.nonzero(table >= IMPOSSIBLE_MASS)):
         key = tuple(labels[v][idx[axes[v]]] for v in range(4))
         out[key] = out.get(key, 0.0) + float(table[idx])
     return out

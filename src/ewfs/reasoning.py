@@ -24,7 +24,8 @@ certainty, or another speaker with the same checkpoint, conditioning and
 rule, reads its record off the same ``perspectives`` view as an earlier link.
 
 ``BUILTIN_AUDITS`` is the one table of the three built-in rule sets, each
-with the chain of statement values it is audited with:
+with the chain of statements it is audited with, and ``audit`` is its one
+reader:
 
 * ``all-collapse``  -- every speaker uses collapse-aware mixtures; the chain
   breaks at its first link and no contradiction appears.
@@ -213,22 +214,6 @@ BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingPro
 })
 
 
-def _builtin(name: str) -> tuple[RuleSet, tuple[Statement, ...]]:
-    try:
-        return BUILTIN_AUDITS[name]
-    except KeyError:
-        raise ValueError(f"unknown rule set {name!r}; choose from {RULESET_NAMES}") from None
-
-
-def builtin_ruleset(name: str) -> RuleSet:
-    return _builtin(name)[0]
-
-
-def standard_chain(ruleset_name: str) -> tuple[Statement, ...]:
-    """The statement chain a rule set is audited with."""
-    return _builtin(ruleset_name)[1]
-
-
 # ---------------------------------------------------------------------------
 # Evaluation.
 # ---------------------------------------------------------------------------
@@ -373,7 +358,10 @@ def exact_halting_probability(theta: float = 0.0) -> float:
 
 def audit(ruleset_name: str, theta: float = 0.0) -> AuditReport:
     """Evaluate a built-in rule set's standard chain, premise row included."""
-    rs, statements = _builtin(ruleset_name)
+    try:
+        rs, statements = BUILTIN_AUDITS[ruleset_name]
+    except KeyError:
+        raise ValueError(f"unknown rule set {ruleset_name!r}; choose from {RULESET_NAMES}") from None
     report = chain(statements, rs, theta)
     results = (premise_result(rs, theta),) + report.results
     return AuditReport(rs.name, results, report.chain_conclusion, report.conclusion_value, report.witness)

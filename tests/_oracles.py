@@ -24,8 +24,9 @@ hold:
   before its one-pass sum;
   ``compare`` and ``StateComparison`` from ``perspectives``; and
   ``outcome_distribution`` (the Born rule on a built ket or density matrix)
-  from ``measurement``.  ``fidelity`` is also the premise's reference: the
-  audit reads the premise as a Born certainty.
+  from ``measurement``; and ``tv_distance``, once a ``JointDistribution``
+  method in ``protocol``.  ``fidelity`` is also the premise's reference:
+  the audit reads the premise as a Born certainty.
 """
 
 from __future__ import annotations
@@ -616,6 +617,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     diff = a.matrix - b.matrix
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def tv_distance(a: protocol.JointDistribution, b: protocol.JointDistribution) -> float:
+    """Total variation distance between two observer-announcement joints."""
+    keys = set(a.entries) | set(b.entries)
+    return 0.5 * sum(abs(a.prob(*k) - b.prob(*k)) for k in keys)
 
 
 def purity(rho: DensityMatrix) -> float:

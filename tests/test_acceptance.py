@@ -49,6 +49,7 @@ from _oracles import (
     pointer_labels,
     product_spec,
     tensor,
+    tv_distance,
     unitary_joint_numeric,
 )
 
@@ -164,7 +165,7 @@ def test_criterion_07_phase_erasure():
     thetas = (0.0, np.pi / 2, np.pi)
     collapse = [exact_joint(ProtocolConfig(semantics="collapse", theta=t)) for t in thetas]
     collapse_gap = max(
-        collapse[0].tv_distance(collapse[1]), collapse[0].tv_distance(collapse[2])
+        tv_distance(collapse[0], collapse[1]), tv_distance(collapse[0], collapse[2])
     )
     oracle_quarter = {k: float(v) for k, v in collapse_joint_cells().items()}
     quarter_gap = max(
@@ -173,7 +174,7 @@ def test_criterion_07_phase_erasure():
 
     j0 = exact_joint(ProtocolConfig(semantics="unitary", theta=0.0))
     jpi = exact_joint(ProtocolConfig(semantics="unitary", theta=np.pi))
-    tv = j0.tv_distance(jpi)
+    tv = tv_distance(j0, jpi)
 
     halting_gap = max(
         abs(exact_joint(ProtocolConfig(semantics="unitary", theta=t)).prob("okbar", "ok") - 1.0 / 12.0)

@@ -1,6 +1,7 @@
 """The θ-free assignment kernels against the branch walk they replace, and their cost."""
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -122,6 +123,24 @@ def test_branch_near_an_interference_zero():
             assert (got is None) == (rule == "unitary-global" and theta == 1e-7), (rule, theta)
             if want is not None:
                 assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12, (rule, theta)
+
+
+# Two conditioning weights touch zero: given z = -1/2, okbar has weight
+# (1 - cos θ)/3, zero at θ = 0, and failbar (1 + cos θ)/3, zero at θ = π.
+# Near either zero the weight is δ²/6 at distance δ, so the unitary-global
+# assignment turns not-evaluable inside |δ| = √(6·IMPOSSIBLE_MASS).
+ZERO_SWITCH = math.sqrt(6 * qcore.IMPOSSIBLE_MASS)
+
+
+def test_interference_zeros_switch_at_the_closed_form_distance():
+    for wbar, centre in (("okbar", 0.0), ("failbar", np.pi)):
+        for agent in AGENTS:
+            p = Perspective(
+                agent, "n:30", (("z", "-1/2"), ("wbar", wbar)), AssignmentRule("unitary-global")
+            )
+            for offset in (-1.02, -0.98, 0.0, 0.98, 1.02):
+                got = _outcome(assign, p, ("S", "F"), centre + offset * ZERO_SWITCH)
+                assert (got is None) == (abs(offset) < 1), (wbar, agent, offset)
 
 
 def test_kernel_arrays_are_read_only():

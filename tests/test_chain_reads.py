@@ -27,10 +27,8 @@ from ewfs.reasoning import (
     WBAR_23,
     RuleSet,
     audit,
-    builtin_ruleset,
     chain,
     evaluate,
-    standard_chain,
 )
 
 from _oracles import SWEEP_GRID, default_registers, purity
@@ -89,7 +87,7 @@ def test_shared_reads_change_no_builtin_result(name, theta):
 
 
 def test_shared_reads_change_no_result_over_every_rule_assignment():
-    statements = standard_chain("fr-mixed")
+    statements = BUILTIN_AUDITS["fr-mixed"][1]
     for kinds in itertools.product(RULE_KINDS, repeat=len(AUDITED)):
         overrides = tuple((sid, AssignmentRule(kind)) for sid, kind in zip(AUDITED, kinds))
         _same_as_one_at_a_time(
@@ -111,7 +109,7 @@ def test_chain_rejects_an_override_that_names_no_statement():
 
 def test_chain_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="empty chain"):
-        chain((), builtin_ruleset("fr-mixed"))
+        chain((), BUILTIN_AUDITS["fr-mixed"][0])
 
 
 def test_a_rule_set_with_a_builtin_name_is_still_checked():

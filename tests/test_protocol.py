@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewfs import qcore
@@ -38,6 +38,7 @@ from _oracles import (
     geometric_mean_se,
     loop_episode_lengths,
     loop_tally,
+    tv_distance,
     unchunked_sample_index,
     unitary_joint_numeric,
 )
@@ -97,14 +98,14 @@ def test_exact_joint_collapse_quarter_cells_any_theta():
     for joint in joints:
         for cell, want in oracle.items():
             assert joint.prob(*cell) == pytest.approx(want, abs=1e-12)
-    assert joints[0].tv_distance(joints[2]) < 1e-12
+    assert tv_distance(joints[0], joints[2]) < 1e-12
 
 
 def test_tv_distance_between_phases():
     j0 = exact_joint(ProtocolConfig(semantics="unitary", theta=0.0))
     jpi = exact_joint(ProtocolConfig(semantics="unitary", theta=np.pi))
-    assert j0.tv_distance(jpi) == pytest.approx(2.0 / 3.0, abs=1e-10)
-    assert j0.tv_distance(jpi) > 0.6
+    assert tv_distance(j0, jpi) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert tv_distance(j0, jpi) > 0.6
 
 
 def test_collapse_record_distribution_matches_fraction_oracle():
@@ -113,6 +114,29 @@ def test_collapse_record_distribution_matches_fraction_oracle():
     assert set(table) == set(oracle)
     for key, want in oracle.items():
         assert table[key] == pytest.approx(want, abs=1e-12)
+
+
+# The record table keeps the cells of at least IMPOSSIBLE_MASS.  Every cell is
+# exactly 0 or at least 1/48 (the unitary ones that move read 5/48 ± cos θ/12),
+# so no cell comes near that threshold: the keys, and so the mc CDF, never
+# change with θ.
+RECORD_KEYS = {"collapse": 12, "unitary": 16}
+
+
+@pytest.mark.parametrize("semantics", sorted(RECORD_KEYS))
+@settings(max_examples=40, deadline=None)
+@example(theta=0.0)
+@example(theta=np.pi)
+@example(theta=2 * np.pi)
+@example(theta=1e-6)
+@example(theta=-1e-6)
+@given(theta=st.floats(-20.0, 20.0))
+def test_record_table_has_the_same_keys_at_every_theta(semantics, theta):
+    reference = exact_record_distribution(ProtocolConfig(semantics=semantics, theta=0.7))
+    assert len(reference) == RECORD_KEYS[semantics]
+    table = exact_record_distribution(ProtocolConfig(semantics=semantics, theta=theta))
+    assert set(table) == set(reference)
+    assert min(table.values()) >= 1.0 / 48.0 - 1e-15
 
 
 def test_collapse_conditionals():

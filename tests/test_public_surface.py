@@ -1,7 +1,14 @@
-"""The package's public names, and the helpers that live only in the test oracles."""
+"""The package's public names, and the helpers that live only in the test oracles.
 
+Every public function and method in ``ewfs`` is called by the package
+itself or by the benchmark in ``perfbench``: a name that only tests call
+moves to ``tests/_oracles.py`` or leaves.
+"""
+
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import ewfs
 from ewfs import measurement, perspectives, protocol, qcore, reasoning
@@ -17,7 +24,6 @@ PUBLIC = [
     "Operator",
     "Perspective",
     "ProtocolConfig",
-    "RoundRecord",
     "RoundTally",
     "RuleSet",
     "SpaceLayout",
@@ -28,10 +34,8 @@ PUBLIC = [
     "audit",
     "build_dilation",
     "chain",
-    "dephase",
     "evaluate",
     "exact_joint",
-    "run_round",
     "sample_records",
 ]
 
@@ -75,3 +79,55 @@ def test_restatements_and_unused_defaults_are_gone():
 def test_a_statement_has_no_reconditioned_copy():
     # A nested certainty passes the inner statement its conditioning instead.
     assert not hasattr(reasoning.Statement, "reconditioned")
+
+
+SRC = sorted(Path(ewfs.__file__).resolve().parent.glob("*.py"))
+PERFBENCH = sorted(
+    p for p in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+    if not p.name.startswith("test_")
+)
+
+
+def _public_functions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public module-level function and class method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{item.name}", item.name)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+            ]
+    return [(qual, name) for qual, name in out if not name.startswith("_")]
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_caller_check_sees_only_reads():
+    tree = ast.parse("def f(): pass\nclass C:\n    def m(self): f()\n    def _p(self): pass\n")
+    assert _public_functions(tree) == [("f", "f"), ("C.m", "m")]
+    assert {"f", "m"} & _referenced(tree) == {"f"}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in SRC + PERFBENCH}
+    called = set().union(*map(_referenced, trees.values()))
+    uncalled = {
+        f"{path.stem}.{qual}"
+        for path in SRC
+        for qual, name in _public_functions(trees[path])
+        if name not in called
+    }
+    # The one exemption; it leaves with RoundRecord once the benchmark's probe
+    # stops calling the per-round runner.
+    assert uncalled == {"protocol.RoundRecord.halted"}

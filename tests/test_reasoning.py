@@ -5,6 +5,7 @@ import pytest
 
 from ewfs import protocol, qcore
 from ewfs.reasoning import (
+    BUILTIN_AUDITS,
     CERTAIN,
     F_12,
     F_13,
@@ -21,12 +22,10 @@ from ewfs.reasoning import (
     Statement,
     StatementResult,
     audit,
-    builtin_ruleset,
     chain,
     evaluate,
     exact_halting_probability,
     premise_result,
-    standard_chain,
 )
 from ewfs.perspectives import (
     AssignmentRule,
@@ -71,43 +70,43 @@ def test_audit_report_enforces_contradiction_invariant():
 
 def test_fail_prediction_holds_only_with_own_record_conditioning():
     st = FBAR_02
-    assert evaluate(st, builtin_ruleset("fr-mixed")).status == HOLDS
-    res = evaluate(st, builtin_ruleset("all-collapse"))
+    assert evaluate(st, BUILTIN_AUDITS["fr-mixed"][0]).status == HOLDS
+    res = evaluate(st, BUILTIN_AUDITS["all-collapse"][0])
     assert res.status == FAILS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_star_statement_nonzero_half():
-    res = evaluate(FBAR_02_STAR, builtin_ruleset("all-unitary"))
+    res = evaluate(FBAR_02_STAR, BUILTIN_AUDITS["all-unitary"][0])
     assert res.status == HOLDS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_tails_inference_holds_everywhere():
     for name in RULESET_NAMES:
-        res = evaluate(F_12, builtin_ruleset(name))
+        res = evaluate(F_12, BUILTIN_AUDITS[name][0])
         assert res.status == HOLDS
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_announcement_certainty_depends_on_rule():
-    res = evaluate(WBAR_22, builtin_ruleset("fr-mixed"))
+    res = evaluate(WBAR_22, BUILTIN_AUDITS["fr-mixed"][0])
     assert res.status == HOLDS
-    res = evaluate(WBAR_22, builtin_ruleset("all-collapse"))
+    res = evaluate(WBAR_22, BUILTIN_AUDITS["all-collapse"][0])
     assert res.status == FAILS
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_nested_statement_follows_inner_claim():
-    assert evaluate(F_13, builtin_ruleset("fr-mixed")).status == HOLDS
-    res = evaluate(F_13, builtin_ruleset("all-collapse"))
+    assert evaluate(F_13, BUILTIN_AUDITS["fr-mixed"][0]).status == HOLDS
+    res = evaluate(F_13, BUILTIN_AUDITS["all-collapse"][0])
     assert res.status == FAILS
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_doubly_nested_statement():
-    assert evaluate(WBAR_23, builtin_ruleset("fr-mixed")).status == HOLDS
-    res = evaluate(WBAR_23, builtin_ruleset("all-collapse"))
+    assert evaluate(WBAR_23, BUILTIN_AUDITS["fr-mixed"][0]).status == HOLDS
+    res = evaluate(WBAR_23, BUILTIN_AUDITS["all-collapse"][0])
     # the observer is not even certain of the spin record under collapse
     assert res.status == FAILS
     assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
@@ -117,7 +116,7 @@ def test_doubly_nested_statement():
 def test_nested_claim_is_read_under_the_value_its_speaker_is_certain_of(theta):
     # Y names r=heads, but F is certain of r=tails given z=+1/2, so X reads Y
     # under r=tails: the value of Y built on r=tails, not of Y as written.
-    rs = builtin_ruleset("fr-mixed")
+    rs = BUILTIN_AUDITS["fr-mixed"][0]
     y = Statement("Y", "Fbar", "n:20", CERTAIN, (("r", "heads"),), event=("w", "fail"))
     y_tails = Statement("Y", "Fbar", "n:20", CERTAIN, (("r", "tails"),), event=("w", "fail"))
     x = evaluate(Statement("X", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=y), rs, theta)
@@ -141,7 +140,7 @@ def test_not_evaluable_is_distinct_from_fails():
         (("r", "heads"), ("z", "+1/2")), event=("r", "tails"),
     )
     for name in RULESET_NAMES:
-        rs = builtin_ruleset(name)
+        rs = BUILTIN_AUDITS[name][0]
         rule = rs.rule_for("F_12_heads")
         if rule.kind == "own-record-pure":
             continue  # two-record conditioning is outside that rule's shape
@@ -152,7 +151,7 @@ def test_not_evaluable_is_distinct_from_fails():
 
 def test_premise_holds_under_every_ruleset():
     for name in RULESET_NAMES:
-        res = premise_result(builtin_ruleset(name))
+        res = premise_result(BUILTIN_AUDITS[name][0])
         assert res.status == HOLDS
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
@@ -165,7 +164,7 @@ def test_premise_value_is_the_fidelity_with_the_x_polarized_spin():
     # the pure x-polarized reference; the audit reads it as a Born certainty.
     reference = pure_density(protocol.SPIN_RIGHT_STATE)
     for name in RULESET_NAMES:
-        rs = builtin_ruleset(name)
+        rs = BUILTIN_AUDITS[name][0]
         persp = Perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rs.rule_for(PREMISE_ID))
         for theta in PREMISE_ANGLES:
             res = premise_result(rs, theta)
@@ -242,7 +241,7 @@ def test_audit_deterministic():
 
 
 def test_chain_rejects_duplicate_ids():
-    rs = builtin_ruleset("fr-mixed")
+    rs = BUILTIN_AUDITS["fr-mixed"][0]
     with pytest.raises(ValueError):
         chain((FBAR_02, FBAR_02), rs)
 
@@ -252,7 +251,7 @@ def test_cycle_detection():
     inner = Statement("Loop", "Fbar", "n:20", CERTAIN, (("r", "tails"),), event=("w", "fail"))
     outer = Statement("Loop", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=inner)
     with pytest.raises(ValueError):
-        evaluate(outer, builtin_ruleset("fr-mixed"))
+        evaluate(outer, BUILTIN_AUDITS["fr-mixed"][0])
 
 
 def test_custom_ruleset_override():
@@ -269,24 +268,18 @@ def test_custom_ruleset_override():
 
 
 def test_standard_chain_contents():
-    assert [s.id for s in standard_chain("fr-mixed")] == [
+    assert [s.id for s in BUILTIN_AUDITS["fr-mixed"][1]] == [
         "Fbar_02", "F_12", "F_13", "Wbar_22", "Wbar_23",
     ]
-    assert [s.id for s in standard_chain("all-unitary")] == [
+    assert [s.id for s in BUILTIN_AUDITS["all-unitary"][1]] == [
         "Fbar_02_star", "F_12", "Wbar_22", "Wbar_23_star",
     ]
 
 
 def test_evaluation_is_seed_free():
     # nothing in the audit consumes randomness; repeated calls are identical
-    values = [evaluate(WBAR_22, builtin_ruleset("all-collapse")).value for _ in range(3)]
+    values = [evaluate(WBAR_22, BUILTIN_AUDITS["all-collapse"][0]).value for _ in range(3)]
     assert values[0] == values[1] == values[2]
-
-
-def test_builtin_rule_sets_and_chains_are_built_once():
-    for name in RULESET_NAMES:
-        assert builtin_ruleset(name) is builtin_ruleset(name)
-        assert standard_chain(name) is standard_chain(name)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ewfs.perspectives import COLLAPSE_AWARE, RULE_KINDS, UNITARY_GLOBAL, AssignmentRule
-from ewfs.reasoning import HOLDS, PREMISE_ID, RuleSet, chain, premise_result, standard_chain
+from ewfs.reasoning import BUILTIN_AUDITS, HOLDS, PREMISE_ID, RuleSet, chain, premise_result
 
 AUDITED = (PREMISE_ID, "Fbar_02", "F_12", "F_13", "Wbar_22", "Wbar_23")
 # The statements whose collapse-aware description breaks the chain.
@@ -25,7 +25,7 @@ LINKS = ("Fbar_02", "Wbar_22", "Wbar_23")
 
 def _contradicting(theta):
     """Every assignment of rules to the audited statements whose audit contradicts."""
-    statements = standard_chain("fr-mixed")
+    statements = BUILTIN_AUDITS["fr-mixed"][1]
     assert tuple(st.id for st in statements) == AUDITED[1:]
     out = set()
     for kinds in itertools.product(RULE_KINDS, repeat=len(AUDITED)):
