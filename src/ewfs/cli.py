@@ -164,11 +164,11 @@ def _cmd_perspectives(args) -> tuple[dict, list]:
     for name, spec in _PREDICTION_SPECS:
         if not set(spec.target) <= set(subsystems):
             continue
-        merged = protocol.merge_other(perspectives.predict_distribution(persp, spec, args.theta))
+        dist = perspectives.predict_distribution(persp, spec, args.theta)
         predictions.append(
             {
                 "measurement": name,
-                "outcomes": [{"label": l, "probability": prob_json(p)} for l, p in merged.items()],
+                "outcomes": [{"label": l, "probability": prob_json(p)} for l, p in dist.items()],
             }
         )
 

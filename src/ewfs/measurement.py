@@ -2,7 +2,7 @@
 
 A ``MeasurementSpec`` is a complete labeled orthonormal basis on a set of
 target registers: listed outcomes that do not span the target space are
-completed once, at construction, with deterministic ``other_k`` outcomes,
+completed once, at construction, with deterministic rows labelled ``other``,
 and the completed outcome vectors are kept as the rows of ``spec.basis``.
 
 This module owns the one Born rule, ``born_distribution``: it reads the
@@ -34,16 +34,18 @@ from .qcore import (
     projector,
 )
 
+OTHER = "other"  # the label of every completion row: whatever the listed outcomes leave out
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
     """Complete labeled orthonormal basis on a set of target registers.
 
     The listed outcomes need not span the target space: construction
-    appends deterministic ``other_k`` outcomes for the orthogonal complement.
-    ``basis`` holds the completed outcome vectors as read-only rows, row k
-    for outcome k, and ``bras`` their read-only conjugates, so that
-    ``bras @ ψ`` reads the amplitudes ``⟨o_k|ψ⟩``.
+    appends deterministic ``OTHER`` rows for the orthogonal complement, the
+    one outcome that may span several rows.  ``basis`` holds the completed
+    outcome vectors as read-only rows, row k for outcome k, and ``bras``
+    their read-only conjugates, so that ``bras @ ψ`` reads ``⟨o_k|ψ⟩``.
     """
 
     target: tuple[str, ...]
@@ -54,7 +56,7 @@ class MeasurementSpec:
         object.__setattr__(self, "outcomes", tuple((str(l), v) for l, v in self.outcomes))
         if not self.outcomes:
             raise ValueError("measurement needs at least one outcome")
-        labels = [l for l, _ in self.outcomes]
+        labels = [l for l, _ in self.outcomes if l != OTHER]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels: {labels}")
         first = self.outcomes[0][1].layout
@@ -89,7 +91,7 @@ class MeasurementSpec:
 
 
 def _complement(sub: SpaceLayout, listed: list[np.ndarray]) -> tuple[tuple[str, StateVector], ...]:
-    """Orthonormal ``other_k`` outcomes spanning the complement of the listed vectors.
+    """Orthonormal ``OTHER`` rows spanning the complement of the listed vectors.
 
     Gram-Schmidt against the computational basis in fixed index order, so the
     result is deterministic given the listed order.
@@ -112,23 +114,27 @@ def _complement(sub: SpaceLayout, listed: list[np.ndarray]) -> tuple[tuple[str, 
             break
     if len(basis_rows) != d:
         raise ValueError("basis completion failed to span the target space")
-    return tuple((f"other_{i}", StateVector(sub, vec)) for i, vec in enumerate(added))
+    return tuple((OTHER, StateVector(sub, vec)) for vec in added)
 
 
 def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float) -> dict[str, float]:
     """Born probabilities ``Σ_b ‖⟨o|ψ_b⟩‖²`` of every outcome over their sum; sums to one.
 
-    ``psi`` holds branch amplitudes of shape (branches, target dim, rest),
-    the target registers in the declaration order of ``spec.target``, and
-    ``total`` is their squared norm, which the outcome masses must add up
-    to.  Dividing by the masses' own sum instead keeps every probability in
-    [0, 1]: in floating point no summand exceeds the sum.
+    An outcome's rows add up in label order.  ``psi`` holds branch
+    amplitudes of shape (branches, target dim, rest), the target registers
+    in the declaration order of ``spec.target``, and ``total`` is their
+    squared norm, which the outcome masses must add up to.  Dividing by the
+    masses' own sum instead keeps every probability in [0, 1]: in floating
+    point no summand exceeds the sum.
     """
     masses = np.add.reduce(np.abs(spec.bras @ psi) ** 2, axis=(0, 2))
     mass = np.add.reduce(masses)
     if not abs(mass / total - 1.0) <= DEFAULT_ATOL:
-        raise ValueError(f"outcome probabilities sum to {mass / total!r}, expected 1")
-    return dict(zip(spec.labels, (masses / mass).tolist()))
+        raise ValueError(f"outcome probabilities sum to {float(mass / total)!r}, expected 1")
+    dist = dict.fromkeys(spec.labels, 0.0)
+    for label, p in zip(spec.labels, (masses / mass).tolist()):
+        dist[label] += p
+    return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +180,10 @@ def build_dilation(dspec: DilationSpec, layout: SpaceLayout) -> Operator:
     deterministic choice.
     """
     spec = dspec.measurement
-    mem_axis = layout.axis(dspec.memory)
-    mem_dim = layout.dims[mem_axis]
-    if mem_dim < len(spec.outcomes) + 1:
-        raise ValueError(
-            f"memory {dspec.memory!r} has dimension {mem_dim}, "
-            f"needs at least {len(spec.outcomes) + 1}"
-        )
+    mem_dim = layout.dims[layout.axis(dspec.memory)]
+    needed = len(set(spec.labels)) + 1  # the ready slot and one per outcome; ``other``'s rows share one
+    if mem_dim < needed:
+        raise ValueError(f"memory {dspec.memory!r} has dimension {mem_dim}, needs at least {needed}")
     preparations = dict(dspec.preparations)
     for label in preparations:
         if label not in spec.labels:

@@ -50,11 +50,12 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from . import protocol
-from .measurement import MeasurementSpec, _check_target, born_distribution, pointer_readout_spec
+from .measurement import MeasurementSpec, _check_target, born_distribution
 from .protocol import (
     AGENTS,
     COLLAPSE_AWARE,
     OWN_RECORD_PURE,
+    RECORD_READOUTS,
     RECORDS,
     RULE_KINDS,
     TIMES,
@@ -132,14 +133,6 @@ class Perspective:
         key = (time, tuple(sorted(cond)), rule.kind == COLLAPSE_AWARE)
         self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule, _kernel_key=key)
 
-
-# record variable -> measurement whose outcome reproduces it
-RECORD_READOUTS: Mapping[str, MeasurementSpec] = MappingProxyType({
-    "r": protocol.COIN_MEASUREMENT,
-    "z": pointer_readout_spec(protocol.LAYOUT, protocol.F, protocol.F_POINTER_LABELS),
-    "wbar": protocol.WBAR_MEASUREMENT,
-    "w": protocol.W_MEASUREMENT,
-})
 
 # record variable -> (label, projector on the whole layout) of each outcome of
 # the measurement fixing it, for the records a checkpoint can hold.
@@ -313,5 +306,5 @@ def predict_distribution(
 
 
 def record_distribution(p: Perspective, var: str, theta: float = 0.0) -> dict[str, float]:
-    """Distribution a perspective assigns to a record variable, 'other' outcomes merged."""
-    return protocol.merge_other(predict_distribution(p, RECORD_READOUTS[var], theta))
+    """Distribution a perspective assigns to a record variable."""
+    return predict_distribution(p, RECORD_READOUTS[var], theta)

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .measurement import DilationSpec, MeasurementSpec, build_dilation, pointer_readout_spec
+from .measurement import OTHER, DilationSpec, MeasurementSpec, build_dilation, pointer_readout_spec
 from .qcore import (
     DEFAULT_ATOL,
     IMPOSSIBLE_MASS,
@@ -61,7 +61,6 @@ HEADS, TAILS = "heads", "tails"
 Z_MINUS, Z_PLUS = "-1/2", "+1/2"
 OKBAR, FAILBAR = "okbar", "failbar"
 OK, FAIL = "ok", "fail"
-OTHER = "other"
 INIT = "init"
 
 F_POINTER_LABELS = (INIT, Z_MINUS, Z_PLUS)
@@ -188,7 +187,7 @@ SPIN_DILATION = DilationSpec(
 
 
 def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec:
-    """An observer's basis on a sealed (system, memory) lab, completed with ``other_k``.
+    """An observer's basis on a sealed (system, memory) lab, completed with ``other`` rows.
 
     The lab's two pointer states are |0,1> and |1,2> (system outcome 0 or 1,
     memory slot 1 or 2).  The special outcome is their difference over
@@ -205,9 +204,17 @@ def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec
     )
 
 
-# Lbar observer's basis: okbar/failbar listed, completed with ``other_k``.
+# Lbar observer's basis: okbar/failbar listed, completed with four ``other`` rows.
 WBAR_MEASUREMENT = _lab_basis((R, FBAR), OKBAR, FAILBAR)
 W_MEASUREMENT = _lab_basis((S, F), OK, FAIL)
+
+# record variable -> measurement whose outcome reproduces it
+RECORD_READOUTS: Mapping[str, MeasurementSpec] = MappingProxyType({
+    "r": COIN_MEASUREMENT,
+    "z": pointer_readout_spec(LAYOUT, F, F_POINTER_LABELS),
+    "wbar": WBAR_MEASUREMENT,
+    "w": W_MEASUREMENT,
+})
 
 
 def _checkpoint_branches() -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
@@ -243,19 +250,6 @@ def global_state(theta: float, time: str) -> StateVector:
     return StateVector(LAYOUT, _global_amplitudes(theta, time))
 
 
-def _simplify(label: str) -> str:
-    return OTHER if label.startswith("other_") else label
-
-
-def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
-    """Fold the auto-completed ``other_k`` outcomes of a distribution into one ``other``."""
-    merged: dict[str, float] = {}
-    for label, p in dist.items():
-        key = _simplify(label)
-        merged[key] = merged.get(key, 0.0) + p
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # Exact statistics: one engine for both semantics.
 # ---------------------------------------------------------------------------
@@ -263,15 +257,14 @@ def merge_other(dist: Mapping[str, float]) -> dict[str, float]:
 # The θ-free factors of both exact tables, read-only: Lbar's and L's
 # conjugated bases (the specs' own `bras`), the same two as squared moduli, the coin record ``r``
 # each Lbar outcome reads out and the spin record ``z`` each L outcome reads
-# out.  Then the merged ``wbar`` and ``w`` labels.
+# out.  Then the ``wbar`` and ``w`` labels of their rows.
 _LBAR_DUAL, _L_DUAL = WBAR_MEASUREMENT.bras, W_MEASUREMENT.bras
 _LBAR_WEIGHTS, _L_WEIGHTS = np.abs(WBAR_MEASUREMENT.basis) ** 2, np.abs(W_MEASUREMENT.basis) ** 2
 _R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
 _Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
 for _arr in (_LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
     _arr.setflags(write=False)
-_WBAR_LABELS = tuple(map(_simplify, WBAR_MEASUREMENT.labels))
-_W_LABELS = tuple(map(_simplify, W_MEASUREMENT.labels))
+_WBAR_LABELS, _W_LABELS = WBAR_MEASUREMENT.labels, W_MEASUREMENT.labels
 
 
 def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
@@ -316,7 +309,7 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
             "kaf,afsz,jsz->azkj", _LBAR_WEIGHTS.reshape(6, 2, 3), pointer, _L_WEIGHTS.reshape(6, 2, 3)
         )
         axes = (0, 1, 2, 3)
-    labels = ((HEADS, TAILS), F_POINTER_LABELS, _WBAR_LABELS, _W_LABELS)
+    labels = tuple(RECORD_READOUTS[v].labels for v in RECORDS)
     out: dict[tuple[str, str, str, str], float] = {}
     # Every cell is exactly 0 or at least 1/48, so the key set never moves with θ.
     for idx in zip(*np.nonzero(table >= IMPOSSIBLE_MASS)):

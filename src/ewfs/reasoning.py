@@ -101,6 +101,11 @@ class Statement:
             raise ValueError("nested statements express certainty about the inner claim")
         if self.inner is not None and len(self.inner.condition) != 1:
             raise ValueError("nested statements require a single-record inner conditioning")
+        nested = self.inner
+        while nested is not None:  # each inner statement ran this check on its own chain
+            if nested.id == self.id:
+                raise ValueError(f"statement id {self.id!r} repeats in its nested chain")
+            nested = nested.inner
 
     def describe(self) -> str:
         return self._description
@@ -236,17 +241,14 @@ def _status(kind: str, dist: Mapping[str, float], value: str) -> str:
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Evaluate one statement under a rule set; exact, no sampling."""
-    return _evaluate(st, rs, theta, st.condition, seen=())
+    return _evaluate(st, rs, theta, st.condition)
 
 
 def _evaluate(
-    st: Statement, rs: RuleSet, theta: float, condition: tuple[tuple[str, str], ...], seen: tuple[str, ...]
+    st: Statement, rs: RuleSet, theta: float, condition: tuple[tuple[str, str], ...]
 ) -> StatementResult:
     # ``condition`` is the statement's own, or, for a nested claim's inner
     # statement, the one record value the outer speaker is certain of.
-    if st.id in seen:
-        raise ValueError(f"cyclic statement dependency through {st.id!r}")
-    seen = seen + (st.id,)
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
@@ -268,7 +270,7 @@ def _evaluate(
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
         return StatementResult(st.id, st.describe(), FAILS, dist[best])
-    inner_result = _evaluate(st.inner, rs, theta, ((var, best),), seen)
+    inner_result = _evaluate(st.inner, rs, theta, ((var, best),))
     return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
 
 

@@ -293,8 +293,7 @@ def collapse_steps():
         ("w", protocol.W_MEASUREMENT, 2, np.eye(36)),
     )
     return [
-        (record, [("other" if l.startswith("other_") else l, _projector(v.amplitudes, axis))
-                  for l, v in spec.outcomes], after)
+        (record, [(l, _projector(v.amplitudes, axis)) for l, v in spec.outcomes], after)
         for record, spec, axis, after in specs
     ]
 
@@ -533,11 +532,16 @@ def default_registers(time: str) -> tuple[str, ...]:
 
 
 def product_spec(a: MeasurementSpec, b: MeasurementSpec, sep: str = "&") -> MeasurementSpec:
-    """Joint measurement of two specs on disjoint targets; labels join with ``sep``."""
+    """Joint measurement of two specs on disjoint targets; labels join with ``sep``.
+
+    A pair with an ``other`` side is ``other``: whatever the listed pairs leave out.
+    """
     if set(a.target) & set(b.target):
         raise ValueError("product spec requires disjoint targets")
     outcomes = tuple(
-        (f"{la}{sep}{lb}", tensor(va, vb)) for la, va in a.outcomes for lb, vb in b.outcomes
+        ("other" if "other" in (la, lb) else f"{la}{sep}{lb}", tensor(va, vb))
+        for la, va in a.outcomes
+        for lb, vb in b.outcomes
     )
     return MeasurementSpec(a.target + b.target, outcomes)
 
@@ -673,11 +677,14 @@ def compare(a: DensityMatrix, b: DensityMatrix) -> StateComparison:
 
 
 def _labeled(spec: MeasurementSpec, probs: np.ndarray) -> dict[str, float]:
-    """Outcome probabilities by label, which must sum to one."""
+    """Outcome probabilities by label, which must sum to one; the rows of a label add up."""
     total = probs.sum()
     if not abs(total - 1.0) <= DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    return dict(zip(spec.labels, probs.tolist()))
+    dist = dict.fromkeys(spec.labels, 0.0)
+    for label, p in zip(spec.labels, probs.tolist()):
+        dist[label] += p
+    return dist
 
 
 def outcome_distribution(state, spec: MeasurementSpec) -> dict[str, float]:

@@ -21,7 +21,6 @@ from ewfs.perspectives import (
     assign,
     record_distribution,
 )
-from ewfs.protocol import merge_other
 from ewfs.reasoning import RULESET_NAMES, audit
 
 from _oracles import (
@@ -93,7 +92,7 @@ def test_assign_matches_branch_walk(theta):
         if key not in read:
             spec = RECORD_READOUTS[var]
             rho = walk(p, spec.target)
-            read[key] = None if rho is None else merge_other(outcome_distribution(rho, spec))
+            read[key] = None if rho is None else outcome_distribution(rho, spec)
         return read[key]
 
     for p in PERSPECTIVES:

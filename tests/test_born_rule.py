@@ -54,7 +54,10 @@ def _random_spec(target, listed, rng):
 
 
 def _oracle(ket, spec):
-    return {label: project_component(ket, spec.target, vec.amplitudes)[0] for label, vec in spec.outcomes}
+    want = dict.fromkeys(spec.labels, 0.0)
+    for label, vec in spec.outcomes:
+        want[label] += project_component(ket, spec.target, vec.amplitudes)[0]
+    return want
 
 
 def _assert_close(got, want, tol=1e-12):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ewfs
 from ewfs import cli, perspectives
-from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution, merge_other
+from ewfs.protocol import SAMPLE_CHUNK, ProtocolConfig, exact_record_distribution
 
 import cli_digest
 from _oracles import loop_episode_lengths, loop_tally, unchunked_sample_index
@@ -257,7 +257,7 @@ def test_perspectives_predictions_come_from_predict_distribution(theta):
         p = perspectives.Perspective(payload["agent"], payload["time"], cond, payload["rule"])
         for pred in payload["predictions"]:
             spec = dict(cli._PREDICTION_SPECS)[pred["measurement"]]
-            want = merge_other(perspectives.predict_distribution(p, spec, float(theta)))
+            want = perspectives.predict_distribution(p, spec, float(theta))
             got = {o["label"]: o["probability"]["value"] for o in pred["outcomes"]}
             assert got == want, (argv, pred["measurement"])
             checked += 1

@@ -1,12 +1,15 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from ewfs import cli, measurement, protocol, reasoning
+from ewfs import cli, measurement, perspectives, protocol, reasoning
 from ewfs.measurement import (
+    OTHER,
     DilationSpec,
     MeasurementSpec,
+    born_distribution,
     build_dilation,
     pointer_readout_spec,
 )
@@ -31,6 +34,7 @@ from _oracles import (
     outcome_distribution,
     pointer_labels,
     product_spec,
+    project_component,
     tensor,
     tensor_all,
 )
@@ -59,7 +63,7 @@ def test_protocol_bases_equal_raw_numpy_rows_bit_for_bit():
 
 
 def test_complete_already_complete_is_identity():
-    # a spanning list gets no other_k outcomes: the spec holds exactly what was listed
+    # a spanning list gets no other rows: the spec holds exactly what was listed
     listed = pointer_readout_spec(protocol.LAYOUT, "R", ("heads", "tails")).outcomes
     spec = MeasurementSpec(("R",), listed)
     assert spec.labels == ("heads", "tails")
@@ -68,7 +72,7 @@ def test_complete_already_complete_is_identity():
 
 def test_completion_of_observer_basis():
     done = protocol.WBAR_MEASUREMENT
-    assert done.labels == ("okbar", "failbar", "other_0", "other_1", "other_2", "other_3")
+    assert done.labels == ("okbar", "failbar") + ("other",) * 4
     # the added vectors are orthogonal to the span of the two lab pointers
     lab = protocol.LAYOUT.sub(("R", "Fbar"))
     for _, vec in done.outcomes[2:]:
@@ -196,6 +200,19 @@ def test_dilation_memory_too_small():
         build_dilation(dspec, layout)
 
 
+def test_a_dilation_gives_the_other_rows_one_pointer_slot():
+    # ready, okbar, failbar and other: four slots, however many rows ``other`` spans
+    layout = SpaceLayout((("R", 2), ("Fbar", 3), ("M", 4)))
+    spec = MeasurementSpec(("R", "Fbar"), protocol.WBAR_MEASUREMENT.outcomes[:2])
+    assert spec.labels.count("other") == 4
+    dspec = DilationSpec(spec, "M", (("okbar", 1), ("failbar", 2), ("other", 3)))
+    u = build_dilation(dspec, layout).matrix
+    assert np.allclose(u.conj().T @ u, np.eye(24), atol=1e-12)
+    small = SpaceLayout((("R", 2), ("Fbar", 3), ("M", 3)))
+    with pytest.raises(ValueError, match="has dimension 3, needs at least 4"):
+        build_dilation(DilationSpec(spec, "M", (("okbar", 1), ("failbar", 2))), small)
+
+
 def test_pointer_map_must_be_injective():
     with pytest.raises(ValueError):
         DilationSpec(protocol.COIN_MEASUREMENT, "Fbar", (("heads", 1), ("tails", 1)))
@@ -278,18 +295,22 @@ def test_deferred_equivalence_observer_measurements():
 
 def test_observer_other_outcomes_unreachable():
     # every reachable pre-observation state keeps the completed outcomes dark
+    checked = 0
     for theta in (0.0, 1.1, np.pi):
         state = protocol.global_state(theta, "n:20")
         for spec in (protocol.WBAR_MEASUREMENT, protocol.W_MEASUREMENT):
             dist = outcome_distribution(state, spec)
             for label, p in dist.items():
-                if label.startswith("other_"):
+                if label == "other":
                     assert p < 1e-12
+                    checked += 1
     for prob, _records, amps in collapse_trajectories(0.8, 2):
         state = StateVector(protocol.LAYOUT, amps)
         for spec in (protocol.WBAR_MEASUREMENT, protocol.W_MEASUREMENT):
             dist = outcome_distribution(state, spec)
-            assert sum(p for l, p in dist.items() if l.startswith("other_")) < 1e-12
+            assert sum(p for l, p in dist.items() if l == "other") < 1e-12
+            checked += "other" in dist
+    assert checked > 0
 
 
 def test_product_spec_rejects_overlap():
@@ -300,7 +321,7 @@ def test_product_spec_rejects_overlap():
 
 def test_protocol_specs_are_complete_at_construction():
     assert [f.name for f in dataclasses.fields(MeasurementSpec)] == ["target", "outcomes"]
-    others = ("other_0", "other_1", "other_2", "other_3")
+    others = ("other",) * 4
     assert protocol.WBAR_MEASUREMENT.labels == ("okbar", "failbar") + others
     assert protocol.W_MEASUREMENT.labels == ("ok", "fail") + others
     assert protocol.COIN_MEASUREMENT.labels == ("heads", "tails")
@@ -334,3 +355,52 @@ def test_workloads_complete_no_basis(monkeypatch, capsys):
     assert code == 0
     assert len(capsys.readouterr().out) > 0
     assert calls == []
+
+
+# ``other`` is one outcome: the rows basis completion adds, whatever the listed outcomes leave out.
+
+
+def test_completion_rows_are_one_other_outcome():
+    assert OTHER == protocol.OTHER == "other"
+    assert protocol.WBAR_MEASUREMENT.labels == ("okbar", "failbar") + ("other",) * 4
+    assert protocol.W_MEASUREMENT.labels == ("ok", "fail") + ("other",) * 4
+
+
+def test_a_listed_label_other_than_other_may_not_repeat():
+    okbar, failbar = (v for _, v in protocol.WBAR_MEASUREMENT.outcomes[:2])
+    with pytest.raises(ValueError, match="duplicate outcome labels"):
+        MeasurementSpec(("R", "Fbar"), (("okbar", okbar), ("okbar", failbar)))
+    # ``other`` may name several listed rows, as it names several completion rows
+    spec = MeasurementSpec(("R", "Fbar"), (("okbar", okbar), ("other", failbar)))
+    assert spec.labels == ("okbar",) + ("other",) * 5
+
+
+def test_a_completed_spec_rebuilds_from_its_outcomes():
+    for spec in (protocol.WBAR_MEASUREMENT, protocol.W_MEASUREMENT, reasoning._PREMISE_SPEC):
+        again = MeasurementSpec(spec.target, spec.outcomes)
+        assert again.labels == spec.labels
+        assert np.array_equal(again.basis, spec.basis)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, np.pi])
+def test_a_prediction_has_one_entry_per_distinct_label_and_other_sums_its_rows(theta):
+    # okbar listed alone: failbar's weight, and nothing else, lands on the five other rows
+    okbar = protocol.WBAR_MEASUREMENT.outcomes[0][1]
+    spec = MeasurementSpec(("R", "Fbar"), (("okbar", okbar),))
+    p = perspectives.Perspective("W", "n:20", (), "unitary-global")
+    dist = perspectives.predict_distribution(p, spec, theta)
+    assert list(dist) == list(dict.fromkeys(spec.labels)) == ["okbar", "other"]
+    state = protocol.global_state(theta, "n:20")
+    rows = [project_component(state, spec.target, v.amplitudes)[0] for l, v in spec.outcomes if l == OTHER]
+    assert len(rows) == 5
+    assert abs(dist["other"] - sum(rows)) <= 1e-15
+    assert dist["other"] > 0.1
+
+
+def test_born_distribution_refuses_masses_that_miss_their_total():
+    psi = np.zeros((1, 2, 1))
+    psi[0, 0, 0] = 1.0
+    assert born_distribution(protocol.COIN_MEASUREMENT, psi, 1.0) == {"heads": 1.0, "tails": 0.0}
+    message = "outcome probabilities sum to 0.5, expected 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        born_distribution(protocol.COIN_MEASUREMENT, psi, 2.0)

@@ -247,11 +247,20 @@ def test_chain_rejects_duplicate_ids():
 
 
 def test_cycle_detection():
-    # a statement that nests one reusing its own id is malformed
+    # a statement that nests one reusing its own id is malformed, and refused when built
     inner = Statement("Loop", "Fbar", "n:20", CERTAIN, (("r", "tails"),), event=("w", "fail"))
-    outer = Statement("Loop", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=inner)
-    with pytest.raises(ValueError):
-        evaluate(outer, BUILTIN_AUDITS["fr-mixed"][0])
+    with pytest.raises(ValueError, match="'Loop' repeats in its nested chain"):
+        Statement("Loop", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=inner)
+
+
+def test_a_nested_id_clash_is_refused_at_any_depth():
+    # frozen statements cannot form a cycle: a clash is an outer id reused anywhere below it
+    leaf = Statement("A", "Fbar", "n:20", CERTAIN, (("r", "tails"),), event=("w", "fail"))
+    middle = Statement("B", "F", "n:20", CERTAIN, (("z", "+1/2"),), inner=leaf)
+    with pytest.raises(ValueError, match="'A' repeats in its nested chain"):
+        Statement("A", "Wbar", "n:30", CERTAIN, (("wbar", "okbar"),), inner=middle)
+    top = Statement("C", "Wbar", "n:30", CERTAIN, (("wbar", "okbar"),), inner=middle)
+    assert evaluate(top, BUILTIN_AUDITS["fr-mixed"][0]).status == HOLDS
 
 
 def test_custom_ruleset_override():

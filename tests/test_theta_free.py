@@ -35,7 +35,6 @@ from ewfs.perspectives import (
     assign,
     record_distribution,
 )
-from ewfs.protocol import merge_other
 
 from _oracles import SWEEP_GRID, default_registers, per_angle_assign, per_angle_live_branches
 from test_assignment_kernels import PERSPECTIVES, REGISTER_SETS
@@ -102,7 +101,7 @@ def _per_angle_record_distribution(p, var, theta):
     spec = RECORD_READOUTS[var]
     layout, psi, total = per_angle_live_branches(p, spec.target, theta)
     _check_target(layout, spec)
-    return merge_other(born_distribution(spec, psi, total))
+    return born_distribution(spec, psi, total)
 
 
 @settings(max_examples=4, deadline=None)
