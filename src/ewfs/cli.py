@@ -57,7 +57,7 @@ _PREDICTION_SPECS = (
 
 
 def fraction_of(p: float) -> str | None:
-    """Exact small-denominator rational for p, or None when it is not one."""
+    """The fraction nearest p with denominator up to ``MAX_DENOMINATOR``, if within 1e-12 of p; else None."""
     frac = Fraction(p).limit_denominator(MAX_DENOMINATOR)
     if abs(float(frac) - p) < 1e-12:
         return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 else str(frac.numerator)

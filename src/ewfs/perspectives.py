@@ -33,9 +33,10 @@ interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` wo
 A kernel answers an angle from its view (see ``_View``), the one memo of
 values.  Where the description holds a record of the coin, θ drops out (see
 ``_kernel``): such a θ-free kernel is contracted once and its one view
-answers every angle.  Every other kernel keeps the view of the latest angle
-it was asked for, so a description is contracted, built and read once per
-angle, however many agents, statements and chain links share it.
+answers every angle.  Every other kernel keeps one view, of the latest angle
+asked for: memory stays bounded, threads sweeping different angles get their
+own values (see ``_view``), and a description is contracted, built and read
+once per angle, however many agents, statements and chain links share it.
 """
 
 from __future__ import annotations

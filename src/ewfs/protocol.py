@@ -254,17 +254,13 @@ def global_state(theta: float, time: str) -> StateVector:
 # Exact statistics: one engine for both semantics.
 # ---------------------------------------------------------------------------
 
-# The θ-free factors of both exact tables, read-only: Lbar's and L's
-# conjugated bases (the specs' own `bras`), the same two as squared moduli, the coin record ``r``
-# each Lbar outcome reads out and the spin record ``z`` each L outcome reads
-# out.  Then the ``wbar`` and ``w`` labels of their rows.
-_LBAR_DUAL, _L_DUAL = WBAR_MEASUREMENT.bras, W_MEASUREMENT.bras
+# The θ-free factors of both exact tables, read-only: Lbar's and L's bases as squared
+# moduli, the coin record ``r`` each Lbar outcome and the spin record ``z`` each L outcome reads out.
 _LBAR_WEIGHTS, _L_WEIGHTS = np.abs(WBAR_MEASUREMENT.basis) ** 2, np.abs(W_MEASUREMENT.basis) ** 2
 _R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
 _Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
 for _arr in (_LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
     _arr.setflags(write=False)
-_WBAR_LABELS, _W_LABELS = WBAR_MEASUREMENT.labels, W_MEASUREMENT.labels
 
 
 def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
@@ -277,15 +273,15 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     """
     psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
     if config.semantics == UNITARY:
-        return np.abs(_LBAR_DUAL @ psi @ _L_DUAL.T) ** 2
+        return np.abs(WBAR_MEASUREMENT.bras @ psi @ W_MEASUREMENT.bras.T) ** 2
     return _LBAR_WEIGHTS @ np.abs(psi) ** 2 @ _L_WEIGHTS.T
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
     """Exact observer-announcement joint; no sampling involved."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    for wb, row in zip(_WBAR_LABELS, _announcement_probs(config).tolist()):
-        for w, p in zip(_W_LABELS, row):
+    for wb, row in zip(WBAR_MEASUREMENT.labels, _announcement_probs(config).tolist()):
+        for w, p in zip(W_MEASUREMENT.labels, row):
             cells[(wb, w)] += p
     return JointDistribution(cells)
 

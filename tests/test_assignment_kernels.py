@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import sys
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,6 +22,7 @@ from ewfs.perspectives import (
 )
 from ewfs.reasoning import RULESET_NAMES, audit
 
+import _engine
 from _oracles import (
     SWEEP_GRID,
     branch_walk_assign,
@@ -146,12 +146,11 @@ def test_kernel_arrays_are_read_only():
     p = Perspective("W", "n:30", (("z", "+1/2"),), AssignmentRule("collapse-aware"))
     assign(p, ("S", "F"), 0.4)
     record_distribution(p, "wbar", 0.4)
-    kernel = perspectives._kernel(p.time, p.conditioning, True, ("S", "F"))
-    key, view = kernel.latest
-    assert key is None  # the wbar record is traced out: θ-free
-    psi, _ = view.live
+    assert _engine.theta_free(p, ("S", "F"))  # the wbar record is traced out
+    arrays = _engine.memo_arrays(p, ("S", "F"))
+    assert len(arrays) == 3  # branches, live branches, state
     spec = RECORD_READOUTS["wbar"]
-    for arr in (kernel.branches, psi, view.state.matrix, spec.basis, spec.bras):
+    for arr in (*arrays, spec.basis, spec.bras):
         assert arr.flags.writeable is False
     for _, proj in perspectives._PROJECTORS["wbar"]:
         assert proj.flags.writeable is False
@@ -175,7 +174,7 @@ def test_kernel_cache_is_keyed_canonically():
     # ordered tuple of one to four registers: the kernel depends on neither
     # order, so the cache holds one entry per (checkpoint, conditioning set,
     # collapse, register set).
-    perspectives._kernel.cache_clear()
+    _engine.clear()
     orders = [o for k in range(1, 5) for o in itertools.permutations(ALL_REGISTERS, k)]
     calls = 0
     for p in PERSPECTIVES:
@@ -185,7 +184,7 @@ def test_kernel_cache_is_keyed_canonically():
                 calls += 1
                 _outcome(assign, q, names, 0.3)
     assert calls == 49_920
-    assert perspectives._kernel.cache_info().currsize == 1_200
+    assert _engine.kernel_count() == 1_200
     p = Perspective("W", "n:30", (("z", "+1/2"), ("r", "tails")), AssignmentRule("collapse-aware"))
     swapped = Perspective("W", "n:30", (("r", "tails"), ("z", "+1/2")), AssignmentRule("collapse-aware"))
     want = assign(p, ("S", "F"), 0.3).matrix
@@ -202,40 +201,13 @@ def _sweep_op(theta):
         perspectives.assign(p, default_registers(time), theta)
 
 
-def _count_calls(monkeypatch, fn, counts, key):
-    """Replace ``fn`` at every binding in the loaded ``ewfs`` modules by a counting wrapper."""
-
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "ewfs" or name.startswith("ewfs."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-
-
-def _kernel_cache_sizes():
-    return [perspectives._kernel.cache_info().currsize]
-
-
 def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monkeypatch):
     _sweep_op(0.3)
-    warm = _kernel_cache_sizes()
-    counts = dict.fromkeys(("density", "assign", "record"), 0)
-    for key, fn in (
-        ("assign", perspectives.assign),
-        ("record", perspectives.record_distribution),
-    ):
-        _count_calls(monkeypatch, fn, counts, key)
-    gram = qcore.DensityMatrix._gram
-
-    def counted_gram(*args):
-        counts["density"] += 1
-        return gram(*args)
-
-    monkeypatch.setattr(qcore.DensityMatrix, "_gram", counted_gram)
+    warm = _engine.kernel_count()
+    seen = _engine.calls(monkeypatch, perspectives, "assign", everywhere=True)
+    _engine.calls(monkeypatch, perspectives, "record_distribution", key="record", everywhere=True, into=seen)
+    _engine.calls(monkeypatch, qcore.DensityMatrix, "_gram", key="density", into=seen)
+    counts = seen.counts
     angles = np.random.default_rng(5).uniform(-20.0, 20.0, 20)
     for theta in angles:
         _sweep_op(theta)
@@ -246,7 +218,7 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
     assert counts["assign"] == len(angles) * len(SWEEP_GRID)
     assert counts["record"] > 0
     assert counts["density"] == len(angles) * 5
-    assert _kernel_cache_sizes() == warm
+    assert _engine.kernel_count() == warm
 
 
 def _assign_and_read_records(theta):
@@ -263,14 +235,7 @@ def _assign_and_read_records(theta):
 
 def test_assignment_builds_no_state_vector(monkeypatch):
     _assign_and_read_records(0.3)
-    built = []
-    validate = qcore.StateVector.__post_init__
-
-    def counted_validate(self):
-        built.append(self)
-        validate(self)
-
-    monkeypatch.setattr(qcore.StateVector, "__post_init__", counted_validate)
+    built = _engine.calls(monkeypatch, qcore.StateVector, "__post_init__")
     for theta in np.random.default_rng(6).uniform(-20.0, 20.0, 20):
         _assign_and_read_records(theta)
-    assert built == []
+    assert not built.counts

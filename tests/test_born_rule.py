@@ -18,6 +18,7 @@ from ewfs.perspectives import (
 )
 from ewfs.qcore import DensityMatrix, StateVector, pure_density
 
+import _engine
 from _oracles import SWEEP_GRID, outcome_distribution, project_component
 
 LAYOUT = protocol.LAYOUT
@@ -169,15 +170,8 @@ def _predict_grid(theta):
 
 def test_predictions_build_no_density_matrix_or_layout(monkeypatch):
     _predict_grid(0.3)
-    built = []
-    for cls in (qcore.DensityMatrix, qcore.SpaceLayout):
-        validate = cls.__post_init__
-
-        def counted(self, validate=validate):
-            built.append(type(self).__name__)
-            validate(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    built = _engine.calls(monkeypatch, qcore.DensityMatrix, "__post_init__", key="DensityMatrix")
+    _engine.calls(monkeypatch, qcore.SpaceLayout, "__post_init__", key="SpaceLayout", into=built)
     for theta in np.random.default_rng(8).uniform(-20.0, 20.0, 20):
         _predict_grid(theta)
-    assert built == []
+    assert not built.counts

@@ -31,6 +31,7 @@ from ewfs.reasoning import (
     evaluate,
 )
 
+import _engine
 from _oracles import SWEEP_GRID, default_registers, purity
 from test_rule_assignments import AUDITED
 from test_sweep_invariants import GENERIC, MULTIPLES_OF_2PI
@@ -48,26 +49,17 @@ def test_purity_matches_the_matrix_product_trace():
 def test_audits_read_each_perspective_once_per_chain(monkeypatch, theta):
     for name in RULESET_NAMES:  # warm-up at another angle: θ-free reads made, views replaced
         audit(name, theta + 1.0)
-    touched, born = set(), []
-    predict, read = perspectives.predict_distribution, perspectives.born_distribution
-
-    def recording_predict(p, spec, theta=0.0):
-        dist = predict(p, spec, theta)  # a not-evaluable read raises before any Born read
-        cond, names = tuple(sorted(p.conditioning)), tuple(sorted(spec.target))
-        kernel = perspectives._kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
-        if kernel.latest[0] is not None:  # keyed by amplitudes: θ-dependent
-            touched.add((id(kernel), spec))
-        return dist
-
-    def counted_read(*args):
-        born.append(args[0])
-        return read(*args)
-
-    monkeypatch.setattr(reasoning, "predict_distribution", recording_predict)
-    monkeypatch.setattr(perspectives, "predict_distribution", recording_predict)
-    monkeypatch.setattr(perspectives, "born_distribution", counted_read)
+    predicted = _engine.calls(monkeypatch, perspectives, "predict_distribution", record=True, everywhere=True)
+    read = _engine.calls(monkeypatch, perspectives, "born_distribution", record=True)
     for name in RULESET_NAMES:
         audit(name, theta)
+    # A not-evaluable read raises, before any Born read, and is not recorded.
+    touched = {
+        (id(_engine.kernel(p, spec.target)), spec)
+        for (p, spec, *_), _ in predicted.records
+        if not _engine.theta_free(p, spec.target)
+    }
+    born = [args[0] for args, _ in read.records]
     assert touched
     assert len(born) == len(touched)
     assert sorted(map(id, born)) == sorted(id(spec) for _, spec in touched)
@@ -131,18 +123,10 @@ def test_an_audit_constructs_no_statement_cold_or_warm(monkeypatch):
     # A nested certainty reads its inner statement under the value the outer
     # speaker is certain of, as a conditioning, so no copy of it is built.
     angles = MULTIPLES_OF_2PI + GENERIC
-    built = []
-    post_init = reasoning.Statement.__post_init__
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(reasoning.Statement, "__post_init__", counted_post_init)
-    perspectives._kernel.cache_clear()
-    reasoning._perspective.cache_clear()
+    built = _engine.calls(monkeypatch, reasoning.Statement, "__post_init__")
+    _engine.clear()
     for _ in ("cold", "warm"):
         for theta in angles:
             for name in RULESET_NAMES:
                 audit(name, theta)
-        assert built == []
+        assert not built.counts

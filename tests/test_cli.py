@@ -76,6 +76,13 @@ def test_exact_collapse_golden():
             assert cell["fraction"] == "1/4"
 
 
+def test_fraction_of_labels_values_within_1e12_of_a_denominator_up_to_144():
+    assert cli.fraction_of(1 / 12 + 9e-13) == "1/12"
+    assert cli.fraction_of(1 / 12 + 1.5e-12) is None
+    assert cli.fraction_of(1 / 144) == "1/144"
+    assert cli.fraction_of(1 / 145) is None
+
+
 def test_exact_near_pi():
     payload = cli_json("exact", "--semantics", "unitary", "--theta", "3.14159265")
     cell = cell_of(payload, "okbar", "fail")

@@ -18,6 +18,7 @@ from ewfs import perspectives
 from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.qcore import DensityMatrix, SpaceLayout
 
+import _engine
 from _oracles import SWEEP_GRID, default_registers
 from cli_digest import THETAS, grid, run
 from test_sweep_invariants import GENERIC, MULTIPLES_OF_2PI
@@ -44,15 +45,10 @@ def test_sweep_grid_states_pass_the_full_check():
 def test_cli_perspectives_states_pass_the_full_check(theta, monkeypatch):
     # A θ-free state is built once, with its kernel, so the check is on what
     # ``assign`` returns to the CLI, built now or earlier.
-    assign_, built = perspectives.assign, []
-
-    def recording(p, subsystems, theta=0.0):
-        built.append(assign_(p, subsystems, theta))
-        return built[-1]
-
-    monkeypatch.setattr(perspectives, "assign", recording)
+    assigned = _engine.calls(monkeypatch, perspectives, "assign", record=True)
     ok = sum(run(argv)[0] == 0 for argv in grid(theta) if argv[0] == "perspectives")
     assert ok > 0
+    built = [rho for _, rho in assigned.records]
     assert len(built) == ok  # one assigned state per command that succeeds
     for rho in built:
         _check_assigned(rho)

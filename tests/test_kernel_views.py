@@ -7,7 +7,7 @@ contracted with; a θ-free kernel keeps one view, under the key ``None``, for
 every angle.
 
 * A warm answer, a view hit or a view replaced, is byte for byte the
-  answer of a cold kernel after ``_kernel.cache_clear()``, over the sweep
+  answer of a cold kernel after ``_engine.clear()``, over the sweep
   grid and every record read it allows.
 * Asking A, then B, then A again gives A's values again.
 * ``0.0``, ``-0.0``, ``0`` and ``np.float64`` zeros each answer as a cold
@@ -24,9 +24,7 @@ import tracemalloc
 
 import numpy as np
 
-from ewfs import perspectives
 from ewfs.perspectives import (
-    COLLAPSE_AWARE,
     RECORD_READOUTS,
     RECORDS,
     AssignmentRule,
@@ -36,6 +34,7 @@ from ewfs.perspectives import (
     record_distribution,
 )
 
+import _engine
 from _oracles import SWEEP_GRID, default_registers
 
 GRID = [Perspective(agent, time, cond, AssignmentRule(rule)) for agent, time, cond, rule in SWEEP_GRID]
@@ -63,7 +62,7 @@ def _answers(theta):
 
 
 def _cold(theta):
-    perspectives._kernel.cache_clear()
+    _engine.clear()
     return _answers(theta)
 
 
@@ -132,11 +131,8 @@ def _theta_dependent_calls():
         for var, names in [(None, default_registers(p.time))] + [
             (var, RECORD_READOUTS[var].target) for var in RECORDS
         ]:
-            kernel = perspectives._kernel(
-                p.time, tuple(sorted(p.conditioning)), p.rule.kind == COLLAPSE_AWARE, tuple(sorted(names))
-            )
-            if kernel.latest[0] is not None:  # keyed by amplitudes: θ-dependent
-                calls.setdefault((id(kernel), var), (p, var, names))
+            if not _engine.theta_free(p, names):
+                calls.setdefault((id(_engine.kernel(p, names)), var), (p, var, names))
     return list(calls.values())
 
 

@@ -21,6 +21,7 @@ from ewfs.qcore import (
     basis_state,
 )
 
+import _engine
 from _oracles import (
     coin_state,
     collapse_trajectories,
@@ -329,17 +330,10 @@ def test_protocol_specs_are_complete_at_construction():
 
 
 def test_workloads_complete_no_basis(monkeypatch, capsys):
-    calls = []
-    real = measurement._complement
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(measurement, "_complement", counting)
+    calls = _engine.calls(monkeypatch, measurement, "_complement").counts
     # an incomplete list is completed once, when the spec is built
     protocol._lab_basis(("R", "Fbar"), "okbar", "failbar")
-    assert len(calls) == 1
+    assert calls == {"_complement": 1}
     # the protocol's bases exist already: measuring with them completes nothing
     protocol.WBAR_MEASUREMENT, protocol.W_MEASUREMENT
     calls.clear()
@@ -354,7 +348,7 @@ def test_workloads_complete_no_basis(monkeypatch, capsys):
     ])
     assert code == 0
     assert len(capsys.readouterr().out) > 0
-    assert calls == []
+    assert not calls
 
 
 # ``other`` is one outcome: the rows basis completion adds, whatever the listed outcomes leave out.

@@ -10,6 +10,9 @@ collapse?)``, as a private attribute set in its one validation pass.
   changes the rule rebuilds the key.
 * Conditioning given in either order reaches the same kernel and the same
   state bytes, while ``conditioning`` keeps the order it was given in.
+* ``_engine.kernel`` is the kernel ``assign`` and ``predict_distribution``
+  reach, and ``_engine.theta_free`` holds exactly when one state answers two
+  angles, for every sweep-grid description.
 """
 
 import copy
@@ -19,7 +22,17 @@ import pickle
 import pytest
 
 from ewfs import perspectives
-from ewfs.perspectives import AssignmentRule, Perspective, assign
+from ewfs.perspectives import (
+    RECORD_READOUTS,
+    AssignmentRule,
+    NotEvaluableError,
+    Perspective,
+    assign,
+    predict_distribution,
+)
+
+import _engine
+from _oracles import SWEEP_GRID, default_registers
 
 NAMES = ("S", "F")
 THETA = 0.7
@@ -30,17 +43,11 @@ DEPENDENT = Perspective("F", "n:30", (("z", "-1/2"), ("wbar", "okbar")), "unitar
 
 def _reached(monkeypatch, p):
     """The kernel ``assign(p, NAMES, THETA)`` reads, and the state it returns."""
-    reached, kernel = [], perspectives._kernel
-
-    def recording_kernel(*args):
-        reached.append(kernel(*args))
-        return reached[-1]
-
     with monkeypatch.context() as patch:
-        patch.setattr(perspectives, "_kernel", recording_kernel)
+        reached = _engine.calls(patch, perspectives, "_kernel", record=True)
         rho = assign(p, NAMES, THETA)
-    assert len(reached) == 1
-    return reached[0], rho
+    assert len(reached.records) == 1
+    return reached.records[0][1], rho
 
 
 def test_the_dataclass_surface_is_the_four_fields():
@@ -68,7 +75,8 @@ def test_the_dataclass_surface_is_the_four_fields():
 @pytest.mark.parametrize("p", [FREE, DEPENDENT], ids=["theta-free", "theta-dependent"])
 def test_copies_reach_the_same_kernel(monkeypatch, p):
     kernel, rho = _reached(monkeypatch, p)
-    assert (kernel.latest[0] is None) == (p is FREE)
+    assert kernel is _engine.kernel(p, NAMES)
+    assert _engine.theta_free(p, NAMES) == (p is FREE)
     copies = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)), dataclasses.replace(p))
     for q in copies:
         assert q == p and q is not p
@@ -90,3 +98,25 @@ def test_either_order_of_the_conditioning_reaches_the_same_kernel(monkeypatch, p
     assert got is kernel
     assert state.matrix.tobytes() == rho.matrix.tobytes()
     assert swapped.conditioning == p.conditioning[::-1]
+
+
+def test_the_engine_seam_is_the_kernel_the_engine_reads(monkeypatch):
+    reached = _engine.calls(monkeypatch, perspectives, "_kernel", record=True)
+    kinds = set()
+    for agent, time, cond, rule in SWEEP_GRID:
+        p = Perspective(agent, time, cond, rule)
+        reads = [(default_registers(time), None)] + [(spec.target, spec) for spec in RECORD_READOUTS.values()]
+        for names, spec in reads:
+            reached.records.clear()
+            try:
+                assign(p, names, 0.3) if spec is None else predict_distribution(p, spec, 0.3)
+                evaluable = True
+            except NotEvaluableError:
+                evaluable = False
+            got = [kernel for _, kernel in reached.records]
+            assert got == [_engine.kernel(p, names)], (p, names)
+            if evaluable:
+                kinds.add(_engine.theta_free(p, names))
+                same = assign(p, names, 0.3) is assign(p, names, 1.1)
+                assert _engine.theta_free(p, names) == same, (p, names)
+    assert kinds == {False, True}

@@ -30,6 +30,7 @@ from ewfs.protocol import (
 
 from ewfs.reasoning import RULESET_NAMES, audit
 
+import _engine
 from _oracles import (
     collapse_joint_cells,
     collapse_round,
@@ -62,6 +63,11 @@ def test_joint_distribution_validation():
         JointDistribution({("okbar", "ok"): 0.5})
     with pytest.raises(ValueError):
         JointDistribution({("okbar", "ok"): 1.5, ("okbar", "fail"): -0.5})
+
+
+def test_joint_distribution_clamps_a_rounding_negative_to_zero():
+    joint = JointDistribution({("okbar", "ok"): 1.0 + 5e-13, ("okbar", "fail"): -5e-13})
+    assert joint.prob("okbar", "fail") == 0.0
 
 
 def test_exact_joint_unitary_theta0():
@@ -458,14 +464,7 @@ def _exact_both_semantics(theta):
 
 def test_exact_paths_build_no_state_vector(monkeypatch):
     _exact_both_semantics(0.3)
-    built = []
-    validate = qcore.StateVector.__post_init__
-
-    def counted_validate(self):
-        built.append(self)
-        validate(self)
-
-    monkeypatch.setattr(qcore.StateVector, "__post_init__", counted_validate)
+    built = _engine.calls(monkeypatch, qcore.StateVector, "__post_init__")
     for theta in np.random.default_rng(9).uniform(-20.0, 20.0, 20):
         _exact_both_semantics(theta)
-    assert built == []
+    assert not built.counts

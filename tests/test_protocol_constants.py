@@ -48,12 +48,12 @@ def test_checkpoint_branches_and_observer_factors_are_read_only():
     for heads, tails in protocol._BRANCHES.values():
         assert heads.flags.writeable is False and tails.flags.writeable is False
     factors = (
-        protocol._LBAR_DUAL, protocol._L_DUAL, protocol._LBAR_WEIGHTS, protocol._L_WEIGHTS,
-        protocol._R_READ, protocol._Z_READ,
+        protocol.WBAR_MEASUREMENT.bras, protocol.W_MEASUREMENT.bras,
+        protocol._LBAR_WEIGHTS, protocol._L_WEIGHTS, protocol._R_READ, protocol._Z_READ,
     )
     assert all(arr.flags.writeable is False for arr in factors)
-    assert protocol._WBAR_LABELS == ("okbar", "failbar") + ("other",) * 4
-    assert protocol._W_LABELS == ("ok", "fail") + ("other",) * 4
+    assert protocol.WBAR_MEASUREMENT.labels == ("okbar", "failbar") + ("other",) * 4
+    assert protocol.W_MEASUREMENT.labels == ("ok", "fail") + ("other",) * 4
     with pytest.raises(ValueError, match="no unitary checkpoint state at 'n:30'"):
         protocol.global_state(0.0, "n:30")
 

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from ewfs.reasoning import (
     FBAR_02,
     FBAR_02_STAR,
     HOLDS,
+    NONZERO,
     NOT_EVALUABLE,
     PREMISE_ID,
     RULESET_NAMES,
@@ -37,6 +36,7 @@ from ewfs.perspectives import (
 )
 from ewfs.qcore import pure_density
 
+import _engine
 from _oracles import fidelity
 
 
@@ -177,24 +177,13 @@ def test_warm_audit_builds_no_density_matrix_and_no_eigendecomposition(monkeypat
     for theta in (0.0, 0.7):  # warm-up: a chain that holds and chains that break
         for name in RULESET_NAMES:
             audit(name, theta)
-    counts = Counter()
-
-    def counting(key, fn):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(
-        qcore.DensityMatrix, "__post_init__", counting("DensityMatrix", qcore.DensityMatrix.__post_init__)
-    )
+    seen = _engine.calls(monkeypatch, qcore.DensityMatrix, "__post_init__", key="DensityMatrix")
     for fname in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, fname, counting(fname, getattr(np.linalg, fname)))
+        _engine.calls(monkeypatch, np.linalg, fname, into=seen)
     for theta in (2 * np.pi, -4 * np.pi, 2.2, -13.7):
         for name in RULESET_NAMES:
             audit(name, theta)
-    assert counts == Counter()
+    assert not seen.counts
 
 
 def test_exact_halting_probability_is_one_twelfth():
@@ -208,6 +197,17 @@ def test_audit_fr_mixed_contradiction():
     assert rep.chain_conclusion == "impossible(halt)"
     assert rep.witness == pytest.approx(1.0 / 12.0, abs=1e-12)
     assert all(r.status == HOLDS for r in rep.results)
+
+
+def test_a_nonzero_chain_concludes_at_its_last_nonzero_value():
+    # X's value is twice Fbar_02_star's at both angles: the order decides which one concludes.
+    x = Statement("Wbar_z", "Wbar", "n:30", NONZERO, (("wbar", "okbar"),), event=("z", "+1/2"))
+    rs = RuleSet("u", AssignmentRule(UNITARY_GLOBAL))
+    for theta, last, first in ((0.0, 1.0, 0.5), (0.7, 0.68012607, 0.34006303)):
+        for statements, want in (((FBAR_02_STAR, x), last), ((x, FBAR_02_STAR), first)):
+            report = chain(statements, rs, theta)
+            assert report.chain_conclusion == "nonzero(halt)"
+            assert report.conclusion_value == pytest.approx(want, abs=1e-8), (theta, want)
 
 
 def test_audit_all_collapse_chain_breaks_at_first_link():
@@ -299,13 +299,8 @@ def test_audit_computes_the_unitary_joint_only_for_a_chain_that_holds(
 ):
     # The witness is read only when every chain statement holds: at multiples
     # of 2π that is fr-mixed and all-unitary, elsewhere no chain holds in full.
-    exact_joint, semantics = protocol.exact_joint, []
-
-    def counted(config):
-        semantics.append(config.semantics)
-        return exact_joint(config)
-
-    monkeypatch.setattr(protocol, "exact_joint", counted)
+    joints = _engine.calls(monkeypatch, protocol, "exact_joint", record=True)
     reports = [audit(name, theta) for name in RULESET_NAMES]
+    semantics = [config.semantics for (config,), _ in joints.records]
     assert semantics.count(protocol.UNITARY) == unitary_joints
     assert sum(r.witness is not None for r in reports) == unitary_joints

@@ -9,7 +9,6 @@ construction, so it needs no eigendecomposition.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +19,7 @@ from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import ProtocolConfig, exact_joint
 from ewfs.reasoning import RULESET_NAMES, audit
 
+import _engine
 from _oracles import SWEEP_GRID, default_registers
 
 PURITY = {
@@ -81,30 +81,11 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
     angles = MULTIPLES_OF_2PI + GENERIC
     for theta in angles:  # warm-up: every θ-free value is built by now
         _sweep_op(theta)
-    counts = Counter()
-    inside = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(*args, **kwargs):
-        counts["eigvalsh in gram"] += "gram" in inside
-        return eigvalsh(*args, **kwargs)
-
-    def counting(key, fn):
-        def counted(*args):
-            counts[key] += 1
-            inside.append(key)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-
-        return counted
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    dm, checks = qcore.DensityMatrix, qcore._check_hermitian_unit_trace
-    monkeypatch.setattr(dm, "__post_init__", counting("public", dm.__post_init__))
-    monkeypatch.setattr(dm, "_gram", counting("gram", dm._gram))
-    monkeypatch.setattr(qcore, "_check_hermitian_unit_trace", counting("checks", checks))
+    seen = _engine.calls(monkeypatch, np.linalg, "eigvalsh")
+    _engine.calls(monkeypatch, qcore.DensityMatrix, "__post_init__", key="public", into=seen)
+    _engine.calls(monkeypatch, qcore.DensityMatrix, "_gram", key="gram", into=seen)
+    _engine.calls(monkeypatch, qcore, "_check_hermitian_unit_trace", key="checks", into=seen)
+    counts = seen.counts
     for theta in angles:
         _sweep_op(theta)
     # Every assignment is Gram-built: shape, Hermitian and trace checked, no
@@ -114,14 +95,12 @@ def test_every_density_matrix_runs_its_checks_on_the_sweep(monkeypatch):
     theta_dependent = [
         (agent, time, cond, rule)
         for agent, time, cond, rule in SWEEP_GRID
-        if perspectives._kernel(
-            time, tuple(sorted(cond)), rule == "collapse-aware", tuple(sorted(default_registers(time)))
-        ).latest[0] is not None
+        if not _engine.theta_free(Perspective(agent, time, cond, rule), default_registers(time))
     ]
     assert len(theta_dependent) == 14
     assert counts["gram"] == 5 * len(angles)
     assert counts["checks"] == counts["gram"]
-    assert counts["eigvalsh in gram"] == 0
+    assert counts["eigvalsh"] == 0
     assert counts["public"] == 0
 
 
@@ -132,18 +111,10 @@ def test_a_warm_sweep_op_reads_and_builds_only_what_depends_on_theta(monkeypatch
     angles = MULTIPLES_OF_2PI + GENERIC
     for theta in angles:
         _sweep_op(theta)
-    counts = Counter()
-
-    def counting(key, fn):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(perspectives, "born_distribution", counting("born", perspectives.born_distribution))
-    monkeypatch.setattr(qcore.DensityMatrix, "_gram", counting("gram", qcore.DensityMatrix._gram))
-    monkeypatch.setattr(np, "vdot", counting("purity", np.vdot))
+    seen = _engine.calls(monkeypatch, perspectives, "born_distribution", key="born")
+    _engine.calls(monkeypatch, qcore.DensityMatrix, "_gram", key="gram", into=seen)
+    _engine.calls(monkeypatch, np, "vdot", key="purity", into=seen)
+    counts = seen.counts
     for theta in angles:
         counts.clear()
         for semantics in ("collapse", "unitary"):

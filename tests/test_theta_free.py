@@ -2,8 +2,8 @@
 
 A kernel is θ-free when no traced-out column of a branch holds both a
 heads and a tails amplitude: its state, weight and predictions carry no
-coin phase.  ``perspectives._kernel`` then contracts it once, at θ = 0, and
-builds and checks its state once.
+coin phase.  Its kernel is then contracted once, at θ = 0, and its state
+built and checked once.
 
 * Every θ-free state and record distribution is bitwise the same at every
   angle, and a θ-free not-evaluable conditioning is not evaluable at every
@@ -16,17 +16,14 @@ builds and checks its state once.
 * A non-finite θ is refused on the θ-free and the θ-dependent path alike.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewfs import perspectives, qcore
+from ewfs import qcore
 from ewfs.measurement import _check_target, born_distribution
 from ewfs.perspectives import (
-    COLLAPSE_AWARE,
     RECORD_READOUTS,
     RECORDS,
     AssignmentRule,
@@ -36,27 +33,12 @@ from ewfs.perspectives import (
     record_distribution,
 )
 
+import _engine
 from _oracles import SWEEP_GRID, default_registers, per_angle_assign, per_angle_live_branches
 from test_assignment_kernels import PERSPECTIVES, REGISTER_SETS
 
 ANGLES = (0.0, 0.7, np.pi, -1.0, 2 * np.pi, 1e6)
 BOUND = 1e-15
-
-
-def _kernel_of(p, names):
-    return perspectives._kernel(
-        p.time, tuple(sorted(p.conditioning)), p.rule.kind == COLLAPSE_AWARE, tuple(sorted(names))
-    )
-
-
-def _free_view(kernel):
-    """A θ-free kernel's one view, kept under the key ``None``; ``None`` if θ-dependent."""
-    key, view = kernel.latest
-    return view if key is None else None
-
-
-def _theta_free(p, names):
-    return _free_view(_kernel_of(p, names)) is not None
 
 
 def _outcome(fn, *args):
@@ -74,7 +56,7 @@ def _cases():
 def test_theta_free_descriptions_are_bitwise_theta_invariant():
     free = evaluable = 0
     for p, names in _cases():
-        if not _theta_free(p, names):
+        if not _engine.theta_free(p, names):
             continue
         free += 1
         states = [_outcome(assign, p, names, theta) for theta in ANGLES]
@@ -88,7 +70,7 @@ def test_theta_free_descriptions_are_bitwise_theta_invariant():
     records = 0
     for p in PERSPECTIVES:
         for var in RECORDS:
-            if not _theta_free(p, RECORD_READOUTS[var].target):
+            if not _engine.theta_free(p, RECORD_READOUTS[var].target):
                 continue
             records += 1
             dists = [_outcome(record_distribution, p, var, theta) for theta in ANGLES]
@@ -117,7 +99,7 @@ def test_states_match_the_per_angle_contraction(theta):
         assert (want is None) == (got is None), (p, names, theta)
         if want is None:
             continue
-        if _theta_free(p, names):
+        if _engine.theta_free(p, names):
             assert np.max(np.abs(got.matrix - want.matrix)) <= BOUND, (p, names, theta)
         else:
             assert got.matrix.tobytes() == want.matrix.tobytes(), (p, names, theta)
@@ -129,7 +111,7 @@ def test_states_match_the_per_angle_contraction(theta):
             if want is None:
                 continue
             assert list(got) == list(want)
-            if _theta_free(p, RECORD_READOUTS[var].target):
+            if _engine.theta_free(p, RECORD_READOUTS[var].target):
                 assert max(abs(got[k] - want[k]) for k in want) <= BOUND, (p, var, theta)
             else:
                 assert repr(got) == repr(want), (p, var, theta)
@@ -138,14 +120,10 @@ def test_states_match_the_per_angle_contraction(theta):
 def test_cached_states_and_branches_are_read_only():
     checked = 0
     for p, names in _cases():
-        kernel = _kernel_of(p, names)
-        view = _free_view(kernel)
-        arrays = [kernel.branches]
-        if view is not None:
-            arrays.append(view.live[0])
-        if view is not None and view.state is not None:
-            arrays.append(view.state.matrix)
-            assert _outcome(assign, p, names, 0.7) is view.state
+        arrays = _engine.memo_arrays(p, names)
+        state = _engine.free_state(p, names)
+        if state is not None:
+            assert _outcome(assign, p, names, 0.7) is state
         for arr in arrays:
             assert arr.flags.writeable is False
             with pytest.raises(ValueError):
@@ -155,29 +133,19 @@ def test_cached_states_and_branches_are_read_only():
 
 
 def test_every_returned_state_ran_the_checks_and_a_theta_free_one_once(monkeypatch):
-    perspectives._kernel.cache_clear()
-    counts, built = Counter(), []
-    gram, checks = qcore.DensityMatrix._gram, qcore._check_hermitian_unit_trace
-
-    def recording_gram(*args):
-        built.append(gram(*args))
-        return built[-1]
-
-    def counting_checks(*args):
-        counts["checks"] += 1
-        return checks(*args)
-
-    monkeypatch.setattr(qcore.DensityMatrix, "_gram", recording_gram)
-    monkeypatch.setattr(qcore, "_check_hermitian_unit_trace", counting_checks)
+    _engine.clear()
+    seen = _engine.calls(monkeypatch, qcore.DensityMatrix, "_gram", record=True)
+    _engine.calls(monkeypatch, qcore, "_check_hermitian_unit_trace", key="checks", into=seen)
     returned = {}
     angles = (0.0, 0.7, -1.0, 2 * np.pi, 1e6)
     for theta in angles:
         for agent, time, cond, rule in SWEEP_GRID:
             p = Perspective(agent, time, cond, AssignmentRule(rule))
-            returned.setdefault((p, _theta_free(p, default_registers(time))), []).append(
+            returned.setdefault((p, _engine.theta_free(p, default_registers(time))), []).append(
                 assign(p, default_registers(time), theta)
             )
-    assert counts["checks"] == len(built)
+    built = [rho for _, rho in seen.records]
+    assert seen.counts["checks"] == len(built)
     ids = {id(rho) for rho in built}
     free = {p: states for (p, theta_free), states in returned.items() if theta_free}
     assert len(free) == 30 and len(returned) == 44
@@ -201,13 +169,13 @@ def test_a_non_finite_theta_is_refused_on_either_path(theta):
     # and a θ-dependent one must not call the conditioning impossible.
     kinds = set()
     for p, names in _cases():
-        theta_free = _theta_free(p, names)
+        theta_free = _engine.theta_free(p, names)
         if theta_free in kinds or _outcome(assign, p, names, 0.0) is None:
             continue
         kinds.add(theta_free)
         with pytest.raises(ValueError, match="theta must be finite"):
             assign(p, names, theta)
-        var = next(v for v in RECORDS if _theta_free(p, RECORD_READOUTS[v].target) == theta_free)
+        var = next(v for v in RECORDS if _engine.theta_free(p, RECORD_READOUTS[v].target) == theta_free)
         with pytest.raises(ValueError, match="theta must be finite"):
             record_distribution(p, var, theta)
     assert kinds == {False, True}

@@ -4,7 +4,7 @@ A θ-free kernel's one view keeps each spec's Born read in ``reads``, weakly
 keyed by the spec, and builds its state on the first ``assign``.
 
 * Every call returns a fresh dict: mutating one changes no later read.
-* ``_kernel.cache_clear()`` takes the reads with the kernels: every
+* ``_engine.clear()`` takes the reads with the kernels: every
   perspective read again matches the per-angle oracles.
 * Over the full 1,200-key enumeration a kernel holds at most one read per
   spec, a θ-dependent one none, and a spec the caller drops leaves.
@@ -18,7 +18,7 @@ from functools import reduce
 
 import pytest
 
-from ewfs import perspectives, protocol, qcore
+from ewfs import protocol, qcore
 from ewfs.measurement import pointer_readout_spec
 from ewfs.perspectives import (
     RECORD_READOUTS,
@@ -29,10 +29,11 @@ from ewfs.perspectives import (
     record_distribution,
 )
 
+import _engine
 import test_theta_free
 from _oracles import product_spec
 from test_assignment_kernels import PERSPECTIVES
-from test_theta_free import _cases, _free_view, _kernel_of, _outcome, _theta_free
+from test_theta_free import _cases, _outcome
 
 
 def _register_spec(name):
@@ -48,19 +49,13 @@ SUBSET_SPECS = tuple(
 )
 
 
-def _reads(kernel):
-    """The Born reads a kernel keeps for every angle: its θ-free view's; none if θ-dependent."""
-    view = _free_view(kernel)
-    return {} if view is None else view.reads
-
-
 def _theta_free_reads():
     """(perspective, record) pairs whose record read is θ-free and evaluable."""
     return [
         (p, var)
         for p in PERSPECTIVES
         for var in RECORDS
-        if _theta_free(p, RECORD_READOUTS[var].target)
+        if _engine.theta_free(p, RECORD_READOUTS[var].target)
         and _outcome(record_distribution, p, var, 0.0) is not None
     ]
 
@@ -88,12 +83,12 @@ def test_cache_clear_leaves_no_stale_read_or_state():
         for var in RECORDS:
             _outcome(record_distribution, p, var, 0.0)
     p, var = _theta_free_reads()[0]
-    old = _kernel_of(p, RECORD_READOUTS[var].target)
-    assert len(_reads(old)) >= 1
-    perspectives._kernel.cache_clear()
-    new = _kernel_of(p, RECORD_READOUTS[var].target)
-    assert new is not old and len(_reads(new)) == 0
-    assert perspectives._kernel.cache_info().currsize == 1
+    names = RECORD_READOUTS[var].target
+    old = _engine.kernel(p, names)
+    assert len(_engine.kept_reads(p, names)) >= 1
+    _engine.clear()
+    assert _engine.kernel(p, names) is not old and len(_engine.kept_reads(p, names)) == 0
+    assert _engine.kernel_count() == 1
     for theta in (0.7, 2.0):  # the per-angle oracle comparison, on fresh kernels
         test_theta_free.test_states_match_the_per_angle_contraction.hypothesis.inner_test(theta=theta)
 
@@ -102,38 +97,37 @@ def test_at_most_one_read_per_kernel_and_spec_over_every_key():
     # Every valid perspective, every order of its conditioning and every
     # register set: the 1,200 kernel keys of ``test_kernel_cache_is_keyed_canonically``.
     assert len(SUBSET_SPECS) == 15
-    perspectives._kernel.cache_clear()
-    kernels, free = {}, set()
+    _engine.clear()
+    kernels, free = {}, set()  # kernel id -> a (perspective, registers) that reads it
     for theta in (0.3, -2.0):
         for p in PERSPECTIVES:
             for cond in itertools.permutations(p.conditioning):
                 q = Perspective(p.agent, p.time, cond, p.rule)
                 for spec in SUBSET_SPECS:
-                    kernel = _kernel_of(q, spec.target)
-                    kernels[id(kernel)] = kernel
+                    k = id(_engine.kernel(q, spec.target))
+                    kernels.setdefault(k, (q, spec.target))
                     evaluable = _outcome(predict_distribution, q, spec, theta) is not None
-                    if evaluable and _free_view(kernel) is not None:
-                        free.add(id(kernel))
-        assert perspectives._kernel.cache_info().currsize == 1_200
+                    if evaluable and _engine.theta_free(q, spec.target):
+                        free.add(k)
+        assert _engine.kernel_count() == 1_200
         assert len(kernels) == 1_200
-        sizes = Counter(len(_reads(kernel)) for kernel in kernels.values())
+        sizes = Counter(len(_engine.kept_reads(*key)) for key in kernels.values())
         assert sizes == Counter({1: len(free), 0: 1_200 - len(free)})
-        assert all(len(_reads(kernels[k])) == 1 for k in free)
+        assert all(len(_engine.kept_reads(*kernels[k])) == 1 for k in free)
     assert 0 < len(free) < 1_200
 
 
 def test_a_dropped_spec_leaves_the_reads():
     p = Perspective("W", "n:30", (), "collapse-aware")
-    kernel = _kernel_of(p, ("R",))
-    assert _free_view(kernel) is not None
-    before = len(_reads(kernel))
+    assert _engine.theta_free(p, ("R",))
+    before = len(_engine.kept_reads(p, ("R",)))
     spec = _register_spec("R")
     want = predict_distribution(p, spec, 0.5)
-    assert len(_reads(kernel)) == before + 1
+    assert len(_engine.kept_reads(p, ("R",))) == before + 1
     assert predict_distribution(p, spec, 1.5) == want
     del spec
     gc.collect()
-    assert len(_reads(kernel)) == before
+    assert len(_engine.kept_reads(p, ("R",))) == before
 
 
 def test_a_wrong_target_is_refused_at_every_read():
@@ -143,40 +137,32 @@ def test_a_wrong_target_is_refused_at_every_read():
     three_level = pointer_readout_spec(qcore.SpaceLayout((("R", 3),)), "R", ("a", "b", "c"))
     reversed_order = product_spec(_register_spec("S"), _register_spec("R"))
     for spec, names in ((three_level, ("R",)), (reversed_order, ("R", "S"))):
-        kernel = _kernel_of(p, names)
-        assert _free_view(kernel) is not None
-        before = len(_reads(kernel))
+        assert _engine.theta_free(p, names)
+        before = len(_engine.kept_reads(p, names))
         for theta in (0.5, 1.5):
             with pytest.raises(ValueError, match="measurement targets"):
                 predict_distribution(p, spec, theta)
-        assert len(_reads(kernel)) == before
+        assert len(_engine.kept_reads(p, names)) == before
 
 
 def test_predictions_build_no_state_and_the_first_assign_builds_it(monkeypatch):
-    perspectives._kernel.cache_clear()
-    built = []
-    gram = qcore.DensityMatrix._gram
-
-    def recording_gram(*args):
-        built.append(gram(*args))
-        return built[-1]
-
-    monkeypatch.setattr(qcore.DensityMatrix, "_gram", recording_gram)
+    _engine.clear()
+    grams = _engine.calls(monkeypatch, qcore.DensityMatrix, "_gram", record=True)
     pairs = []
     for p in PERSPECTIVES:
         for var in RECORDS:
             if _outcome(record_distribution, p, var, 0.4) is not None:
                 pairs.append((p, RECORD_READOUTS[var].target))
-    assert built == []
-    free = [(p, names) for p, names in pairs if _theta_free(p, names)]
+    assert not grams.counts
+    free = [(p, names) for p, names in pairs if _engine.theta_free(p, names)]
     assert free
     states = {}
     for p, names in free:
         rho = assign(p, names, 0.9)
-        assert rho is _free_view(_kernel_of(p, names)).state
+        assert rho is _engine.free_state(p, names)
         states[id(rho)] = rho
     # One build per θ-free kernel, none at a later angle.
-    assert {id(rho) for rho in built} == set(states)
+    assert {id(rho) for _, rho in grams.records} == set(states)
     for p, names in free:
         assign(p, names, -0.2)
-    assert len(built) == len(states)
+    assert grams.counts["_gram"] == len(states)
