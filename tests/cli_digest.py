@@ -32,6 +32,10 @@ and with ``--json``, the table must equal the command's renderer applied to
 takes.  An argv whose table differs is named on a ``table differs from its
 payload`` line, and the script exits 1.
 
+This module is the one place the grid is run: ``recorded(theta)`` makes each
+run once and keeps it read-only, ``defects(theta)`` reads both checks off that
+record, and the script and every test that reads grid output use the record.
+
 pytest does not collect this file.
 """
 
@@ -39,13 +43,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import sys
+import types
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
@@ -94,6 +101,11 @@ def reversed_grid(theta: str) -> list[tuple[list[str], list[str]]]:
     return pairs
 
 
+def argvs(theta: str) -> list[list[str]]:
+    """Every digest argv at one angle, without the ``--json`` switch, in digest order."""
+    return grid(theta) + mc_grid(theta) + [argv for argv, _ in reversed_grid(theta)]
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -113,43 +125,40 @@ def table_differs(table: tuple[int, str, str], as_json: tuple[int, str, str]) ->
     return out != cli._RENDERERS[payload["command"]](payload) + "\n"
 
 
+@functools.cache
+def recorded(theta: str) -> types.MappingProxyType:
+    """Read-only ``{tuple(argv): (code, stdout, stderr)}`` of each ``argvs(theta)`` run, table then JSON."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):  # argparse's usage on one line
+        return types.MappingProxyType({(*a, *f): run(a + f) for a in argvs(theta) for f in ([], ["--json"])})
+
+
+def defects(theta: str) -> tuple[list[str], list[str]]:
+    """(runs moved by register order, argvs whose table is not their payload rendered) at one angle."""
+    runs = recorded(theta)
+    moved = [" ".join(argv + fmt) for argv, twin in reversed_grid(theta) for fmt in ([], ["--json"])
+             if runs[(*argv, *fmt)] != runs[(*twin, *fmt)]]
+    unrendered = [" ".join(argv) for argv in argvs(theta)
+                  if table_differs(runs[tuple(argv)], runs[(*argv, "--json")])]
+    return moved, unrendered
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Byte digest of the CLI over a fixed grid.")
     parser.add_argument(
         "--runs", action="store_true", help="also print one line per run and per sweep purity"
     )
     show = parser.parse_args(args).runs
-    # A wide terminal keeps argparse's usage on one line, whatever the caller's.
-    os.environ["COLUMNS"] = "10000"
     digest = hashlib.sha256()
-    count = 0
     moved, unrendered = [], []
-
-    def record(argv: list[str]) -> tuple[int, str, str]:
-        nonlocal count
-        code, out, err = run(argv)
-        digest.update(repr((argv, code, out, err)).encode("utf-8"))
-        count += 1
-        if show:
-            output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
-            print(f"run {' '.join(argv)}  exit {code}  sha256 {output}")
-        return code, out, err
-
-    def record_twins(argv: list[str]) -> list[tuple[int, str, str]]:
-        """Run argv as a table, then with ``--json``, and check the table against the payload."""
-        runs = [record(argv + fmt) for fmt in ([], ["--json"])]
-        if table_differs(*runs):
-            unrendered.append(" ".join(argv))
-        return runs
-
     for theta in THETAS:
-        seen = {}
-        for argv in grid(theta) + mc_grid(theta):
-            seen[tuple(argv)] = record_twins(argv)
-        for argv, twin in reversed_grid(theta):
-            for fmt, got, want in zip(([], ["--json"]), record_twins(argv), seen[tuple(twin)]):
-                if got != want:
-                    moved.append(" ".join(argv + fmt))
+        for argv, (code, out, err) in recorded(theta).items():
+            digest.update(repr((list(argv), code, out, err)).encode("utf-8"))
+            if show:
+                output = hashlib.sha256((out + err).encode("utf-8")).hexdigest()
+                print(f"run {' '.join(argv)}  exit {code}  sha256 {output}")
+        theta_moved, theta_unrendered = defects(theta)
+        moved += theta_moved
+        unrendered += theta_unrendered
         for agent, time, cond, rule in SWEEP_GRID:
             p = perspectives.Perspective(agent, time, cond, perspectives.AssignmentRule(rule))
             rho = perspectives.assign(p, default_registers(time), float(theta))
@@ -157,7 +166,7 @@ def main(args: list[str] | None = None) -> int:
             digest.update(repr((theta, agent, time, cond, rule, purity)).encode("utf-8"))
             if show:
                 print(f"purity {theta} {agent} {time} {cond} {rule} {purity!r}")
-    print(f"runs {count}")
+    print(f"runs {sum(len(recorded(theta)) for theta in THETAS)}")
     print(f"sha256 {digest.hexdigest()}")
     for argv in moved:
         print(f"moved by register order: {argv}")

@@ -152,12 +152,6 @@ def test_mc_output_bytes_golden(tmp_path, semantics):
     assert digests == MC_GOLDEN_SHA256[semantics]
 
 
-def _main_in_process(*argv):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.main(list(argv)) == 0
-    return out.getvalue()
-
-
 @settings(max_examples=4, deadline=None)
 @example(semantics="collapse", theta=0.7, rounds=3 * SAMPLE_CHUNK + 7, seed=3)
 @example(semantics="unitary", theta=0.0, rounds=SAMPLE_CHUNK, seed=42)
@@ -173,7 +167,7 @@ def test_mc_out_is_deterministic_and_matches_single_draw(semantics, theta, round
     with tempfile.TemporaryDirectory() as tmp:
         files = []
         for run in ("a", "b"):
-            _main_in_process(*argv, "--out", str(Path(tmp) / run))
+            assert cli_digest.run(argv + ["--out", str(Path(tmp) / run)])[0] == 0
             files.append({p.name: p.read_bytes() for p in (Path(tmp) / run).iterdir()})
     assert files[0] == files[1]
     payload = json.loads(files[0]["mc.json"])
@@ -239,12 +233,12 @@ def test_perspectives_collapse_prediction_half():
 
 def test_perspectives_table_prints_no_negative_zero():
     # At θ = 0.7 one entry of this matrix is ulp-level noise below zero.
-    argv = ("perspectives", "--agent", "Fbar", "--time", "n:30", "--rule", "unitary",
-            "--cond", "wbar=okbar", "--theta", "0.7")
-    payload = json.loads(_main_in_process(*argv, "--json"))
+    argv = ["perspectives", "--agent", "Fbar", "--time", "n:30", "--rule", "unitary",
+            "--cond", "wbar=okbar", "--theta", "0.7"]
+    payload = json.loads(cli_digest.run(argv + ["--json"])[1])
     entries = [x for part in payload["matrix"].values() for row in part for x in row]
     assert any(x < 0 and f"{x:+.4f}" == "-0.0000" for x in entries)
-    table = _main_in_process(*argv)
+    table = cli_digest.run(argv)[1]
     assert "-0.0000" not in table
     assert table.count("+0.0000") == sum(f"{x:+.4f}" in ("+0.0000", "-0.0000") for x in entries)
 
@@ -256,7 +250,7 @@ def test_perspectives_predictions_come_from_predict_distribution(theta):
     for argv in cli_digest.grid(theta):
         if argv[0] != "perspectives":
             continue
-        code, out, _ = cli_digest.run(argv + ["--json"])
+        code, out, _ = cli_digest.recorded(theta)[(*argv, "--json")]
         if code != 0:
             continue  # not evaluable, or a conditioning the rule refuses
         payload = json.loads(out)
@@ -273,30 +267,47 @@ def test_perspectives_predictions_come_from_predict_distribution(theta):
 
 def test_register_order_moves_no_byte():
     # --subsystems in reverse prints what the default order prints, table and JSON.
-    for argv, twin in cli_digest.reversed_grid("0.7"):
-        for fmt in ([], ["--json"]):
-            assert cli_digest.run(argv + fmt) == cli_digest.run(twin + fmt), argv
-
-
-def _digest_grid(theta):
-    """Every digest-grid argv at one angle, the reversed-register group included."""
-    return (
-        cli_digest.grid(theta)
-        + cli_digest.mc_grid(theta)
-        + [argv for argv, _ in cli_digest.reversed_grid(theta)]
-    )
+    assert cli_digest.defects("0.7")[0] == []
 
 
 @pytest.mark.parametrize("theta", ["0", "0.7"])
 def test_every_table_is_its_payload_rendered(theta):
     # The table a command prints is its renderer applied to the --json payload after a JSON
     # round trip, so a stored payload reproduces its table.
-    rendered = 0
-    for argv in _digest_grid(theta):
-        table, as_json = cli_digest.run(argv), cli_digest.run(argv + ["--json"])
-        assert not cli_digest.table_differs(table, as_json), argv
-        rendered += table[0] == as_json[0] == 0
+    assert cli_digest.defects(theta)[1] == []
+    runs = cli_digest.recorded(theta)
+    rendered = sum(runs[tuple(argv)][0] == runs[(*argv, "--json")][0] == 0
+                   for argv in cli_digest.argvs(theta))
     assert rendered == 125  # of 247 argvs; the rest are not evaluable or refused
+
+
+@pytest.mark.parametrize("theta", cli_digest.THETAS)
+def test_the_digest_invariants_hold_at_every_digest_angle(theta):
+    assert cli_digest.defects(theta) == ([], [])
+
+
+def test_the_record_is_the_cli(monkeypatch):
+    # One argv of each digest group, looked up in the record and run live as the record ran it.
+    picked = (
+        (["exact", "--semantics", "unitary"], 0),
+        (["audit", "--ruleset", "fr-mixed"], 0),
+        (["perspectives", "--agent", "F", "--time", "n:20", "--rule", "own-record",
+          "--cond=z=+1/2"], 0),
+        (["perspectives", "--agent", "Fbar", "--time", "n:00", "--rule", "collapse",
+          "--cond=r=tails"], 2),
+        (["perspectives", "--agent", "W", "--time", "n:20", "--rule", "unitary",
+          "--subsystems", "F,S"], 0),
+        (["mc", "--semantics", "collapse", *cli_digest.MC_ARGS], 0),
+    )
+    runs = cli_digest.recorded("0.7")
+    monkeypatch.setenv("COLUMNS", "10000")
+    for argv, code in picked:
+        for fmt in ([], ["--json"]):
+            full = (*argv, "--theta", "0.7", *fmt)
+            assert runs[full] == cli_digest.run(list(full)), full
+            assert runs[full][0] == code and runs[full][2].startswith("usage: ") == (code == 2), full
+    with pytest.raises(TypeError):
+        runs[("exact",)] = (0, "", "")
 
 
 def test_a_json_run_renders_no_table(tmp_path):
@@ -304,7 +315,7 @@ def test_a_json_run_renders_no_table(tmp_path):
         raise AssertionError(f"a --json run rendered the {payload['command']} table")
 
     def run_all(out):
-        runs = [cli_digest.run(argv + ["--json"]) for argv in _digest_grid("0.7")]
+        runs = [cli_digest.run(argv + ["--json"]) for argv in cli_digest.argvs("0.7")]
         runs.append(cli_digest.run(["mc", "--rounds", "10", "--json", "--out", str(out)]))
         return runs, {path.name: path.read_bytes() for path in out.iterdir()}
 
@@ -320,7 +331,7 @@ def test_schema_requires_every_field_a_renderer_reads():
         (["mc", "--rounds", "10"], "halting", "expected_mean"),
         (["audit", "--ruleset", "all-collapse"], None, "conclusion_value"),
     ):
-        payload = json.loads(_main_in_process(*argv, "--json"))
+        payload = json.loads(cli_digest.run(argv + ["--json"])[1])
         VALIDATOR.validate(payload)
         del (payload[section] if section else payload)[field]
         with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
@@ -328,8 +339,8 @@ def test_schema_requires_every_field_a_renderer_reads():
     # Any payload that validates can be rendered, so every payload the digest grid prints validates.
     validated = 0
     for theta in cli_digest.THETAS:
-        for argv in _digest_grid(theta):
-            code, out, _ = cli_digest.run(argv + ["--json"])
+        for argv in cli_digest.argvs(theta):
+            code, out, _ = cli_digest.recorded(theta)[(*argv, "--json")]
             if code == 0:
                 VALIDATOR.validate(json.loads(out))
                 validated += 1

@@ -1,8 +1,9 @@
 """Every CLI byte and every assigned matrix on the digest grid, pinned per angle and group.
 
 ``tests/cli_digest.py`` prints one hash over its whole grid, for comparing
-two checkouts by hand.  This test pins the same runs as one sha256 per
-(θ, group), so a change names the group and the angle it moved:
+two checkouts by hand.  This test reads the same runs from its record
+(``cli_digest.recorded``) and pins them as one sha256 per (θ, group), so a
+change names the group and the angle it moved:
 
 * ``exact`` and ``audit``: every run as a table and as ``--json``;
 * ``perspectives`` and ``perspectives --json``: every perspective run;
@@ -17,9 +18,7 @@ that moves bytes on purpose re-pins only the groups it meant to move.
 """
 
 import hashlib
-import os
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from ewfs.perspectives import AssignmentRule, Perspective, assign
 from ewfs.protocol import ProtocolConfig, exact_record_distribution
 
 from _oracles import SWEEP_GRID, default_registers
-from cli_digest import THETAS, grid, run
+from cli_digest import THETAS, grid, recorded
 
 GROUPS = ("exact", "audit", "perspectives", "perspectives --json", "purity", "matrix")
 
@@ -138,13 +137,11 @@ RECORD_TABLE_SHA256 = {
 @lru_cache(maxsize=None)
 def _digests(theta: str) -> dict[str, str]:
     hashes = {group: hashlib.sha256() for group in GROUPS}
-    # A wide terminal keeps argparse's usage on one line, as in the digest.
-    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
-        for argv in grid(theta):
-            for fmt in ([], ["--json"]):
-                code, out, err = run(argv + fmt)
-                group = " ".join(argv[:1] + fmt) if argv[0] == "perspectives" else argv[0]
-                hashes[group].update(repr((argv + fmt, code, out, err)).encode("utf-8"))
+    runs = recorded(theta)
+    for argv in grid(theta):
+        for fmt in ([], ["--json"]):
+            group = " ".join(argv[:1] + fmt) if argv[0] == "perspectives" else argv[0]
+            hashes[group].update(repr((argv + fmt, *runs[(*argv, *fmt)])).encode("utf-8"))
     for agent, time, cond, rule in SWEEP_GRID:
         p = Perspective(agent, time, cond, AssignmentRule(rule))
         rho = assign(p, default_registers(time), float(theta))

@@ -16,8 +16,6 @@ The output schema bounds the audit's statement and conclusion values to
 
 import copy
 import json
-import os
-from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -27,7 +25,7 @@ from ewfs import perspectives, protocol
 from ewfs.perspectives import AGENTS, RECORDS, RULE_KINDS, TIMES, NotEvaluableError, Perspective
 
 from _schema import VALIDATOR
-from cli_digest import THETAS, grid, mc_grid, run
+from cli_digest import THETAS, grid, mc_grid, recorded
 
 SPECS = (
     protocol.COIN_MEASUREMENT,
@@ -54,14 +52,13 @@ def _probability_values(node):
 
 def test_json_probabilities_on_the_digest_grid_lie_in_the_unit_interval():
     outside, checked = [], 0
-    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
-        for theta in THETAS:
-            for argv in grid(theta) + mc_grid(theta):
-                code, out, _ = run(argv + ["--json"])
-                if code == 0:
-                    values = list(_probability_values(json.loads(out)))
-                    checked += len(values)
-                    outside += [(argv, v) for v in values if not 0.0 <= v <= 1.0]
+    for theta in THETAS:
+        for argv in grid(theta) + mc_grid(theta):
+            code, out, _ = recorded(theta)[(*argv, "--json")]
+            if code == 0:
+                values = list(_probability_values(json.loads(out)))
+                checked += len(values)
+                outside += [(argv, v) for v in values if not 0.0 <= v <= 1.0]
     assert checked > 4_000
     assert outside == []
 
@@ -92,13 +89,12 @@ def test_merged_predictions_lie_in_the_unit_interval():
 
 
 def test_schema_bounds_audit_values_to_the_unit_interval():
-    with mock.patch.dict(os.environ, {"COLUMNS": "10000"}):
-        payloads = [
-            json.loads(run(argv + ["--json"])[1])
-            for theta in THETAS
-            for argv in grid(theta)
-            if argv[0] == "audit"
-        ]
+    payloads = [
+        json.loads(recorded(theta)[(*argv, "--json")][1])
+        for theta in THETAS
+        for argv in grid(theta)
+        if argv[0] == "audit"
+    ]
     for payload in payloads:
         VALIDATOR.validate(payload)
     statement, conclusion = copy.deepcopy(payloads[0]), copy.deepcopy(payloads[0])
