@@ -32,11 +32,11 @@ interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` wo
 
 A kernel answers an angle from its view (see ``_View``), the one memo of
 values.  Where the description holds a record of the coin, θ drops out (see
-``_kernel``): such a θ-free kernel is contracted once and its one view
-answers every angle.  Every other kernel keeps one view, of the latest angle
-asked for: memory stays bounded, threads sweeping different angles get their
-own values (see ``_view``), and a description is contracted, built and read
-once per angle, however many agents, statements and chain links share it.
+``_build``): such a θ-free kernel is contracted once and its one view
+answers every angle.  Every other kernel keeps one view, keyed by the exact
+latest θ asked for: memory stays bounded, threads sweeping different angles
+get their own values (see ``_view``), and a description is contracted, built
+and read once per angle, however many agents, statements and links share it.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, embed, projector
 
 # Checkpoint order, the ``w`` announcement's checkpoint last.
 _TIME_INDEX = {t: i for i, t in enumerate(TIMES + (RECORDS["w"][1],))}
+_STANDPOINTS: dict[tuple, tuple] = {}  # each valid (agent, time, conditioning, rule kind) -> its kernel key
+_KERNELS: dict[tuple, _Kernel] = {}  # (kernel key, sorted names) -> the one kernel of that description
 
 
 class NotEvaluableError(ValueError):
@@ -87,10 +89,10 @@ class AssignmentRule:
 class Perspective:
     """An agent's standpoint: who, when, what they condition on, which rule.
 
-    Checked and normalized in one pass before any field is set: the
-    conditioning becomes a tuple of ``(str, str)`` pairs, and a rule given
-    by name becomes an ``AssignmentRule``.  It also keeps the kernel key
-    ``(time, sorted conditioning, collapse?)`` as a private attribute, not a
+    Normalized, then checked once per distinct standpoint, before any field
+    is set: the conditioning becomes a tuple of ``(str, str)`` pairs, and a
+    rule given by name or kind becomes an ``AssignmentRule``.  The kernel key
+    ``(time, sorted conditioning, collapse?)`` is a private attribute, not a
     field: equality, hashing and ``repr`` ignore it, copies carry it.
     """
 
@@ -105,33 +107,35 @@ class Perspective:
         if time not in TIMES:
             raise ValueError(f"unknown checkpoint {time!r}")
         cond = tuple([(str(k), str(v)) for k, v in conditioning])
-        if isinstance(rule, str):
-            rule = AssignmentRule(rule)
-        now, seen = _TIME_INDEX[time], set()
-        for var, value in cond:
-            if var not in RECORDS:
-                raise ValueError(f"unknown record variable {var!r}")
-            if var in seen:
-                raise ValueError(f"duplicate conditioning on {var!r}")
-            seen.add(var)
-            owner, available, values = RECORDS[var]
-            if value not in values:
-                raise ValueError(f"unknown value {value!r} for record {var!r}")
-            if _TIME_INDEX[available] > now:
-                raise ValueError(
-                    f"record {var!r} does not exist yet at {time} (available {available})"
-                )
-        if rule.kind == OWN_RECORD_PURE:
-            if len(cond) != 1:
-                raise ValueError("own-record-pure conditions on exactly one record")
-            owner = RECORDS[cond[0][0]][0]
-            if owner != agent:
-                raise ValueError(
-                    f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {agent}"
-                )
+        if not isinstance(rule, AssignmentRule):
+            rule = AssignmentRule(rule if isinstance(rule, str) else rule.kind)
+        key = _STANDPOINTS.get(standpoint := (agent, time, cond, rule.kind))
+        if key is None:  # checked once per valid standpoint: a finite set
+            now, seen = _TIME_INDEX[time], set()
+            for var, value in cond:
+                if var not in RECORDS:
+                    raise ValueError(f"unknown record variable {var!r}")
+                if var in seen:
+                    raise ValueError(f"duplicate conditioning on {var!r}")
+                seen.add(var)
+                owner, available, values = RECORDS[var]
+                if value not in values:
+                    raise ValueError(f"unknown value {value!r} for record {var!r}")
+                if _TIME_INDEX[available] > now:
+                    raise ValueError(
+                        f"record {var!r} does not exist yet at {time} (available {available})"
+                    )
+            if rule.kind == OWN_RECORD_PURE:
+                if len(cond) != 1:
+                    raise ValueError("own-record-pure conditions on exactly one record")
+                owner = RECORDS[cond[0][0]][0]
+                if owner != agent:
+                    raise ValueError(
+                        f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {agent}"
+                    )
+            # Sorted: the conditioning's order does not change the kernel.
+            key = _STANDPOINTS[standpoint] = (time, tuple(sorted(cond)), rule.kind == COLLAPSE_AWARE)
         # Frozen: each field is written once, straight into the instance.
-        # Sorted: the conditioning's order does not change the kernel.
-        key = (time, tuple(sorted(cond)), rule.kind == COLLAPSE_AWARE)
         self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule, _kernel_key=key)
 
 
@@ -183,9 +187,9 @@ class _Kernel:
 
     ``latest`` is ``(key, view)``.  A θ-free kernel's one view answers every
     angle and sits under the key ``None``.  A θ-dependent kernel keeps the
-    view of the latest angle it was asked for, under the bytes of the coin
-    amplitudes it was contracted with; another angle replaces it.  The kernel
-    cache owns every view: ``_kernel.cache_clear()`` drops them too.
+    view of the latest angle it was asked for, keyed by that exact θ (see
+    ``_view``); another angle replaces it.  ``_KERNELS`` owns every kernel
+    and so every view.
     """
 
     __slots__ = ("layout", "branches", "latest")
@@ -216,9 +220,13 @@ def _rows(psi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel(
-    time: str, conditioning: tuple[tuple[str, str], ...], collapse: bool, names: tuple[str, ...]
-) -> _Kernel:
+def _kernel(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str, ...]) -> _Kernel:
+    """The kernel of a kernel key and the registers in the order given; a new order is sorted once."""
+    canonical = (key, tuple(sorted(names)))  # register order does not change the kernel
+    return _KERNELS.get(canonical) or _KERNELS.setdefault(canonical, _build(*canonical))
+
+
+def _build(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str, ...]) -> _Kernel:
     """Kept layout and θ-free branches of an assignment to the named registers.
 
     A branch whose Gram trace is below ``IMPOSSIBLE_MASS`` is dropped: its
@@ -234,6 +242,7 @@ def _kernel(
     traced-out registers hold a record of the coin, or the conditioning
     leaves one coin value: heads and tails no longer interfere.
     """
+    time, conditioning, collapse = key
     layout = protocol.LAYOUT.sub(names)
     cond = dict(conditioning)
     branches = [np.array(protocol._BRANCHES[protocol.T20 if time == protocol.T30 else time])]
@@ -254,7 +263,7 @@ def _kernel(
     m.setflags(write=False)
     columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
     if (columns[0] & columns[1]).any():
-        return _Kernel(layout, m, (b"", None))  # no view until the first angle
+        return _Kernel(layout, m, (math.nan, None))  # no view until the first angle
     return _Kernel(layout, m, (None, _View(layout, _contract(m, protocol.coin_amplitudes(0.0)))))
 
 
@@ -263,21 +272,19 @@ def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _View:
 
     A non-finite θ is refused before a kernel is read: a θ-free kernel would
     otherwise answer for it with its θ = 0 state.  A θ-dependent kernel's
-    latest view is read once and is used only if it was contracted with these
-    exact amplitudes, so it answers bit for bit as a fresh contraction would,
-    and a call racing another angle uses only the view it found or built.
+    latest view is read once and used only if it is of this exact θ (equal,
+    of one type, of one sign: ``0.0`` and ``-0.0`` are apart), so it answers
+    bit for bit as a fresh contraction would, and a call racing another angle
+    uses only the view it found or built.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    # Register order does not change the kernel, so sorting keys it by the set.
-    kernel = _kernel(*p._kernel_key, tuple(sorted(names)))
+    kernel = _kernel(p._kernel_key, names)
     key, view = kernel.latest
-    if key is not None:
-        amplitudes = protocol.coin_amplitudes(theta)
-        new = amplitudes.tobytes()
-        if key != new:
-            view = _View(kernel.layout, _contract(kernel.branches, amplitudes))
-            kernel.latest = (new, view)  # one store: a reader sees the old view or the new one
+    same = key == theta and type(key) is type(theta)  # a zero's sign is checked only at zero
+    if key is not None and not (same and (theta or math.copysign(1, key) == math.copysign(1, theta))):
+        view = _View(kernel.layout, _contract(kernel.branches, protocol.coin_amplitudes(theta)))
+        kernel.latest = (theta, view)  # one store: a reader sees the old view or the new one
     if not len(view.live[0]):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
     return view

@@ -261,6 +261,7 @@ _R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
 _Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
 for _arr in (_LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
     _arr.setflags(write=False)
+_COLLAPSE: dict[str, object] = {}  # the θ-free collapse joint and record table, kept by their first reader
 
 
 def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
@@ -269,21 +270,25 @@ def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
     ``psi`` holds the final amplitudes with lab Lbar's pointer on the rows
     and lab L's on the columns.  Unitary semantics squares the amplitudes
     after the observers' change of basis.  Collapse squares them before it,
-    which is the pointer-basis dephasing left by the friends' records.
+    the dephasing left by the friends' records; heads and tails have disjoint
+    pointer support, so θ drops out there, and collapse reads θ = 0.
     """
-    psi = _global_amplitudes(config.theta, T20).reshape(6, 6)
+    psi = _global_amplitudes(config.theta if config.semantics == UNITARY else 0.0, T20).reshape(6, 6)
     if config.semantics == UNITARY:
         return np.abs(WBAR_MEASUREMENT.bras @ psi @ W_MEASUREMENT.bras.T) ** 2
     return _LBAR_WEIGHTS @ np.abs(psi) ** 2 @ _L_WEIGHTS.T
 
 
 def exact_joint(config: ProtocolConfig) -> JointDistribution:
-    """Exact observer-announcement joint; no sampling involved."""
+    """Exact observer-announcement joint; no sampling involved.  Collapse gives one shared joint."""
+    if config.semantics == COLLAPSE and "joint" in _COLLAPSE:
+        return _COLLAPSE["joint"]
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
     for wb, row in zip(WBAR_MEASUREMENT.labels, _announcement_probs(config).tolist()):
         for w, p in zip(W_MEASUREMENT.labels, row):
             cells[(wb, w)] += p
-    return JointDistribution(cells)
+    joint = JointDistribution(cells)
+    return _COLLAPSE.setdefault("joint", joint) if config.semantics == COLLAPSE else joint
 
 
 def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, str, str], float]:
@@ -293,14 +298,16 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     ``F`` memory.  Under collapse they are read off the pointer states before
     the observers measure, so records come first in the key order.  Under
     unitary semantics they are read out of the observers' post-measurement
-    lab states, so the announcements come first.
+    lab states, so the announcements come first.  Each caller gets its own dict.
     """
+    if config.semantics == COLLAPSE and "records" in _COLLAPSE:
+        return dict(_COLLAPSE["records"])
     if config.semantics == UNITARY:
         probs = _announcement_probs(config)
         table = probs[:, :, None, None] * _R_READ[:, None, :, None] * _Z_READ[None, :, None, :]
         axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
     else:
-        pointer = np.abs(_global_amplitudes(config.theta, T20).reshape(2, 3, 2, 3)) ** 2
+        pointer = np.abs(_global_amplitudes(0.0, T20).reshape(2, 3, 2, 3)) ** 2
         table = np.einsum(
             "kaf,afsz,jsz->azkj", _LBAR_WEIGHTS.reshape(6, 2, 3), pointer, _L_WEIGHTS.reshape(6, 2, 3)
         )
@@ -311,7 +318,7 @@ def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, st
     for idx in zip(*np.nonzero(table >= IMPOSSIBLE_MASS)):
         key = tuple(labels[v][idx[axes[v]]] for v in range(4))
         out[key] = out.get(key, 0.0) + float(table[idx])
-    return out
+    return dict(_COLLAPSE.setdefault("records", out)) if config.semantics == COLLAPSE else out
 
 
 # ---------------------------------------------------------------------------

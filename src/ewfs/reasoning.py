@@ -210,6 +210,26 @@ _FR_CHAIN = (FBAR_02, F_12, F_13, WBAR_22, WBAR_23)
 # observers' inferences run on the global superposition description.
 _FR_OWN_IDS = (PREMISE_ID, FBAR_02.id, F_12.id, F_13.id)
 
+
+def _check_chain(statements: Sequence[Statement], rs: RuleSet) -> None:
+    """Refuse an empty chain, a repeated statement id, or an override that names no statement of it."""
+    if not statements:
+        raise ValueError("empty chain: no statement to conclude from")
+    ids = [st.id for st in statements]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate statement ids in chain: {ids}")
+    known = {PREMISE_ID}
+    for nested in statements:
+        while nested is not None:
+            known.add(nested.id)
+            nested = nested.inner
+    for sid, _ in rs.overrides:
+        if sid not in known:
+            raise ValueError(
+                f"rule set {rs.name!r} overrides {sid!r}, which names no statement of the chain"
+            )
+
+
 # Each built-in rule set and the statement chain it is audited with, in CLI order.
 _FR_MIXED, _ALL_COLLAPSE, _ALL_UNITARY = RULESET_NAMES
 BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingProxyType({
@@ -217,6 +237,8 @@ BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingPro
     _ALL_COLLAPSE: (RuleSet(_ALL_COLLAPSE, AssignmentRule(COLLAPSE_AWARE)), _FR_CHAIN),
     _ALL_UNITARY: (RuleSet(_ALL_UNITARY, _UNITARY), (FBAR_02_STAR, F_12, WBAR_22, WBAR_23_STAR)),
 })
+for _rs, _statements in BUILTIN_AUDITS.values():
+    _check_chain(_statements, _rs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +340,8 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
     its own: each record distribution comes off its description's view, whose
     Born read is made once per angle, whichever statement asks first.
     """
-    if not statements:
-        raise ValueError("empty chain: no statement to conclude from")
-    ids = [st.id for st in statements]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate statement ids in chain: {ids}")
-    known = {PREMISE_ID}
-    for st in statements:
-        nested = st
-        while nested is not None:
-            known.add(nested.id)
-            nested = nested.inner
-    for sid, _ in rs.overrides:
-        if sid not in known:
-            raise ValueError(
-                f"rule set {rs.name!r} overrides {sid!r}, which names no statement of the chain"
-            )
+    if not any(rs is r and statements is s for r, s in BUILTIN_AUDITS.values()):  # else checked at import
+        _check_chain(statements, rs)
     results = tuple(evaluate(st, rs, theta) for st in statements)
 
     conclusion: str | None = None

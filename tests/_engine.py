@@ -1,22 +1,28 @@
 """The tests' one seam onto the engine's memo: how ``perspectives`` keys and keeps its descriptions.
 
-Each description is a kernel cached by ``perspectives._kernel`` under the
-perspective's kernel key and the sorted register names; a θ-free kernel
-keeps its one view, for every angle, under the key ``None``.  Tests read
-kernels, views, reads, cache sizes and call counts through these helpers
-only, so a change in that layout changes this module and no test.
+Each description is one kernel in ``perspectives._KERNELS``, under the
+perspective's kernel key and the sorted register names, found through
+``perspectives._kernel`` under the kernel key and the names as given.  A
+θ-free kernel keeps its one view, for every angle, under the key ``None``;
+a θ-dependent one keeps the view of its latest angle, keyed by that θ.  A
+``Perspective`` is checked once per standpoint, which then keeps its kernel
+key in ``perspectives._STANDPOINTS``.  ``protocol._COLLAPSE`` keeps the
+θ-free collapse joint and record table.  Tests read kernels, views, reads,
+cache sizes and call counts through these helpers only, and ``clear``
+empties every one of these memos, so a change in that layout changes this
+module and no test.
 """
 
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ewfs import perspectives
+from ewfs import perspectives, protocol
 
 
 def kernel(p, names):
     """The kernel ``perspectives._view`` reads for the perspective's description of ``names``."""
-    return perspectives._kernel(*p._kernel_key, tuple(sorted(names)))
+    return perspectives._kernel(p._kernel_key, tuple(names))
 
 
 def free_view(p, names):
@@ -54,13 +60,21 @@ def memo_arrays(p, names):
 
 
 def kernel_count():
-    """How many kernels the cache holds."""
-    return perspectives._kernel.cache_info().currsize
+    """How many kernels the engine holds: one per description."""
+    return len(perspectives._KERNELS)
+
+
+def standpoints():
+    """The standpoints checked so far, each ``(agent, time, conditioning, rule kind)``."""
+    return set(perspectives._STANDPOINTS)
 
 
 def clear():
-    """Drop every kernel with its views, and ``reasoning``'s cached perspectives if loaded."""
+    """Empty every memo: kernels with their views and lookups, standpoints, collapse tables, perspectives."""
     perspectives._kernel.cache_clear()
+    perspectives._KERNELS.clear()
+    perspectives._STANDPOINTS.clear()
+    protocol._COLLAPSE.clear()
     reasoning = sys.modules.get("ewfs.reasoning")
     if reasoning is not None:
         reasoning._perspective.cache_clear()

@@ -443,7 +443,7 @@ def per_angle_live_branches(p, names: tuple[str, ...], theta: float):
     """
     # Neither order changes the kernel, so sorting both keys it by sets.
     names, cond = tuple(sorted(names)), tuple(sorted(p.conditioning))
-    kernel = _kernel(p.time, cond, p.rule.kind == COLLAPSE_AWARE, names)
+    kernel = _kernel((p.time, cond, p.rule.kind == COLLAPSE_AWARE), names)
     layout, m = kernel.layout, kernel.branches
     psi = (protocol.coin_amplitudes(theta) @ m.reshape(2, -1)).reshape(m.shape[1:])
     weights = (np.abs(psi) ** 2).sum(axis=(1, 2))

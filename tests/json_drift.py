@@ -2,11 +2,13 @@
 
     python tests/json_drift.py [--base COMMIT]
 
-Runs every run of ``tests/cli_digest.py`` (``grid``, ``mc_grid`` and the
-reversed-register runs, as tables and as ``--json``, at every angle in
-``THETAS``) on this checkout and on a ``git archive`` of COMMIT (default
-``HEAD``), each in a fresh interpreter with that checkout's own ``src/``
-and ``cli_digest``.  It prints:
+Reads every run of ``tests/cli_digest.py`` (``recorded(theta)`` at every
+angle in ``THETAS``: ``grid``, ``mc_grid`` and the reversed-register runs,
+as tables and as ``--json``) on this checkout and on a ``git archive`` of
+COMMIT (default ``HEAD``), each in a fresh interpreter with that checkout's
+own ``src/`` and ``cli_digest``.  A COMMIT whose ``cli_digest`` has no
+``recorded`` is refused with one line: c035e2c is the oldest that has it.
+It prints:
 
 * ``runs``: how many runs each side made;
 * ``changed``: how many runs differ in any byte;
@@ -28,7 +30,6 @@ import argparse
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tarfile
@@ -43,14 +44,11 @@ def dump(checkout: Path, out: Path) -> None:
     sys.path.insert(0, str(checkout / "tests"))
     import cli_digest  # puts the checkout's own src/ first on the path
 
-    os.environ["COLUMNS"] = "10000"  # argparse's usage on one line, as in the digest
-    runs = []
-    for theta in cli_digest.THETAS:
-        argvs = cli_digest.grid(theta) + cli_digest.mc_grid(theta)
-        argvs += [argv for argv, _ in cli_digest.reversed_grid(theta)]
-        for argv in argvs:
-            for fmt in ([], ["--json"]):
-                runs.append([argv + fmt, *cli_digest.run(argv + fmt)])
+    if not hasattr(cli_digest, "recorded"):
+        raise SystemExit(f"json_drift: {checkout} has no cli_digest.recorded; the oldest base is c035e2c")
+    runs = [
+        [list(argv), *run] for theta in cli_digest.THETAS for argv, run in cli_digest.recorded(theta).items()
+    ]
     out.write_text(json.dumps(runs))
 
 
@@ -123,7 +121,9 @@ def main(args: list[str] | None = None) -> int:
         sides = []
         for name, checkout in (("base", base), ("this", repo)):
             out = Path(tmp) / f"{name}.json"
-            subprocess.run([sys.executable, __file__, "--dump", str(checkout), str(out)], check=True)
+            code = subprocess.run([sys.executable, __file__, "--dump", str(checkout), str(out)]).returncode
+            if code:
+                return code
             sides.append(json.loads(out.read_text()))
     changed, drift, lines = compare(*sides)
     print(f"runs base {len(sides[0])} this {len(sides[1])}")

@@ -606,6 +606,25 @@ def test_out_is_written_before_anything_is_printed(command, kind, as_json):
             assert written == out.getvalue()
 
 
+@settings(max_examples=6, deadline=None)
+@example(theta=-0.0, seed=7)
+@example(theta=1e6, seed=0)
+@example(theta=-1e6, seed=2**32 - 1)
+@given(theta=st.floats(-1e6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_collapse_mc_payload_is_the_same_at_every_angle(theta, seed):
+    # Under collapse the coin phase is erased: one record table, one CDF, the
+    # same draws and the same bytes at every angle, apart from the echoed theta.
+    argv = ["mc", "--semantics", "collapse", "--rounds", "3000", "--seed", str(seed), "--json"]
+    payloads = []
+    for angle in (0.0, theta):
+        code, out, err = cli_digest.run(argv + [f"--theta={angle!r}"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload.pop("theta") == angle
+        payloads.append(json.dumps(payload))
+    assert payloads[0] == payloads[1]
+
+
 def test_out_writes_no_file_unless_it_can_write_them_all(tmp_path):
     # The payload could be written, but its CSV's name is taken by a directory.
     (tmp_path / "halting_histogram.csv").mkdir()

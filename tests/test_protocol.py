@@ -468,3 +468,34 @@ def test_exact_paths_build_no_state_vector(monkeypatch):
     for theta in np.random.default_rng(9).uniform(-20.0, 20.0, 20):
         _exact_both_semantics(theta)
     assert not built.counts
+
+
+def _collapse_reprs(theta):
+    """The collapse joint's cells and record table at θ, each float as its ``repr``."""
+    config = ProtocolConfig(semantics="collapse", theta=theta)
+    joint = [(cell, repr(p)) for cell, p in exact_joint(config).entries.items()]
+    return joint, [(key, repr(p)) for key, p in exact_record_distribution(config).items()]
+
+
+@settings(max_examples=40, deadline=None)
+@example(theta=0.0)
+@example(theta=-0.0)
+@example(theta=1e6)
+@example(theta=-1e6)
+@example(theta=np.pi)
+@given(theta=st.floats(-1e6, 1e6))
+def test_collapse_tables_are_the_same_bytes_at_every_angle(theta):
+    # The first reader's angle does not reach the kept tables: cold at θ is cold at 0.
+    _engine.clear()
+    cold = _collapse_reprs(theta)
+    _engine.clear()
+    assert _collapse_reprs(0.0) == cold
+    # Warm, every angle reads the same bytes, and within 1e-15 of the closed form.
+    assert _collapse_reprs(theta) == _collapse_reprs(-theta) == cold
+    joint = exact_joint(ProtocolConfig(semantics="collapse", theta=theta))
+    assert all(abs(joint.prob(*cell) - float(p)) <= 1e-15 for cell, p in collapse_joint_cells().items())
+    # Each caller gets its own record table; the joint is one read-only value.
+    table = exact_record_distribution(ProtocolConfig(semantics="collapse", theta=theta))
+    table.clear()
+    assert _collapse_reprs(theta) == cold
+    assert exact_joint(ProtocolConfig(semantics="collapse", theta=1.0)) is joint
