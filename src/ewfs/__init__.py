@@ -41,31 +41,8 @@ _EXPORTS = {
 # Each name loaded on first access -> the module that holds it; a module maps to itself.
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in (home, *names)}
 
-__all__ = [
-    "AssignmentRule",
-    "AuditReport",
-    "DensityMatrix",
-    "DilationSpec",
-    "JointDistribution",
-    "MeasurementSpec",
-    "NotEvaluableError",
-    "Operator",
-    "Perspective",
-    "ProtocolConfig",
-    "RoundTally",
-    "RuleSet",
-    "SpaceLayout",
-    "Statement",
-    "StateVector",
-    "__version__",
-    "assign",
-    "audit",
-    "build_dilation",
-    "chain",
-    "evaluate",
-    "exact_joint",
-    "sample_records",
-]
+# Derived from _EXPORTS, so each public name is spelled once.
+__all__ = sorted([*(name for names in _EXPORTS.values() for name in names), "__version__"])
 
 
 def __getattr__(name: str):

@@ -237,8 +237,6 @@ BUILTIN_AUDITS: Mapping[str, tuple[RuleSet, tuple[Statement, ...]]] = MappingPro
     _ALL_COLLAPSE: (RuleSet(_ALL_COLLAPSE, AssignmentRule(COLLAPSE_AWARE)), _FR_CHAIN),
     _ALL_UNITARY: (RuleSet(_ALL_UNITARY, _UNITARY), (FBAR_02_STAR, F_12, WBAR_22, WBAR_23_STAR)),
 })
-for _rs, _statements in BUILTIN_AUDITS.values():
-    _check_chain(_statements, _rs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +261,14 @@ def _status(kind: str, dist: Mapping[str, float], value: str) -> str:
 
 def evaluate(st: Statement, rs: RuleSet, theta: float = 0.0) -> StatementResult:
     """Evaluate one statement under a rule set; exact, no sampling."""
-    return _evaluate(st, rs, theta, st.condition)
+    return StatementResult(st.id, st.describe(), *_evaluate(st, rs, theta, st.condition))
 
 
 def _evaluate(
     st: Statement, rs: RuleSet, theta: float, condition: tuple[tuple[str, str], ...]
-) -> StatementResult:
-    # ``condition`` is the statement's own, or, for a nested claim's inner
-    # statement, the one record value the outer speaker is certain of.
+) -> tuple[str, float | None]:
+    # The (status, value) under ``condition``: the statement's own, or, for a nested
+    # claim's inner statement, the one record value the outer speaker is certain of.
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
@@ -281,19 +279,17 @@ def _evaluate(
     try:
         dist = record_distribution(persp, var, theta)
     except NotEvaluableError:
-        return StatementResult(st.id, st.describe(), NOT_EVALUABLE, None)
+        return NOT_EVALUABLE, None
     if st.inner is None:
-        value = dist.get(st.event[1], 0.0)
-        return StatementResult(st.id, st.describe(), _status(st.kind, dist, st.event[1]), value)
+        return _status(st.kind, dist, st.event[1]), dist.get(st.event[1], 0.0)
 
     # Only the most likely value can be certain: the others then carry at most IMPOSSIBLE_MASS.
     best = max(dist, key=dist.__getitem__)
     if not _certain(dist, best):
         # The outer speaker is not certain of the inner record; the nested
         # certainty fails.  Report the speaker's best branch weight.
-        return StatementResult(st.id, st.describe(), FAILS, dist[best])
-    inner_result = _evaluate(st.inner, rs, theta, ((var, best),))
-    return StatementResult(st.id, st.describe(), inner_result.status, inner_result.value)
+        return FAILS, dist[best]
+    return _evaluate(st.inner, rs, theta, ((var, best),))
 
 
 @lru_cache(maxsize=None)
@@ -336,12 +332,12 @@ def chain(statements: Sequence[Statement], rs: RuleSet, theta: float = 0.0) -> A
 
     Raises ``ValueError`` for an empty chain, a repeated statement id, or an
     override id that is neither ``PREMISE_ID`` nor the id of a chain
-    statement or of a statement nested in one.  The chain keeps no reads of
+    statement or of a statement nested in one; every chain, a built-in one
+    too, is checked on every call.  The chain keeps no reads of
     its own: each record distribution comes off its description's view, whose
     Born read is made once per angle, whichever statement asks first.
     """
-    if not any(rs is r and statements is s for r, s in BUILTIN_AUDITS.values()):  # else checked at import
-        _check_chain(statements, rs)
+    _check_chain(statements, rs)
     results = tuple(evaluate(st, rs, theta) for st in statements)
 
     conclusion: str | None = None

@@ -59,6 +59,16 @@ def memo_arrays(p, names):
     return arrays
 
 
+def view_key(p, names):
+    """The key of the description's kept view: ``None`` if θ-free, else the θ of its latest angle."""
+    return kernel(p, names).latest[0]
+
+
+def kernel_misses():
+    """How many kernel lookups have missed, each one a new (kernel key, register names as given)."""
+    return perspectives._kernel.cache_info().misses
+
+
 def kernel_count():
     """How many kernels the engine holds: one per description."""
     return len(perspectives._KERNELS)

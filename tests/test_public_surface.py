@@ -27,8 +27,8 @@ PUBLIC = [
     "RoundTally",
     "RuleSet",
     "SpaceLayout",
-    "Statement",
     "StateVector",
+    "Statement",
     "__version__",
     "assign",
     "audit",

@@ -4,7 +4,8 @@ Each line of the ``## Command line`` block runs in process through
 ``cli.main`` with ``--json`` added, in a fresh working directory so that
 ``--out runs/`` writes nowhere else.  A ``# comment`` beside a command states
 a value; ``CLAIMS`` checks each one against that run's payload, and a comment
-with no check here fails the test.
+with no check here fails the test.  Every cell of README's paper map is
+checked against the built-in audits at θ = 0 as ``ewfs audit`` prints them.
 """
 
 import json
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from ewfs import cli
+import _engine
+from ewfs import cli, reasoning
+from ewfs.reasoning import BUILTIN_AUDITS, PREMISE_ID, audit, premise_result
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -93,3 +96,49 @@ def test_readme_command_runs_and_its_comment_holds(command, comment, tmp_path, m
         assert (tmp_path / "runs" / "manifest.json").is_file()
     if comment:
         CLAIMS[comment](payload)
+
+
+def _paper_map() -> list[dict[str, str]]:
+    """README's paper map: one dict per row, keyed by the header's cells, code spans unquoted."""
+    section = README.read_text().split("## Paper map", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    rows = [
+        [cell.strip().replace("`", "").replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in lines
+    ]
+    header, _, *body = rows
+    return [dict(zip(header, cells)) for cells in body]
+
+
+def test_the_paper_map_is_what_ewfs_audit_prints(monkeypatch):
+    statements = {}  # every chain statement by id, nested ones too
+    for _, links in BUILTIN_AUDITS.values():
+        for st in links:
+            while st is not None:
+                statements[st.id] = st
+                st = st.inner
+    seen = _engine.calls(monkeypatch, reasoning, "_perspective", record=True)
+    premise_result(BUILTIN_AUDITS["fr-mixed"][0])
+    premise = seen.records[-1][0]  # (speaker, checkpoint, conditioning, rule)
+    results = {name: {r.statement_id: r for r in audit(name, 0.0).results} for name in BUILTIN_AUDITS}
+    ids = list(dict.fromkeys(sid for by_id in results.values() for sid in by_id))
+    rows = _paper_map()
+    assert len(rows) == len(ids)
+    for sid, row in zip(ids, rows):
+        st = statements.get(sid)
+        speaker, time, condition = premise[:3] if st is None else (st.speaker, st.time, st.condition)
+        want = {
+            "statement": sid + (" (premise)" if sid == PREMISE_ID else ""),
+            "speaker": speaker,
+            "checkpoint": time,
+            "conditioning": ", ".join(f"{var}={value}" for var, value in condition),
+            "claim": next(by_id[sid] for by_id in results.values() if sid in by_id).description,
+            "pinned by": row["pinned by"],
+        }
+        for name, (rs, _) in BUILTIN_AUDITS.items():
+            res = results[name].get(sid)
+            verdict = "—" if res is None else f"{res.status} {res.value:.10f}"
+            want[name] = f"{rs.rule_for(sid).kind}: {verdict}"
+        assert row == want
+        path, test = row["pinned by"].split("::")
+        assert re.search(rf"^def {test}\(", (README.parent / "tests" / path).read_text(), re.M), row

@@ -36,7 +36,8 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            # A listed name, whether ``__all__`` is a literal or derived from one.
+            used.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -47,6 +48,7 @@ def test_the_check_finds_an_unused_import():
     )
     assert _unused_imports(source) == ["os (line 2)", "pi (line 3)", "system (line 2)"]
     assert _unused_imports("import os.path\nos.sep\n__all__ = ['pi']\nfrom math import pi\n") == []
+    assert _unused_imports("from math import pi, tau\n__all__ = sorted(['pi'])\n") == ["tau (line 1)"]
     assert _unused_imports("import os  # noqa: F401\nimport sys  # noqa: E402\n") == ["sys (line 2)"]
 
 

@@ -8,8 +8,8 @@
   lookup neither sorts nor builds, and its θ-dependent view is kept under
   the exact θ, so a repeated angle reads no coin amplitudes and ``0.0`` and
   ``-0.0`` are kept apart.
-* A built-in audit's chain was checked at import; ``chain`` checks every
-  other chain, and still reads each link through the public ``evaluate``.
+* ``chain`` checks every chain, a built-in one too, once per call, and
+  reads each link through the public ``evaluate``.
 """
 
 import itertools
@@ -132,7 +132,7 @@ def _sweep(theta):
 
 def test_a_repeated_angle_reads_no_coin_amplitudes_and_builds_no_kernel(monkeypatch):
     _sweep(0.3)
-    misses = perspectives._kernel.cache_info().misses
+    misses = _engine.kernel_misses()
     seen = _engine.calls(monkeypatch, protocol, "coin_amplitudes")
     _engine.calls(monkeypatch, perspectives, "_build", into=seen)
     _engine.calls(monkeypatch, perspectives, "_contract", record=True, into=seen)
@@ -143,28 +143,27 @@ def test_a_repeated_angle_reads_no_coin_amplitudes_and_builds_no_kernel(monkeypa
     assert set(seen.counts) == {"coin_amplitudes", "_contract"}
     assert seen.counts["coin_amplitudes"] == seen.counts["_contract"] > 0
     assert len({id(args[0]) for args, _ in seen.records}) == len(seen.records)
-    assert perspectives._kernel.cache_info().misses == misses
+    assert _engine.kernel_misses() == misses
 
 
 def test_zero_and_negative_zero_keep_their_own_views():
     p = Perspective("W", "n:30", (("wbar", "okbar"),), "unitary-global")
     names = ("S", "F")
     assert not _engine.theta_free(p, names)
-    kernel = _engine.kernel(p, names)
     for theta in (0.0, -0.0, 0.0, 0, -0.0):
         first = assign(p, names, theta)
-        key = kernel.latest[0]
+        key = _engine.view_key(p, names)
         assert key == theta and type(key) is type(theta)
         assert np.copysign(1.0, key) == np.copysign(1.0, theta)
         assert assign(p, names, theta) is first  # a hit returns the kept view's state
 
 
-def test_builtin_chains_are_checked_at_import_and_others_at_each_call(monkeypatch):
+def test_every_chain_is_checked_at_each_call(monkeypatch):
     checks = _engine.calls(monkeypatch, reasoning, "_check_chain")
     _engine.calls(monkeypatch, reasoning, "evaluate", into=checks)
     for name in RULESET_NAMES:
         audit(name, 0.7)
     rs, statements = BUILTIN_AUDITS["fr-mixed"]
-    assert checks.counts == {"evaluate": 5 + 5 + 4}
+    assert checks.counts == {"evaluate": 5 + 5 + 4, "_check_chain": 3}
     chain(list(statements), rs, 0.7)
-    assert checks.counts == {"evaluate": 5 + 5 + 4 + 5, "_check_chain": 1}
+    assert checks.counts == {"evaluate": 5 + 5 + 4 + 5, "_check_chain": 4}
