@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
-    DEFAULT_ATOL,
-    Operator,
-    SpaceLayout,
-    StateVector,
-    basis_state,
-    embed,
-    projector,
+    DEFAULT_ATOL, Operator, SpaceLayout, StateVector, _dot, _sqmod, basis_state, embed, projector,
 )
 
 OTHER = "other"  # the label of every completion row: whatever the listed outcomes leave out
@@ -127,7 +121,7 @@ def born_distribution(spec: MeasurementSpec, psi: np.ndarray, total: float) -> d
     masses' own sum instead keeps every probability in [0, 1]: in floating
     point no summand exceeds the sum.
     """
-    masses = np.add.reduce(np.abs(spec.bras @ psi) ** 2, axis=(0, 2))
+    masses = np.add.reduce(_sqmod(_dot(spec.bras, psi)), axis=(0, 2))
     mass = np.add.reduce(masses)
     if not abs(mass / total - 1.0) <= DEFAULT_ATOL:
         raise ValueError(f"outcome probabilities sum to {float(mass / total)!r}, expected 1")

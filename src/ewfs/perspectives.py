@@ -62,7 +62,7 @@ from .protocol import (
     TIMES,
     UNITARY_GLOBAL,
 )
-from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, embed, projector
+from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, _dot, _sqmod, embed, projector
 
 # Checkpoint order, the ``w`` announcement's checkpoint last.
 _TIME_INDEX = {t: i for i, t in enumerate(TIMES + (RECORDS["w"][1],))}
@@ -205,8 +205,8 @@ def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]
     a branch dies.  ``initial=inf`` lets a kernel with no branches left come
     back empty.
     """
-    psi = (amplitudes @ m.reshape(2, -1)).reshape(m.shape[1:])
-    weights = np.add.reduce(np.abs(psi) ** 2, axis=(1, 2))
+    psi = _dot(amplitudes, m.reshape(2, -1)).reshape(m.shape[1:])
+    weights = np.add.reduce(_sqmod(psi), axis=(1, 2))
     if not np.minimum.reduce(weights, initial=np.inf) >= IMPOSSIBLE_MASS:
         live = weights >= IMPOSSIBLE_MASS
         psi, weights = psi[live], weights[live]
@@ -245,7 +245,7 @@ def _build(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str,
     time, conditioning, collapse = key
     layout = protocol.LAYOUT.sub(names)
     cond = dict(conditioning)
-    branches = [np.array(protocol._BRANCHES[protocol.T20 if time == protocol.T30 else time])]
+    branches = [protocol._BRANCHES[protocol.T20 if time == protocol.T30 else time]]
     for var in ("r", "z", "wbar"):  # protocol order
         if _TIME_INDEX[RECORDS[var][1]] > _TIME_INDEX[time]:
             break
@@ -253,8 +253,8 @@ def _build(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str,
             continue
         # every outcome, or only the one conditioned on
         outcomes = [proj for label, proj in _PROJECTORS[var] if cond.get(var, label) == label]
-        split = [b @ proj.T for b in branches for proj in outcomes]
-        branches = [b for b in split if np.vdot(b, b).real >= IMPOSSIBLE_MASS]
+        split = [_dot(b, proj.T) for b in branches for proj in outcomes]
+        branches = [b for b in split if _sqmod(b).sum() >= IMPOSSIBLE_MASS]
     dims, kept = protocol.LAYOUT.dims, protocol.LAYOUT.axes(names)
     axes = kept + tuple(a for a in range(len(dims)) if a not in kept)
     m = np.array(branches, dtype=np.complex128).reshape((len(branches), 2) + dims)
@@ -272,17 +272,18 @@ def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _View:
 
     A non-finite θ is refused before a kernel is read: a θ-free kernel would
     otherwise answer for it with its θ = 0 state.  A θ-dependent kernel's
-    latest view is read once and used only if it is of this exact θ (equal,
-    of one type, of one sign: ``0.0`` and ``-0.0`` are apart), so it answers
+    latest view is read once and used only if it is of this exact θ, as a
+    float (equal and of one sign: ``0.0`` and ``-0.0`` are apart), so it answers
     bit for bit as a fresh contraction would, and a call racing another angle
     uses only the view it found or built.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    theta = float(theta)  # θ enters the arithmetic as a float
     kernel = _kernel(p._kernel_key, names)
     key, view = kernel.latest
-    same = key == theta and type(key) is type(theta)  # a zero's sign is checked only at zero
-    if key is not None and not (same and (theta or math.copysign(1, key) == math.copysign(1, theta))):
+    same = key == theta and (theta or math.copysign(1, key) == math.copysign(1, theta))  # sign at zero
+    if key is not None and not same:
         view = _View(kernel.layout, _contract(kernel.branches, protocol.coin_amplitudes(theta)))
         kernel.latest = (theta, view)  # one store: a reader sees the old view or the new one
     if not len(view.live[0]):

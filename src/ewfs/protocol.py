@@ -44,6 +44,9 @@ from .qcore import (
     Operator,
     SpaceLayout,
     StateVector,
+    _dot,
+    _freeze,
+    _sqmod,
     apply,
     basis_state,
     superpose,
@@ -110,6 +113,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        object.__setattr__(self, "theta", float(self.theta))  # θ enters the arithmetic as a float
 
 
 @dataclass(frozen=True)
@@ -217,19 +221,18 @@ RECORD_READOUTS: Mapping[str, MeasurementSpec] = MappingProxyType({
 })
 
 
-def _checkpoint_branches() -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
-    """Global state at each unitary checkpoint for a coin starting in heads, and in tails.
+def _checkpoint_branches() -> Mapping[str, np.ndarray]:
+    """Global state at each unitary checkpoint for a coin starting in heads (row 0), and in tails (row 1).
 
-    The dynamics is linear, so the state for any coin phase is the coin
-    amplitudes times these two: the phase enters in closed form.  The
-    amplitude arrays are read-only.
+    The dynamics is linear, so the state for any coin phase is the coin amplitudes
+    contracted with these rows of a read-only (2, 36) array: θ enters in closed form.
     """
     heads, tails = basis_state(LAYOUT, (0, 0, 0, 0)), basis_state(LAYOUT, (1, 0, 0, 0))
-    branches = {T00: (heads.amplitudes, tails.amplitudes)}
+    branches = {T00: _freeze([heads.amplitudes, tails.amplitudes])}
     for time, dilation in ((T10, COIN_DILATION), (T20, SPIN_DILATION)):
         step = build_dilation(dilation, LAYOUT)
         heads, tails = apply(step, heads), apply(step, tails)
-        branches[time] = (heads.amplitudes, tails.amplitudes)
+        branches[time] = _freeze([heads.amplitudes, tails.amplitudes])
     return MappingProxyType(branches)
 
 
@@ -240,9 +243,7 @@ def _global_amplitudes(theta: float, time: str) -> np.ndarray:
     """Amplitudes of ``global_state``, unvalidated."""
     if time not in _BRANCHES:
         raise ValueError(f"no unitary checkpoint state at {time!r}")
-    heads, tails = _BRANCHES[time]
-    a_heads, a_tails = coin_amplitudes(theta)
-    return a_heads * heads + a_tails * tails
+    return _dot(coin_amplitudes(theta), _BRANCHES[time])
 
 
 def global_state(theta: float, time: str) -> StateVector:
@@ -256,69 +257,67 @@ def global_state(theta: float, time: str) -> StateVector:
 
 # The θ-free factors of both exact tables, read-only: Lbar's and L's bases as squared
 # moduli, the coin record ``r`` each Lbar outcome and the spin record ``z`` each L outcome reads out.
-_LBAR_WEIGHTS, _L_WEIGHTS = np.abs(WBAR_MEASUREMENT.basis) ** 2, np.abs(W_MEASUREMENT.basis) ** 2
+_LBAR_WEIGHTS, _L_WEIGHTS = _sqmod(WBAR_MEASUREMENT.basis), _sqmod(W_MEASUREMENT.basis)
 _R_READ = _LBAR_WEIGHTS.reshape(6, 2, 3).sum(axis=2)
 _Z_READ = _L_WEIGHTS.reshape(6, 2, 3).sum(axis=1)
 for _arr in (_LBAR_WEIGHTS, _L_WEIGHTS, _R_READ, _Z_READ):
     _arr.setflags(write=False)
-_COLLAPSE: dict[str, object] = {}  # the θ-free collapse joint and record table, kept by their first reader
 
 
-def _announcement_probs(config: ProtocolConfig) -> np.ndarray:
-    """(6, 6) probabilities of the observers' completed (wbar, w) outcomes.
-
-    ``psi`` holds the final amplitudes with lab Lbar's pointer on the rows
-    and lab L's on the columns.  Unitary semantics squares the amplitudes
-    after the observers' change of basis.  Collapse squares them before it,
-    the dephasing left by the friends' records; heads and tails have disjoint
-    pointer support, so θ drops out there, and collapse reads θ = 0.
-    """
-    psi = _global_amplitudes(config.theta if config.semantics == UNITARY else 0.0, T20).reshape(6, 6)
-    if config.semantics == UNITARY:
-        return np.abs(WBAR_MEASUREMENT.bras @ psi @ W_MEASUREMENT.bras.T) ** 2
-    return _LBAR_WEIGHTS @ np.abs(psi) ** 2 @ _L_WEIGHTS.T
+def _announcement_probs(theta: float) -> np.ndarray:
+    """(6, 6) unitary probabilities of the observers' completed outcomes, Lbar's on the rows."""
+    psi = _global_amplitudes(theta, T20).reshape(6, 6)
+    return _sqmod(_dot(_dot(WBAR_MEASUREMENT.bras, psi), W_MEASUREMENT.bras.T))
 
 
-def exact_joint(config: ProtocolConfig) -> JointDistribution:
-    """Exact observer-announcement joint; no sampling involved.  Collapse gives one shared joint."""
-    if config.semantics == COLLAPSE and "joint" in _COLLAPSE:
-        return _COLLAPSE["joint"]
+def _joint(probs: np.ndarray) -> JointDistribution:
+    """The (wbar, w) joint of (6, 6) completed-outcome probabilities."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    for wb, row in zip(WBAR_MEASUREMENT.labels, _announcement_probs(config).tolist()):
+    for wb, row in zip(WBAR_MEASUREMENT.labels, probs.tolist()):
         for w, p in zip(W_MEASUREMENT.labels, row):
             cells[(wb, w)] += p
-    joint = JointDistribution(cells)
-    return _COLLAPSE.setdefault("joint", joint) if config.semantics == COLLAPSE else joint
+    return JointDistribution(cells)
 
 
-def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, str, str], float]:
-    """Exact distribution of full (r, z, wbar, w) records for one round.
-
-    The coin record ``r`` is read on ``R`` and the spin record ``z`` on the
-    ``F`` memory.  Under collapse they are read off the pointer states before
-    the observers measure, so records come first in the key order.  Under
-    unitary semantics they are read out of the observers' post-measurement
-    lab states, so the announcements come first.  Each caller gets its own dict.
-    """
-    if config.semantics == COLLAPSE and "records" in _COLLAPSE:
-        return dict(_COLLAPSE["records"])
-    if config.semantics == UNITARY:
-        probs = _announcement_probs(config)
-        table = probs[:, :, None, None] * _R_READ[:, None, :, None] * _Z_READ[None, :, None, :]
-        axes = (2, 3, 0, 1)  # position of r, z, wbar, w in the table
-    else:
-        pointer = np.abs(_global_amplitudes(0.0, T20).reshape(2, 3, 2, 3)) ** 2
-        table = np.einsum(
-            "kaf,afsz,jsz->azkj", _LBAR_WEIGHTS.reshape(6, 2, 3), pointer, _L_WEIGHTS.reshape(6, 2, 3)
-        )
-        axes = (0, 1, 2, 3)
+def _records(table: np.ndarray, axes: tuple[int, ...]) -> dict[tuple[str, str, str, str], float]:
+    """The (r, z, wbar, w) record table of an array whose axis ``axes[v]`` holds record ``v``."""
     labels = tuple(RECORD_READOUTS[v].labels for v in RECORDS)
     out: dict[tuple[str, str, str, str], float] = {}
     # Every cell is exactly 0 or at least 1/48, so the key set never moves with θ.
     for idx in zip(*np.nonzero(table >= IMPOSSIBLE_MASS)):
         key = tuple(labels[v][idx[axes[v]]] for v in range(4))
         out[key] = out.get(key, 0.0) + float(table[idx])
-    return dict(_COLLAPSE.setdefault("records", out)) if config.semantics == COLLAPSE else out
+    return out
+
+
+# Collapse squares the amplitudes before the observers' change of basis, the dephasing left
+# by the friends' records.  Heads and tails have disjoint pointer support, so θ drops out: the
+# collapse joint and record table (records first, off the pointer states) are built at θ = 0.
+_POINTER = _sqmod(_global_amplitudes(0.0, T20).reshape(2, 3, 2, 3))
+_COLLAPSE_JOINT = _joint(_dot(_dot(_LBAR_WEIGHTS, _POINTER.reshape(6, 6)), _L_WEIGHTS.T))
+_COLLAPSE_RECORDS = MappingProxyType(_records(np.einsum(
+    "kaf,afsz,jsz->azkj", _LBAR_WEIGHTS.reshape(6, 2, 3), _POINTER, _L_WEIGHTS.reshape(6, 2, 3)
+), (0, 1, 2, 3)))
+
+
+def exact_joint(config: ProtocolConfig) -> JointDistribution:
+    """Exact observer-announcement joint; no sampling involved.  Collapse gives one shared joint."""
+    return _COLLAPSE_JOINT if config.semantics == COLLAPSE else _joint(_announcement_probs(config.theta))
+
+
+def exact_record_distribution(config: ProtocolConfig) -> dict[tuple[str, str, str, str], float]:
+    """Exact distribution of full (r, z, wbar, w) records for one round.
+
+    The coin record ``r`` is read on ``R`` and the spin record ``z`` on the
+    ``F`` memory.  Under unitary semantics they are read out of the
+    observers' post-measurement lab states, so the announcements come first
+    in the table.  Each caller gets its own dict.
+    """
+    if config.semantics == COLLAPSE:
+        return dict(_COLLAPSE_RECORDS)
+    probs = _announcement_probs(config.theta)
+    table = probs[:, :, None, None] * _R_READ[:, None, :, None] * _Z_READ[None, :, None, :]
+    return _records(table, (2, 3, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ positivity (one ``eigvalsh``).  The states ``perspectives.assign`` returns
 are Gram matrices ``R R† / t`` built by ``DensityMatrix._gram``: they run
 the same shape, Hermitian and trace checks and are positive semidefinite by
 construction, so they skip the eigendecomposition.
+
+The numeric seam: ``_dot`` and ``_sqmod``, with ``purity``'s ``np.vdot``, take
+every product and squared modulus that sets a per-angle or per-description
+value (``tests/test_numeric_seam.py`` lists the import-time and validation
+rest).  The Gram build's Hermitian and trace check is the seam's one guard.
 """
 
 from __future__ import annotations
@@ -34,6 +39,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product ``a @ b``: the one place that decides whether BLAS runs."""
+    return a @ b
+
+
+def _sqmod(z: np.ndarray) -> np.ndarray:
+    """The elementwise squared modulus ``|z|²``."""
+    return np.abs(z) ** 2
 
 
 @dataclass(frozen=True)
@@ -189,7 +204,7 @@ class DensityMatrix:
         here; u = 2⁻⁵³), so by under 4e-14, far below ``DEFAULT_ATOL``.
         The product is normalized in place, bit for bit ``R R† / t``.
         """
-        mat = rows @ rows.conj().T
+        mat = _dot(rows, rows.conj().T)
         mat /= total
         mat.setflags(write=False)  # fresh array: no defensive copy needed
         _check_hermitian_unit_trace(layout, mat)
@@ -276,7 +291,7 @@ def apply(op: Operator, vec: StateVector) -> StateVector:
     """
     if op.layout != vec.layout:
         op = embed(op, vec.layout)
-    return StateVector(vec.layout, op.matrix @ vec.amplitudes)
+    return StateVector(vec.layout, _dot(op.matrix, vec.amplitudes))
 
 
 def dephase(rho: DensityMatrix, subsystems: Union[str, Sequence[str]]) -> DensityMatrix:

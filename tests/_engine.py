@@ -6,8 +6,7 @@ perspective's kernel key and the sorted register names, found through
 θ-free kernel keeps its one view, for every angle, under the key ``None``;
 a θ-dependent one keeps the view of its latest angle, keyed by that θ.  A
 ``Perspective`` is checked once per standpoint, which then keeps its kernel
-key in ``perspectives._STANDPOINTS``.  ``protocol._COLLAPSE`` keeps the
-θ-free collapse joint and record table.  Tests read kernels, views, reads,
+key in ``perspectives._STANDPOINTS``.  Tests read kernels, views, reads,
 cache sizes and call counts through these helpers only, and ``clear``
 empties every one of these memos, so a change in that layout changes this
 module and no test.
@@ -17,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ewfs import perspectives, protocol
+from ewfs import perspectives
 
 
 def kernel(p, names):
@@ -80,11 +79,10 @@ def standpoints():
 
 
 def clear():
-    """Empty every memo: kernels with their views and lookups, standpoints, collapse tables, perspectives."""
+    """Empty every memo: kernels with their views and lookups, standpoints, perspectives."""
     perspectives._kernel.cache_clear()
     perspectives._KERNELS.clear()
     perspectives._STANDPOINTS.clear()
-    protocol._COLLAPSE.clear()
     reasoning = sys.modules.get("ewfs.reasoning")
     if reasoning is not None:
         reasoning._perspective.cache_clear()

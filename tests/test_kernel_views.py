@@ -2,8 +2,8 @@
 
 A view holds the live branches, state and Born reads of one description at
 one angle.  A θ-dependent kernel keeps the view of the latest angle it was
-asked for, keyed by that exact θ (the same value, type and sign, so ``0.0``
-and ``-0.0`` are apart); a θ-free kernel keeps one view, under the key
+asked for, keyed by that exact θ as a float (the same value and sign, so
+``0.0`` and ``-0.0`` are apart); a θ-free kernel keeps one view, under the key
 ``None``, for every angle.
 
 * A warm answer, a view hit or a view replaced, is byte for byte the

@@ -35,7 +35,6 @@ MEMOS = {
     "ewfs.perspectives._KERNELS",
     "ewfs.perspectives._STANDPOINTS",
     "ewfs.perspectives._kernel",
-    "ewfs.protocol._COLLAPSE",
     "ewfs.reasoning._perspective",
 }
 

@@ -13,6 +13,8 @@ collapse?)``, as a private attribute set in its one validation pass.
 * ``_engine.kernel`` is the kernel ``assign`` and ``predict_distribution``
   reach, and ``_engine.theta_free`` holds exactly when one state answers two
   angles, for every sweep-grid description.
+* The key holds no agent: agents that share a checkpoint, conditioning and
+  rule assign the same bytes, each computed cold.
 """
 
 import copy
@@ -120,3 +122,19 @@ def test_the_engine_seam_is_the_kernel_the_engine_reads(monkeypatch):
                 same = assign(p, names, 0.3) is assign(p, names, 1.1)
                 assert _engine.theta_free(p, names) == same, (p, names)
     assert kinds == {False, True}
+
+
+def test_agents_that_share_a_standpoint_assign_the_same_bytes():
+    for time in perspectives.TIMES:
+        for cond in ((), (("r", "tails"),), (("z", "+1/2"),), (("wbar", "okbar"),)):
+            for rule in ("collapse-aware", "unitary-global"):
+                states = set()
+                for agent in perspectives.AGENTS:
+                    _engine.clear()
+                    try:
+                        rho = assign(Perspective(agent, time, cond, rule), default_registers(time), THETA)
+                    except ValueError as exc:  # a record not yet made, or not evaluable
+                        states.add(repr(exc))
+                    else:
+                        states.add(rho.matrix.tobytes())
+                assert len(states) == 1, (time, cond, rule)

@@ -153,7 +153,7 @@ def test_zero_and_negative_zero_keep_their_own_views():
     for theta in (0.0, -0.0, 0.0, 0, -0.0):
         first = assign(p, names, theta)
         key = _engine.view_key(p, names)
-        assert key == theta and type(key) is type(theta)
+        assert key == theta and type(key) is float
         assert np.copysign(1.0, key) == np.copysign(1.0, theta)
         assert assign(p, names, theta) is first  # a hit returns the kept view's state
 
