@@ -23,7 +23,8 @@ records it does not condition on:
 None of this depends on the coin phase.  The global state is
 ``a_h·heads + a_t·tails`` (see ``protocol``), so each branch is a pair of
 θ-free amplitude matrices ``M_i`` (kept registers by the rest), built once
-per (checkpoint, conditioning, rule mechanics, registers) and cached.  θ
+per (checkpoint, conditioning, dephased?, registers) and cached; a standpoint
+that conditions on every record it can see has nothing to dephase.  θ
 enters only through the coin amplitudes in the contraction: branch ``b`` is
 ``ψ_b = a_h M_h + a_t M_t``, it survives if ``‖ψ_b‖² = a†G_b a`` reaches
 ``IMPOSSIBLE_MASS``, and the state is ``Σ_b ψ_b ψ_b† / Σ_b ‖ψ_b‖²``.
@@ -33,15 +34,17 @@ interference zero, where the expanded form ``Σᵢⱼ aᵢāⱼ MᵢMⱼ†`` wo
 A kernel answers an angle from its view (see ``_View``), the one memo of
 values.  Where the description holds a record of the coin, θ drops out (see
 ``_build``): such a θ-free kernel is contracted once and its one view
-answers every angle.  Every other kernel keeps one view, keyed by the exact
-latest θ asked for: memory stays bounded, threads sweeping different angles
-get their own values (see ``_view``), and a description is contracted, built
-and read once per angle, however many agents, statements and links share it.
+answers every angle.  Every other kernel's branches are rows of one stack,
+contracted once per angle, and it keeps one view, keyed by the exact latest
+θ asked for: memory stays bounded, threads sweeping different angles get
+their own values (see ``_view``), and a description is built and read once
+per angle, however many agents, statements and links share it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -68,21 +71,26 @@ from .qcore import IMPOSSIBLE_MASS, DensityMatrix, SpaceLayout, _dot, _sqmod, em
 _TIME_INDEX = {t: i for i, t in enumerate(TIMES + (RECORDS["w"][1],))}
 _STANDPOINTS: dict[tuple, tuple] = {}  # each valid (agent, time, conditioning, rule kind) -> its kernel key
 _KERNELS: dict[tuple, _Kernel] = {}  # (kernel key, sorted names) -> the one kernel of that description
+# "branches": every θ-dependent kernel's branches side by side, one read-only (2, rows, 36, 1)
+# array; "latest": (θ, that array, ψ, weights), its contraction at the latest angle.
+_STACK: dict[str, object] = {}
+_GROW = threading.Lock()  # held while a new kernel joins _KERNELS, and its branches the stack
 
 
 class NotEvaluableError(ValueError):
     """Conditioning event has probability zero under the chosen description."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AssignmentRule:
     """Policy by which an agent assigns states to systems it has not measured."""
 
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown assignment rule {self.kind!r}; choose from {RULE_KINDS}")
+    def __init__(self, kind: str) -> None:
+        if kind not in RULE_KINDS:
+            raise ValueError(f"unknown assignment rule {kind!r}; choose from {RULE_KINDS}")
+        self.__dict__["kind"] = kind  # frozen: written once, straight into the instance
 
 
 @dataclass(frozen=True, init=False)
@@ -92,8 +100,9 @@ class Perspective:
     Normalized, then checked once per distinct standpoint, before any field
     is set: the conditioning becomes a tuple of ``(str, str)`` pairs, and a
     rule given by name or kind becomes an ``AssignmentRule``.  The kernel key
-    ``(time, sorted conditioning, collapse?)`` is a private attribute, not a
-    field: equality, hashing and ``repr`` ignore it, copies carry it.
+    ``(time, sorted conditioning, dephased?)`` is a private attribute, not a
+    field: equality, hashing and ``repr`` ignore it, copies carry it.  A
+    collapse-aware rule dephases only a record left unconditioned.
     """
 
     agent: str
@@ -122,9 +131,7 @@ class Perspective:
                 if value not in values:
                     raise ValueError(f"unknown value {value!r} for record {var!r}")
                 if _TIME_INDEX[available] > now:
-                    raise ValueError(
-                        f"record {var!r} does not exist yet at {time} (available {available})"
-                    )
+                    raise ValueError(f"record {var!r} does not exist yet at {time} (available {available})")
             if rule.kind == OWN_RECORD_PURE:
                 if len(cond) != 1:
                     raise ValueError("own-record-pure conditions on exactly one record")
@@ -133,8 +140,10 @@ class Perspective:
                     raise ValueError(
                         f"own-record-pure: record {cond[0][0]!r} belongs to {owner}, not {agent}"
                     )
+            unseen = any(_TIME_INDEX[at] <= now for var, (_, at, _) in RECORDS.items() if var not in seen)
             # Sorted: the conditioning's order does not change the kernel.
-            key = _STANDPOINTS[standpoint] = (time, tuple(sorted(cond)), rule.kind == COLLAPSE_AWARE)
+            dephased = rule.kind == COLLAPSE_AWARE and unseen
+            key = _STANDPOINTS[standpoint] = (time, tuple(sorted(cond)), dephased)
         # Frozen: each field is written once, straight into the instance.
         self.__dict__.update(agent=agent, time=time, conditioning=cond, rule=rule, _kernel_key=key)
 
@@ -158,16 +167,15 @@ class _View:
 
     ``live`` holds the read-only live branches, shape (branches, kept dim,
     rest dim), and their total weight.  ``state`` is built and checked by the
-    first ``assign`` that asks for it.  ``reads`` holds each spec's Born read,
-    target check included, made by the first prediction of that spec; it is
-    weakly keyed by spec, so a spec a caller drops leaves with its entry.
+    first ``assign`` that asks for it.  ``reads``, made by the first
+    prediction, holds each spec's Born read, target check included, made by
+    the first prediction of that spec; weakly keyed, a dropped spec leaves.
     """
 
     __slots__ = ("layout", "live", "reads", "_state")
 
     def __init__(self, layout: SpaceLayout, live: tuple[np.ndarray, float]) -> None:
-        self.layout, self.live = layout, live
-        self.reads, self._state = WeakKeyDictionary(), None
+        self.layout, self.live, self.reads, self._state = layout, live, None, None
 
     @property
     def state(self) -> DensityMatrix | None:
@@ -186,27 +194,37 @@ class _Kernel:
     or tails (i = 1), kept registers on the rows.
 
     ``latest`` is ``(key, view)``.  A θ-free kernel's one view answers every
-    angle and sits under the key ``None``.  A θ-dependent kernel keeps the
-    view of the latest angle it was asked for, keyed by that exact θ (see
-    ``_view``); another angle replaces it.  ``_KERNELS`` owns every kernel
-    and so every view.
+    angle and sits under the key ``None``.  A θ-dependent kernel's branches
+    are the ``rows`` of the stack, and it keeps the view of the latest angle
+    it was asked for, keyed by that exact θ (see ``_view``); another angle
+    replaces it.  ``_KERNELS`` owns every kernel and so every view.
     """
 
-    __slots__ = ("layout", "branches", "latest")
+    __slots__ = ("layout", "branches", "latest", "rows")
 
-    def __init__(self, layout: SpaceLayout, branches: np.ndarray, latest: tuple) -> None:
-        self.layout, self.branches, self.latest = layout, branches, latest
+    def __init__(self, layout: SpaceLayout, branches: np.ndarray, latest: tuple, rows: slice | None) -> None:
+        self.layout, self.branches, self.latest, self.rows = layout, branches, latest, rows
+
+
+def _weigh(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch ``ψ_b = a_h M_h + a_t M_t`` of ``m``, read-only, and its weight ``‖ψ_b‖²``."""
+    psi = _dot(amplitudes, m.reshape(2, -1)).reshape(m.shape[1:])
+    psi.setflags(write=False)
+    return psi, np.add.reduce(_sqmod(psi), axis=(1, 2))
 
 
 def _contract(m: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
-    """The read-only branches ``ψ_b = a_h M_h + a_t M_t`` that carry weight, and their total weight.
+    """The read-only branches of ``m`` at these coin amplitudes that carry weight, and their total weight."""
+    return _live(*_weigh(m, amplitudes))
+
+
+def _live(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The read-only branches whose weight reaches ``IMPOSSIBLE_MASS``, and their total weight.
 
     One pass over the weights decides liveness; the mask is built only when
     a branch dies.  ``initial=inf`` lets a kernel with no branches left come
     back empty.
     """
-    psi = _dot(amplitudes, m.reshape(2, -1)).reshape(m.shape[1:])
-    weights = np.add.reduce(_sqmod(psi), axis=(1, 2))
     if not np.minimum.reduce(weights, initial=np.inf) >= IMPOSSIBLE_MASS:
         live = weights >= IMPOSSIBLE_MASS
         psi, weights = psi[live], weights[live]
@@ -223,7 +241,10 @@ def _rows(psi: np.ndarray) -> np.ndarray:
 def _kernel(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str, ...]) -> _Kernel:
     """The kernel of a kernel key and the registers in the order given; a new order is sorted once."""
     canonical = (key, tuple(sorted(names)))  # register order does not change the kernel
-    return _KERNELS.get(canonical) or _KERNELS.setdefault(canonical, _build(*canonical))
+    with _GROW:
+        if canonical not in _KERNELS:
+            _KERNELS[canonical] = _build(*canonical)
+    return _KERNELS[canonical]
 
 
 def _build(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str, ...]) -> _Kernel:
@@ -262,51 +283,59 @@ def _build(key: tuple[str, tuple[tuple[str, str], ...], bool], names: tuple[str,
     m = m.reshape(2, len(branches), layout.total_dim, protocol.LAYOUT.total_dim // layout.total_dim)
     m.setflags(write=False)
     columns = (m != 0).any(axis=2)  # [i, b, j]: column j of branch b has coin-i support
-    if (columns[0] & columns[1]).any():
-        return _Kernel(layout, m, (math.nan, None))  # no view until the first angle
-    return _Kernel(layout, m, (None, _View(layout, _contract(m, protocol.coin_amplitudes(0.0)))))
+    if (columns[0] & columns[1]).any():  # θ-dependent: its branches join the stack, which only grows
+        rows = m.reshape(2, -1, protocol.LAYOUT.total_dim, 1)
+        stack = np.concatenate((_STACK.get("branches", rows[:, :0]), rows), axis=1)
+        stack.setflags(write=False)
+        _STACK["branches"] = stack
+        return _Kernel(layout, m, (math.nan, None), slice(stack.shape[1] - len(branches), stack.shape[1]))
+    return _Kernel(layout, m, (None, _View(layout, _contract(m, protocol.coin_amplitudes(0.0)))), None)
+
+
+def _same(key: float, theta: float) -> bool:
+    """The key is this exact θ: equal and of one sign (``0.0`` and ``-0.0`` are apart)."""
+    return key == theta and bool(theta or math.copysign(1, key) == math.copysign(1, theta))
 
 
 def _view(p: Perspective, names: tuple[str, ...], theta: float) -> _View:
     """The view of the perspective's description of the named registers at θ.
 
-    A non-finite θ is refused before a kernel is read: a θ-free kernel would
-    otherwise answer for it with its θ = 0 state.  A θ-dependent kernel's
-    latest view is read once and used only if it is of this exact θ, as a
-    float (equal and of one sign: ``0.0`` and ``-0.0`` are apart), so it answers
-    bit for bit as a fresh contraction would, and a call racing another angle
-    uses only the view it found or built.
+    A complex or non-finite θ is refused before a kernel is read: a θ-free
+    kernel would otherwise answer for it with its θ = 0 state.  A θ-dependent
+    kernel's latest view, and the stack's latest contraction, are read once
+    and used only if of this exact θ (see ``_same``), so a view answers bit
+    for bit as a fresh contraction would, and a call racing another angle
+    uses only what it found or made.  A new view cuts the kernel's rows out
+    of the stack contracted at θ, one store replacing the old contraction.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    theta = float(theta)  # θ enters the arithmetic as a float
+    if type(theta) is not float or not math.isfinite(theta):
+        theta = protocol._real(theta)  # θ enters the arithmetic as a float
     kernel = _kernel(p._kernel_key, names)
     key, view = kernel.latest
-    same = key == theta and (theta or math.copysign(1, key) == math.copysign(1, theta))  # sign at zero
-    if key is not None and not same:
-        view = _View(kernel.layout, _contract(kernel.branches, protocol.coin_amplitudes(theta)))
+    if key is not None and not _same(key, theta):
+        stack, at = _STACK["branches"], _STACK.get("latest")
+        if at is None or at[1] is not stack or not _same(at[0], theta):
+            at = _STACK["latest"] = (theta, stack, *_weigh(stack, protocol.coin_amplitudes(theta)))
+        psi, weights = at[2][kernel.rows], at[3][kernel.rows]
+        view = _View(kernel.layout, _live(psi.reshape(kernel.branches.shape[1:]), weights))
         kernel.latest = (theta, view)  # one store: a reader sees the old view or the new one
     if not len(view.live[0]):
         raise NotEvaluableError(f"conditioning {dict(p.conditioning)} has probability zero")
     return view
 
 
-def assign(
-    p: Perspective,
-    subsystems: Union[str, Sequence[str]],
-    theta: float = 0.0,
-) -> DensityMatrix:
+def assign(p: Perspective, subsystems: Union[str, Sequence[str]], theta: float = 0.0) -> DensityMatrix:
     """Density matrix the perspective assigns to the named registers."""
     names = (subsystems,) if isinstance(subsystems, str) else tuple(subsystems)
     return _view(p, names, theta).state
 
 
-def predict_distribution(
-    p: Perspective, spec: MeasurementSpec, theta: float = 0.0
-) -> dict[str, float]:
+def predict_distribution(p: Perspective, spec: MeasurementSpec, theta: float = 0.0) -> dict[str, float]:
     """Born probabilities under the assigned state, read off its live branches without building it."""
     view = _view(p, spec.target, theta)
     # Read and checked once per view and spec; each caller gets its own copy.
+    if view.reads is None:
+        view.reads = WeakKeyDictionary()
     dist = view.reads.get(spec)
     if dist is None:
         _check_target(view.layout, spec)

@@ -100,7 +100,14 @@ RULE_KINDS = (COLLAPSE_AWARE, UNITARY_GLOBAL, OWN_RECORD_PURE)
 RULESET_NAMES = ("fr-mixed", "all-collapse", "all-unitary")
 
 
-@dataclass(frozen=True)
+def _real(theta: float) -> float:
+    """θ as the float that enters the arithmetic; a numpy complex θ is refused as a ``complex`` is."""
+    if not math.isfinite(complex(theta) if isinstance(theta, np.complexfloating) else theta):
+        raise ValueError("theta must be finite")
+    return float(theta)
+
+
+@dataclass(frozen=True, init=False)
 class ProtocolConfig:
     """Run parameters: semantics, coin phase, RNG seed."""
 
@@ -108,12 +115,11 @@ class ProtocolConfig:
     theta: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.semantics not in (COLLAPSE, UNITARY):
-            raise ValueError(f"unknown semantics {self.semantics!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", float(self.theta))  # θ enters the arithmetic as a float
+    def __init__(self, semantics: str = UNITARY, theta: float = 0.0, seed: int = 0) -> None:
+        if semantics not in (COLLAPSE, UNITARY):
+            raise ValueError(f"unknown semantics {semantics!r}")
+        # Frozen: each field is written once, straight into the instance.
+        self.__dict__.update(semantics=semantics, theta=_real(theta), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -132,22 +138,22 @@ class RoundRecord:
         return self.wbar == OKBAR and self.w == OK
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointDistribution:
     """Exact or empirical probabilities of the observers' joint announcement."""
 
     entries: Mapping[tuple[str, str], float]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Mapping[tuple[str, str], float]) -> None:
         cells = {}
-        for (wbar, w), p in dict(self.entries).items():
+        for (wbar, w), p in dict(entries).items():
             if not -IMPOSSIBLE_MASS <= p <= 1.0 + IMPOSSIBLE_MASS:
                 raise ValueError(f"probability {p!r} out of range for cell {(wbar, w)}")
             cells[(wbar, w)] = max(float(p), 0.0)
         total = sum(cells.values())
         if not abs(total - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"joint probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "entries", MappingProxyType(cells))
+        self.__dict__["entries"] = MappingProxyType(cells)  # frozen: written once
 
     def prob(self, wbar: str, w: str) -> float:
         return self.entries.get((wbar, w), 0.0)
@@ -183,11 +189,7 @@ COIN_DILATION = DilationSpec(
         (TAILS, Operator(LAYOUT.sub((S,)), np.array([[1, -1], [1, 1]]) / np.sqrt(2.0), "unitary")),
     ),
 )
-SPIN_DILATION = DilationSpec(
-    measurement=SPIN_MEASUREMENT,
-    memory=F,
-    pointer_map=((Z_MINUS, 1), (Z_PLUS, 2)),
-)
+SPIN_DILATION = DilationSpec(measurement=SPIN_MEASUREMENT, memory=F, pointer_map=((Z_MINUS, 1), (Z_PLUS, 2)))
 
 
 def _lab_basis(lab: tuple[str, str], special: str, fail: str) -> MeasurementSpec:
@@ -270,12 +272,15 @@ def _announcement_probs(theta: float) -> np.ndarray:
     return _sqmod(_dot(_dot(WBAR_MEASUREMENT.bras, psi), W_MEASUREMENT.bras.T))
 
 
+# The (wbar, w) cell of each completed outcome pair, Lbar's outcome major.
+_CELLS = tuple((wb, w) for wb in WBAR_MEASUREMENT.labels for w in W_MEASUREMENT.labels)
+
+
 def _joint(probs: np.ndarray) -> JointDistribution:
-    """The (wbar, w) joint of (6, 6) completed-outcome probabilities."""
+    """The (wbar, w) joint of (6, 6) completed-outcome probabilities, each cell summed in row order."""
     cells = {(wb, w): 0.0 for wb in WBAR_VALUES for w in W_VALUES}
-    for wb, row in zip(WBAR_MEASUREMENT.labels, probs.tolist()):
-        for w, p in zip(W_MEASUREMENT.labels, row):
-            cells[(wb, w)] += p
+    for cell, p in zip(_CELLS, probs.ravel().tolist()):
+        cells[cell] += p
     return JointDistribution(cells)
 
 

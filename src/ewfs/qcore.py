@@ -20,6 +20,7 @@ rest).  The Gram build's Hermitian and trace check is the seam's one guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -84,10 +85,7 @@ class SpaceLayout:
 
     @cached_property
     def total_dim(self) -> int:
-        out = 1
-        for dim in self.dims:
-            out *= dim
-        return out
+        return math.prod(self.dims)
 
     def dim(self, name: str) -> int:
         return self.dims[self.axis(name)]
@@ -151,10 +149,7 @@ class Operator:
             if not err <= DEFAULT_ATOL:
                 raise ValueError(f"operator flagged unitary fails U+U=I by {err:.3e}")
         elif self.kind == "projector":
-            err = max(
-                float(np.max(np.abs(mat @ mat - mat))),
-                float(np.max(np.abs(mat - mat.conj().T))),
-            )
+            err = max(float(np.max(np.abs(mat @ mat - mat))), float(np.max(np.abs(mat - mat.conj().T))))
             if not err <= DEFAULT_ATOL:
                 raise ValueError(f"operator flagged projector fails P^2=P / P+=P by {err:.3e}")
         elif self.kind != "general":
@@ -167,7 +162,7 @@ def _check_hermitian_unit_trace(layout: SpaceLayout, mat: np.ndarray) -> np.ndar
     if mat.shape != (d, d):
         raise ValueError(f"density matrix has shape {mat.shape}, layout expects {(d, d)}")
     adj = mat.conj().T
-    herm = float(np.abs(mat - adj).max())
+    herm = float(np.maximum.reduce(np.abs(mat - adj), axis=None))
     if not herm <= DEFAULT_ATOL:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
     tr = complex(mat.trace())
@@ -209,8 +204,7 @@ class DensityMatrix:
         mat.setflags(write=False)  # fresh array: no defensive copy needed
         _check_hermitian_unit_trace(layout, mat)
         out = object.__new__(cls)
-        object.__setattr__(out, "layout", layout)
-        object.__setattr__(out, "matrix", mat)
+        out.__dict__.update(layout=layout, matrix=mat)  # frozen: each field written once
         return out
 
     def purity(self) -> float:
@@ -218,13 +212,13 @@ class DensityMatrix:
 
         Every instance is Hermitian to ``DEFAULT_ATOL``, so no d×d product is
         needed.  An instance never changes, so the sum is computed on the
-        first call and kept: a state shared across angles pays for it once.
+        first call and kept in the instance: a state shared across angles
+        pays for it once.
         """
-        return self._purity
-
-    @cached_property
-    def _purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
+        purity = self.__dict__.get("_purity")
+        if purity is None:
+            purity = self.__dict__["_purity"] = float(np.vdot(self.matrix, self.matrix).real)
+        return purity
 
 
 def basis_state(layout: SpaceLayout, indices: Sequence[int]) -> StateVector:

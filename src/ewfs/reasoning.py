@@ -134,15 +134,18 @@ class RuleSet:
         return self.default
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)  # frozen: each field is written once, straight into the instance
 class StatementResult:
     statement_id: str
     description: str
     status: str
     value: float | None
 
+    def __init__(self, statement_id: str, description: str, status: str, value: float | None) -> None:
+        self.__dict__.update(statement_id=statement_id, description=description, status=status, value=value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)  # frozen, and written as StatementResult is
 class AuditReport:
     """Outcome of evaluating a rule set's statement chain."""
 
@@ -151,6 +154,11 @@ class AuditReport:
     chain_conclusion: str | None
     conclusion_value: float | None
     witness: float | None
+
+    def __init__(self, ruleset: str, results: tuple[StatementResult, ...], chain_conclusion: str | None,
+                 conclusion_value: float | None, witness: float | None) -> None:
+        self.__dict__.update(ruleset=ruleset, results=results, chain_conclusion=chain_conclusion,
+                             conclusion_value=conclusion_value, witness=witness)
 
     @property
     def contradiction(self) -> bool:
@@ -182,9 +190,7 @@ FBAR_02_STAR = Statement(
     event=("w", protocol.OK),
 )
 # Spin friend, own +1/2 record: the coin friend's record must read tails.
-F_12 = Statement(
-    "F_12", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),), event=("r", protocol.TAILS)
-)
+F_12 = Statement("F_12", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),), event=("r", protocol.TAILS))
 # Spin friend: nested certainty about the coin friend's fail prediction.
 F_13 = Statement("F_13", "F", protocol.T20, CERTAIN, (("z", protocol.Z_PLUS),), inner=FBAR_02)
 # Lab-Lbar observer, own okbar record: the spin record must read +1/2.
@@ -193,9 +199,7 @@ WBAR_22 = Statement(
     event=("z", protocol.Z_PLUS),
 )
 # Lab-Lbar observer: nested certainty reaching down to the fail prediction.
-WBAR_23 = Statement(
-    "Wbar_23", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),), inner=F_13
-)
+WBAR_23 = Statement("Wbar_23", "Wbar", protocol.T30, CERTAIN, (("wbar", protocol.OKBAR),), inner=F_13)
 # Weakened replacement drawn directly from the final global state.
 WBAR_23_STAR = Statement(
     "Wbar_23_star", "Wbar", protocol.T30, NONZERO, (("wbar", protocol.OKBAR),),
@@ -272,7 +276,7 @@ def _evaluate(
     rule = rs.rule_for(st.id)
     # A terminal claim reads its event's record; a nested one the inner speaker's record.
     var = st.event[0] if st.inner is None else st.inner.condition[0][0]
-    persp = _perspective(st.speaker, st.time, condition, rule)
+    persp = _perspective(st.speaker, st.time, condition, rule.kind)
     # An assignment depends only on the checkpoint, conditioning and rule
     # (``perspectives._kernel`` takes no agent), so a repeated read, by this
     # speaker or another, is a hit on the same view.
@@ -293,11 +297,9 @@ def _evaluate(
 
 
 @lru_cache(maxsize=None)
-def _perspective(
-    speaker: str, time: str, condition: tuple[tuple[str, str], ...], rule: AssignmentRule
-) -> Perspective:
-    """A speaker's standpoint; θ-free, so each one is built and validated once."""
-    return Perspective(speaker, time, condition, rule)
+def _perspective(speaker: str, time: str, condition: tuple[tuple[str, str], ...], kind: str) -> Perspective:
+    """A speaker's standpoint under a rule of this kind; θ-free, so each one is built and validated once."""
+    return Perspective(speaker, time, condition, kind)
 
 
 # The premise reads the spin in the x basis; θ-free, built once.
@@ -312,7 +314,7 @@ def premise_result(rs: RuleSet, theta: float = 0.0) -> StatementResult:
     squared-overlap fidelity of the assigned spin state with it.
     """
     rule = rs.rule_for(PREMISE_ID)
-    persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule)
+    persp = _perspective("Fbar", protocol.T10, (("r", protocol.TAILS),), rule.kind)
     try:
         dist = predict_distribution(persp, _PREMISE_SPEC, theta)
     except NotEvaluableError:

@@ -4,7 +4,8 @@ Each description is one kernel in ``perspectives._KERNELS``, under the
 perspective's kernel key and the sorted register names, found through
 ``perspectives._kernel`` under the kernel key and the names as given.  A
 θ-free kernel keeps its one view, for every angle, under the key ``None``;
-a θ-dependent one keeps the view of its latest angle, keyed by that θ.  A
+a θ-dependent one keeps the view of its latest angle, keyed by that θ, and
+has its branches as rows of the one stack, ``perspectives._STACK``.  A
 ``Perspective`` is checked once per standpoint, which then keeps its kernel
 key in ``perspectives._STANDPOINTS``.  Tests read kernels, views, reads,
 cache sizes and call counts through these helpers only, and ``clear``
@@ -42,9 +43,9 @@ def free_state(p, names):
 
 
 def kept_reads(p, names):
-    """The Born reads kept for every angle, by spec: the θ-free view's; none if θ-dependent."""
+    """The Born reads kept for every angle, by spec: the θ-free view's; none if θ-dependent or unread."""
     view = free_view(p, names)
-    return {} if view is None else view.reads
+    return {} if view is None or view.reads is None else view.reads
 
 
 def memo_arrays(p, names):
@@ -73,15 +74,27 @@ def kernel_count():
     return len(perspectives._KERNELS)
 
 
+def stack_rows():
+    """(rows the stack holds, rows the θ-dependent kernels in ``_KERNELS`` own, entries of the stack memo).
+
+    The first two are equal while the stack is the kernels' own; the memo's
+    entries are the stack and its contraction at the latest angle.
+    """
+    stack = perspectives._STACK.get("branches")
+    owned = sum(k.branches.shape[1] for k in perspectives._KERNELS.values() if k.latest[0] is not None)
+    return 0 if stack is None else stack.shape[1], owned, len(perspectives._STACK)
+
+
 def standpoints():
     """The standpoints checked so far, each ``(agent, time, conditioning, rule kind)``."""
     return set(perspectives._STANDPOINTS)
 
 
 def clear():
-    """Empty every memo: kernels with their views and lookups, standpoints, perspectives."""
+    """Empty every memo: kernels with their views, lookups and stack, standpoints, perspectives."""
     perspectives._kernel.cache_clear()
     perspectives._KERNELS.clear()
+    perspectives._STACK.clear()
     perspectives._STANDPOINTS.clear()
     reasoning = sys.modules.get("ewfs.reasoning")
     if reasoning is not None:

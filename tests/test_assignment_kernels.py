@@ -173,7 +173,8 @@ def test_kernel_cache_is_keyed_canonically():
     # Every valid perspective, every order of its conditioning and every
     # ordered tuple of one to four registers: the kernel depends on neither
     # order, so the cache holds one entry per (checkpoint, conditioning set,
-    # collapse, register set).
+    # dephasing of an unconditioned record, register set): a collapse-aware
+    # standpoint with nothing left to dephase shares the unitary-global kernel.
     _engine.clear()
     orders = [o for k in range(1, 5) for o in itertools.permutations(ALL_REGISTERS, k)]
     calls = 0
@@ -184,7 +185,7 @@ def test_kernel_cache_is_keyed_canonically():
                 calls += 1
                 _outcome(assign, q, names, 0.3)
     assert calls == 49_920
-    assert _engine.kernel_count() == 1_200
+    assert _engine.kernel_count() == 975
     p = Perspective("W", "n:30", (("z", "+1/2"), ("r", "tails")), AssignmentRule("collapse-aware"))
     swapped = Perspective("W", "n:30", (("r", "tails"), ("z", "+1/2")), AssignmentRule("collapse-aware"))
     want = assign(p, ("S", "F"), 0.3).matrix
@@ -213,11 +214,11 @@ def test_sweep_reuses_kernels_and_builds_one_density_matrix_per_assignment(monke
         _sweep_op(theta)
     # The grid alone: the audits' premise and record distributions read Born
     # probabilities off the branches and build no density matrix.  The 30
-    # θ-free grid states were built with their kernels; only the 5 distinct
+    # θ-free grid states were built with their kernels; only the 4 distinct
     # θ-dependent ones are built per angle.
     assert counts["assign"] == len(angles) * len(SWEEP_GRID)
     assert counts["record"] > 0
-    assert counts["density"] == len(angles) * 5
+    assert counts["density"] == len(angles) * 4
     assert _engine.kernel_count() == warm
 
 

@@ -145,7 +145,7 @@ GROWTH_BOUND = 64 * 1024
 
 def test_memory_stays_flat_over_fresh_angles():
     calls = _theta_dependent_calls()
-    assert len(calls) == 22
+    assert len(calls) == 19
 
     def sweep(theta):
         for p, var, names in calls:

@@ -6,9 +6,11 @@ named.  The run is made in a fresh interpreter, where no earlier test has
 filled a memo that ``_engine.clear()`` would miss: it clears, records each
 container's size, runs the benchmark's sweep op (both exact joints, the
 three audits, the assignment grid) at 20 fresh angles and then at 40 more,
-and clears again.
+and clears again.  The stack of θ-dependent branches holds the rows of the
+kernels in ``_KERNELS`` and no others, however often it is cleared.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -33,6 +35,7 @@ CHILD_ENV = {
 # The memos the sweep op fills, each emptied by ``_engine.clear()``.
 MEMOS = {
     "ewfs.perspectives._KERNELS",
+    "ewfs.perspectives._STACK",
     "ewfs.perspectives._STANDPOINTS",
     "ewfs.perspectives._kernel",
     "ewfs.reasoning._perspective",
@@ -114,3 +117,34 @@ def test_every_memo_is_bounded_keyed_by_no_angle_and_emptied_by_one_clear():
     assert found["float_keyed"] == []
     assert found["not_emptied"] == []
     assert set(found["grown"]) == MEMOS
+
+
+def test_the_stack_holds_the_rows_of_the_theta_dependent_kernels_and_one_clear_empties_it():
+    from test_assignment_kernels import ALL_REGISTERS, PERSPECTIVES
+
+    _engine.clear()
+    assert _engine.stack_rows() == (0, 0, 0)
+    # Every kernel key: every valid perspective and register set.
+    for p in PERSPECTIVES:
+        for k in range(1, 5):
+            for names in itertools.combinations(ALL_REGISTERS, k):
+                _engine.kernel(p, names)
+    assert _engine.kernel_count() == 975
+    every = _engine.stack_rows()
+    assert every[0] == every[1] > 0
+    thetas = np.random.default_rng(38).uniform(-10.0, 10.0, 30).tolist()
+    for theta in thetas[:10]:
+        _sweep_op(theta)
+    assert _engine.stack_rows() == (every[0], every[1], 2)  # no kernel joined; the latest contraction kept
+    sweep = None
+    for start in (10, 20, 20):  # fresh angles, then angles seen before a clear
+        _engine.clear()
+        assert _engine.stack_rows() == (0, 0, 0)
+        for theta in thetas[start:start + 10]:
+            _sweep_op(theta)
+        rows = _engine.stack_rows()
+        assert rows[0] == rows[1] > 0 and rows[2] == 2
+        assert sweep in (None, rows)
+        sweep = rows
+    _engine.clear()
+    assert _engine.stack_rows() == (0, 0, 0)

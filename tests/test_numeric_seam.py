@@ -40,7 +40,7 @@ ALLOWED = {
 PATHS = {
     ("protocol.py", "_global_amplitudes"): {"_dot"},
     ("protocol.py", "_announcement_probs"): {"_dot", "_sqmod"},
-    ("perspectives.py", "_contract"): {"_dot", "_sqmod"},
+    ("perspectives.py", "_weigh"): {"_dot", "_sqmod"},
     ("perspectives.py", "_build"): {"_dot", "_sqmod"},
     ("measurement.py", "born_distribution"): {"_dot", "_sqmod"},
     ("qcore.py", "DensityMatrix._gram"): {"_dot"},

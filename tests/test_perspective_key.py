@@ -1,7 +1,9 @@
 """A perspective's kernel key is private: invisible to its dataclass surface, kept by its copies.
 
 ``Perspective`` keeps the key of its kernels, ``(time, sorted conditioning,
-collapse?)``, as a private attribute set in its one validation pass.
+dephase?)``, as a private attribute set in its one validation pass;
+``dephase?`` holds for a collapse-aware rule that leaves a record of its
+checkpoint unconditioned.
 
 * ``==``, ``hash``, ``repr``, ``dataclasses.fields`` and ``asdict`` see the
   four fields only, as before the key existed (pinned below).
@@ -15,17 +17,27 @@ collapse?)``, as a private attribute set in its one validation pass.
   angles, for every sweep-grid description.
 * The key holds no agent: agents that share a checkpoint, conditioning and
   rule assign the same bytes, each computed cold.
+* One kernel per description: a collapse-aware standpoint that conditions
+  on every record of its checkpoint has nothing to dephase, so it reaches
+  the unitary-global kernel of the same conditioning and, each side
+  computed cold, assigns and predicts the same bytes; one that leaves a
+  record unconditioned reaches another kernel.
 """
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ewfs import perspectives
 from ewfs.perspectives import (
     RECORD_READOUTS,
+    RECORDS,
+    TIMES,
     AssignmentRule,
     NotEvaluableError,
     Perspective,
@@ -35,6 +47,7 @@ from ewfs.perspectives import (
 
 import _engine
 from _oracles import SWEEP_GRID, default_registers
+from test_theta_free_reads import SUBSET_SPECS
 
 NAMES = ("S", "F")
 THETA = 0.7
@@ -138,3 +151,67 @@ def test_agents_that_share_a_standpoint_assign_the_same_bytes():
                     else:
                         states.add(rho.matrix.tobytes())
                 assert len(states) == 1, (time, cond, rule)
+
+
+def _fully_conditioned():
+    """(checkpoint, conditioning) pairs that name one value of every record existing at the checkpoint."""
+    out = []
+    for time in TIMES:
+        now = TIMES[: TIMES.index(time) + 1]
+        seen = [var for var, (_, available, _) in RECORDS.items() if available in now]
+        for values in itertools.product(*(RECORDS[var][2] for var in seen)):
+            out.append((time, tuple(zip(seen, values))))
+    return out
+
+
+FULLY_CONDITIONED = _fully_conditioned()
+# Every spec over the registers: each record readout and a computational-basis read of each register set.
+SPECS = tuple(RECORD_READOUTS.values()) + SUBSET_SPECS
+
+
+def _cold(fn, *args):
+    """``fn(*args)`` with every memo emptied first, as bytes; the error's repr if it raises one."""
+    _engine.clear()
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+    if isinstance(value, dict):
+        return tuple((label, float(p).hex()) for label, p in value.items())
+    return value.matrix.tobytes()
+
+
+@settings(max_examples=3, deadline=None)
+@example(theta=0.0)
+@example(theta=-0.0)
+@example(theta=0.7)
+@given(theta=st.floats(-1e3, 1e3))
+def test_a_collapse_aware_standpoint_with_nothing_to_dephase_shares_the_unitary_kernel(theta):
+    assert len(FULLY_CONDITIONED) == 15
+    for agent in perspectives.AGENTS:
+        for time, cond in FULLY_CONDITIONED:
+            collapse = Perspective(agent, time, cond, "collapse-aware")
+            unitary = Perspective(agent, time, cond, "unitary-global")
+            for spec in SPECS:
+                names = spec.target
+                assert _engine.kernel(collapse, names) is _engine.kernel(unitary, names), (collapse, names)
+                want = _cold(predict_distribution, unitary, spec, theta)
+                assert _cold(predict_distribution, collapse, spec, theta) == want, (collapse, names)
+            names = default_registers(time)
+            want = _cold(assign, unitary, names, theta)
+            assert _cold(assign, collapse, names, theta) == want, (collapse, names)
+
+
+def test_a_record_left_unconditioned_is_another_kernel():
+    for agent in perspectives.AGENTS:
+        for time, cond in (("n:10", ()), ("n:30", (("r", "tails"), ("z", "+1/2")))):
+            collapse = Perspective(agent, time, cond, "collapse-aware")
+            unitary = Perspective(agent, time, cond, "unitary-global")
+            names = default_registers(time)
+            assert _engine.kernel(collapse, names) is not _engine.kernel(unitary, names), (collapse, names)
+            assert collapse._kernel_key[2] and not unitary._kernel_key[2]
+    # Dephasing the coin record mixes the lab states: the states differ in bytes.
+    collapse = Perspective("W", "n:10", (), "collapse-aware")
+    unitary = Perspective("W", "n:10", (), "unitary-global")
+    names = ("R", "Fbar", "S")
+    assert _cold(assign, collapse, names, 0.7) != _cold(assign, unitary, names, 0.7)

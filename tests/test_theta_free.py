@@ -160,7 +160,7 @@ def test_every_returned_state_ran_the_checks_and_a_theta_free_one_once(monkeypat
     # and angle.
     shared = {id(states[0]) for states in free.values()}
     assert len(shared) == 15
-    assert len(built) == len(shared) + 5 * len(angles)
+    assert len(built) == len(shared) + 4 * len(angles)
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])

@@ -6,7 +6,7 @@ keyed by the spec, and builds its state on the first ``assign``.
 * Every call returns a fresh dict: mutating one changes no later read.
 * ``_engine.clear()`` takes the reads with the kernels: every
   perspective read again matches the per-angle oracles.
-* Over the full 1,200-key enumeration a kernel holds at most one read per
+* Over the full 975-key enumeration a kernel holds at most one read per
   spec, a θ-dependent one none, and a spec the caller drops leaves.
 * Reading predictions builds no state; the first ``assign`` does.
 """
@@ -95,7 +95,7 @@ def test_cache_clear_leaves_no_stale_read_or_state():
 
 def test_at_most_one_read_per_kernel_and_spec_over_every_key():
     # Every valid perspective, every order of its conditioning and every
-    # register set: the 1,200 kernel keys of ``test_kernel_cache_is_keyed_canonically``.
+    # register set: the 975 kernel keys of ``test_kernel_cache_is_keyed_canonically``.
     assert len(SUBSET_SPECS) == 15
     _engine.clear()
     kernels, free = {}, set()  # kernel id -> a (perspective, registers) that reads it
@@ -109,12 +109,12 @@ def test_at_most_one_read_per_kernel_and_spec_over_every_key():
                     evaluable = _outcome(predict_distribution, q, spec, theta) is not None
                     if evaluable and _engine.theta_free(q, spec.target):
                         free.add(k)
-        assert _engine.kernel_count() == 1_200
-        assert len(kernels) == 1_200
+        assert _engine.kernel_count() == 975
+        assert len(kernels) == 975
         sizes = Counter(len(_engine.kept_reads(*key)) for key in kernels.values())
-        assert sizes == Counter({1: len(free), 0: 1_200 - len(free)})
+        assert sizes == Counter({1: len(free), 0: 975 - len(free)})
         assert all(len(_engine.kept_reads(*kernels[k])) == 1 for k in free)
-    assert 0 < len(free) < 1_200
+    assert 0 < len(free) < 975
 
 
 def test_a_dropped_spec_leaves_the_reads():

@@ -6,9 +6,11 @@ not carried into single precision (``1j * float32`` is ``complex64``), and
 an ``int``, a ``Fraction`` or a numpy ``float64`` gives what ``float(θ)``
 gives, byte for byte.  Every memo is emptied before each side, so each side
 does its own arithmetic.  A ``str`` or complex θ is refused with
-``TypeError``, as ``math.isfinite`` refuses it.
+``TypeError``, as ``math.isfinite`` refuses it; a numpy complex θ too, with
+no imaginary part dropped and no ``ComplexWarning`` on the way.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -67,3 +69,26 @@ def test_a_str_or_complex_theta_is_refused_with_type_error(theta):
     for name in reasoning.RULESET_NAMES:
         with pytest.raises(TypeError):
             reasoning.audit(name, theta)
+
+
+@pytest.mark.parametrize(
+    "theta", [np.complex128(0.7), np.complex128(0.7 + 0.5j), np.complex64(0.7)], ids=repr
+)
+def test_a_numpy_complex_theta_is_refused_as_a_python_complex_is(theta):
+    p = Perspective("W", "n:30", (("wbar", "okbar"),), "unitary-global")
+    with pytest.raises(TypeError) as python_complex:
+        protocol.ProtocolConfig("unitary", complex(theta))
+    message = str(python_complex.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would mean θ was read as its real part
+        for semantics in ("collapse", "unitary"):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                protocol.exact_joint(protocol.ProtocolConfig(semantics, theta))
+        _engine.clear()
+        for _ in range(2):  # cold, then with the kernel built and viewed at a real θ
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                assign(p, ("S", "F"), theta)
+            assign(p, ("S", "F"), 0.7)
+        for name in reasoning.RULESET_NAMES:
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                reasoning.audit(name, theta)

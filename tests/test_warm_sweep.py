@@ -7,7 +7,8 @@
 * A kernel is found once per (kernel key, register names as given): a warm
   lookup neither sorts nor builds, and its θ-dependent view is kept under
   the exact θ, so a repeated angle reads no coin amplitudes and ``0.0`` and
-  ``-0.0`` are kept apart.
+  ``-0.0`` are kept apart.  A new angle contracts the stack of θ-dependent
+  branches once, whatever number of descriptions it reads.
 * ``chain`` checks every chain, a built-in one too, once per call, and
   reads each link through the public ``evaluate``.
 """
@@ -100,7 +101,12 @@ def test_the_standpoint_memo_holds_only_valid_standpoints_and_stays_bounded():
         assert type(p.conditioning) is tuple
         assert all(type(x) is str for pair in p.conditioning for x in pair)
         assert type(p.rule) is AssignmentRule
-        assert p._kernel_key == (time, tuple(sorted(cond)), kind == "collapse-aware")
+        # Dephased only if a record that exists at the checkpoint is left unconditioned.
+        unconditioned = [
+            var for var, (_, available, _) in RECORDS.items()
+            if available in TIMES[: TIMES.index(time) + 1] and var not in dict(cond)
+        ]
+        assert p._kernel_key == (time, tuple(sorted(cond)), kind == "collapse-aware" and bool(unconditioned))
         if i % 100 == 0:
             for args, message in INVALID:
                 before = _engine.standpoints()
@@ -135,14 +141,14 @@ def test_a_repeated_angle_reads_no_coin_amplitudes_and_builds_no_kernel(monkeypa
     misses = _engine.kernel_misses()
     seen = _engine.calls(monkeypatch, protocol, "coin_amplitudes")
     _engine.calls(monkeypatch, perspectives, "_build", into=seen)
-    _engine.calls(monkeypatch, perspectives, "_contract", record=True, into=seen)
+    _engine.calls(monkeypatch, perspectives, "_weigh", record=True, into=seen)
     _sweep(0.3)
     assert not seen.counts
-    # A new angle contracts each θ-dependent description it reads once, and looks up no new kernel.
+    # A new angle contracts the whole stack of θ-dependent branches once, and looks up no new kernel.
     _sweep(1.7)
-    assert set(seen.counts) == {"coin_amplitudes", "_contract"}
-    assert seen.counts["coin_amplitudes"] == seen.counts["_contract"] > 0
-    assert len({id(args[0]) for args, _ in seen.records}) == len(seen.records)
+    assert seen.counts == {"coin_amplitudes": 1, "_weigh": 1}
+    (stack, _), _ = seen.records[0]
+    assert stack.shape[1] == _engine.stack_rows()[0] > 1
     assert _engine.kernel_misses() == misses
 
 
